@@ -138,8 +138,7 @@ def cmd_train(args):
             f"{data.shape[1]} training blocks < m={cfg['m']}; provide more data"
         )
     init = frames.dct_dictionary(cfg["n"], cfg["m"])
-    ksvd_cfg = KsvdConfig(m=cfg["m"], k=cfg["k"], iters=cfg["ksvd_iters"],
-                          seed=cfg["seed"])
+    ksvd_cfg = KsvdConfig(m=cfg["m"], k=cfg["k"], iters=cfg["ksvd_iters"])
     base_dict, base_codes = ksvd_train(data, ksvd_cfg, init)
 
     if args.method == "ksvd":

@@ -1,8 +1,8 @@
 """Baseline K-SVD dictionary learning.
 
-Alternates per-column OMP sparse coding with atom-by-atom rank-1 SVD
-updates of the restricted residual. Used both standalone and as the
-initializer of the Parseval trainer. Per-block means are preserved: no
+Alternates column-batched OMP sparse coding (Batch-OMP) with atom-by-atom
+rank-1 SVD updates of the restricted residual. Used both standalone and as
+the initializer of the Parseval trainer. Per-block means are preserved: no
 mean removal happens inside training.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import omp
+from .sparse_solvers import _OMP_BATCH_ENTRIES, _omp_columns
 
 _OMP_RESIDUAL_TOL = 1e-12
 
@@ -26,7 +26,6 @@ class KsvdConfig:
     m: int
     k: int
     iters: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1 or self.k < 1 or self.iters < 0:
@@ -46,39 +45,68 @@ def _code_columns(dict_mat, data, k, prev_codes):
 
     Fresh OMP codes are compared against a least-squares refit of each
     column's previous support; the better of the two is kept, so the
-    coding stage cannot increase the data-fit objective.
+    coding stage cannot increase the data-fit objective. The refit wins
+    only when it lowers the column's residual norm by more than
+    ``_OMP_RESIDUAL_TOL``: below that the two fits are equally exact, and
+    rounding alone must not pick between supports.
     """
-    d = Dictionary(dict_mat)
-    m = dict_mat.shape[1]
-    codes = np.zeros((m, data.shape[1]))
-    for i in range(data.shape[1]):
-        y = data[:, i]
-        fresh = omp(d, y, k, _OMP_RESIDUAL_TOL).entries
-        best = fresh
-        best_err = np.linalg.norm(y - dict_mat @ fresh)
-        if prev_codes is not None:
-            support = np.flatnonzero(prev_codes[:, i])
-            if support.size:
-                sol, *_ = np.linalg.lstsq(dict_mat[:, support], y, rcond=None)
-                refit = np.zeros(m)
-                refit[support] = sol
-                err = np.linalg.norm(y - dict_mat @ refit)
-                if err < best_err:
-                    best, best_err = refit, err
-        codes[:, i] = best
+    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL)
+    if prev_codes is None:
+        return codes
+    refit = _refit_supports(dict_mat, data, prev_codes)
+    gain = _fit_errors(dict_mat, data, codes) - _fit_errors(dict_mat, data, refit)
+    better = prev_codes.any(axis=0) & (gain > _OMP_RESIDUAL_TOL)
+    codes[:, better] = refit[:, better]
     return codes
+
+
+def _fit_errors(dict_mat, data, codes):
+    return np.linalg.norm(data - dict_mat @ codes, axis=0)
+
+
+def _refit_supports(dict_mat, data, codes):
+    """Least-squares codes of every column on the support of ``codes``.
+
+    Supports are padded to a common width with identity rows of the
+    normal equations, which pins the padding coefficients at zero; the
+    columns are solved in batched calls sized like the Batch-OMP batches.
+    """
+    present = codes != 0
+    sizes = present.sum(axis=0)
+    width = int(sizes.max(initial=0))
+    # The first sizes[j] entries of column j's order are its support.
+    order = np.argsort(~present, axis=0, kind="stable")[:width].T
+    gram = dict_mat.T @ dict_mat
+    proj = dict_mat.T @ data
+    refit = np.zeros_like(codes)
+    batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
+    for start in range(0, data.shape[1], batch):
+        cols = np.arange(start, min(start + batch, data.shape[1]))[:, None]
+        support = order[cols[:, 0]]
+        valid = np.arange(width) < sizes[cols]
+        system = gram[support[:, :, None], support[:, None, :]]
+        system *= valid[:, :, None] & valid[:, None, :]
+        system[:, np.arange(width), np.arange(width)] += ~valid
+        rhs = np.where(valid, proj[support, cols], 0.0)
+        refit[support, cols] = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    return refit
 
 
 def _update_atoms(dict_mat, data, codes):
     """One pass of atom-wise rank-1 updates; unused atoms are replaced by
-    the worst-represented training column."""
+    the worst-represented training column.
+
+    The residual data - dict @ codes is kept across the pass: each atom
+    update rewrites only the columns that use the atom.
+    """
     dict_mat = dict_mat.copy()
     codes = codes.copy()
+    resid = data - dict_mat @ codes
     taken = set()
     for j in range(dict_mat.shape[1]):
         used = np.flatnonzero(codes[j, :])
         if used.size == 0:
-            errs = np.linalg.norm(data - dict_mat @ codes, axis=0)
+            errs = np.linalg.norm(resid, axis=0)
             for worst in np.argsort(errs)[::-1]:
                 if int(worst) not in taken:
                     break
@@ -88,15 +116,12 @@ def _update_atoms(dict_mat, data, codes):
             if nrm > 0:
                 dict_mat[:, j] = col / nrm
             continue
-        restricted = (
-            data[:, used]
-            - dict_mat @ codes[:, used]
-            + np.outer(dict_mat[:, j], codes[j, used])
-        )
+        restricted = resid[:, used] + np.outer(dict_mat[:, j], codes[j, used])
         u, s, vt = np.linalg.svd(restricted, full_matrices=False)
         atom, row = _canonical_sign(u[:, 0], s[0] * vt[0, :])
         dict_mat[:, j] = atom
         codes[j, used] = row
+        resid[:, used] = restricted - np.outer(atom, row)
     return dict_mat, codes
 
 

@@ -3,8 +3,9 @@
 The trainer alternates: (v) analysis- then synthesis-dictionary updates,
 each a Sylvester solve; (vi) gradient-ascent multiplier updates for the
 two constraints (synth @ analysis.T = I and synth = analysis); (vii) a
-support-preserving row-at-a-time refresh of the sparse codes, repeated
-``x_sweeps`` times. The weighted objective
+support-preserving Gauss-Seidel refresh of the sparse codes in row order,
+repeated ``x_sweeps`` times and run one support slot at a time across
+all columns. The weighted objective
 
     || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2
 
@@ -160,52 +161,71 @@ def update_multipliers(synth, analysis, state, cfg):
 
 
 def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
-    """Support-preserving row-at-a-time code refresh.
+    """Support-preserving Gauss-Seidel code refresh, batched by support slot.
 
-    Performs ``cfg.x_sweeps`` passes over rows 1..m in order. Each row's
-    nonzero entries get the closed-form least-squares value for the
+    Each of the ``cfg.x_sweeps`` sweeps visits rows 1..m in order and gives
+    each row's nonzero entries the closed-form least-squares value for the
     weighted objective at the current residual; entries falling below the
     zero threshold are frozen at zero from then on, so supports never
-    grow. Rows with empty support are skipped. When ``obj_log`` is given,
-    the objective value is appended after every row update.
+    grow. Rows with empty support and atoms whose weighted norm is not
+    positive are skipped. An entry's update reads and writes only its own
+    column's residual, so a sweep equals visiting each column's support
+    atoms in increasing index order; it runs as one vectorized step per
+    support slot, step s updating the s-th support atom of every column.
+    When ``obj_log`` is given, the objective after each row that had a
+    live entry in the sweep is appended, as a row-at-a-time sweep sees it.
     """
     codes = codes.copy()
     # Entries at or below the zero threshold count as zero support-wise;
     # clamping them up front keeps supports monotone under that rule.
     codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
-    # Residuals maintained incrementally: resid = Y - synth X and
-    # dual_resid = analysis^T resid.
-    resid = data - synth @ codes
-    dual_resid = analysis.T @ resid
-    kernel = analysis.T @ synth  # column k = analysis^T synth_k
-    atom_sq = np.einsum("ij,ij->j", synth, synth)
-    kernel_sq = np.einsum("ij,ij->j", kernel, kernel)
+    m, n_cols = codes.shape
+    # The objective is sum_j r_j^T W r_j with W = rho1 I + analysis
+    # analysis^T. Residuals are kept one column per row: resid[j] = r_j.
+    resid = (data - synth @ codes).T
+    kernel = analysis.T @ synth
+    metric = (cfg.rho1 * synth + analysis @ kernel).T  # row k = W synth_k
+    synth_rows = np.ascontiguousarray(synth.T)
+    denom = cfg.rho1 * np.einsum("ij,ij->j", synth, synth) + np.einsum(
+        "ij,ij->j", kernel, kernel
+    )
+    usable = denom > 0.0
+    scale = np.divide(1.0, denom, out=np.zeros(m), where=usable)
+    # slots[s, j] is the s-th support atom of column j, in increasing
+    # index order; past the end of a support it names a zero entry. An
+    # entry that is zero (frozen or padding) is never updated.
+    present = codes != 0.0
+    width = int(present.sum(axis=0).max(initial=0))
+    slots = np.argsort(~present, axis=0, kind="stable")[:width]
+    lanes = np.arange(n_cols)
 
     for _ in range(cfg.x_sweeps):
-        for k in range(synth.shape[1]):
-            support = np.flatnonzero(codes[k, :])
-            if support.size == 0:
-                continue
-            denom = cfg.rho1 * atom_sq[k] + kernel_sq[k]
-            if denom <= 0.0:
-                continue
-            numer = (
-                cfg.rho1 * (synth[:, k] @ resid[:, support])
-                + kernel[:, k] @ dual_resid[:, support]
+        if obj_log is not None:
+            start = float(
+                np.linalg.norm(resid @ analysis) ** 2
+                + cfg.rho1 * np.linalg.norm(resid) ** 2
             )
-            new_vals = codes[k, support] + numer / denom
-            new_vals[np.abs(new_vals) <= ZERO_THRESHOLD] = 0.0
-            delta = new_vals - codes[k, support]
-            codes[k, support] = new_vals
-            resid[:, support] -= np.outer(synth[:, k], delta)
-            dual_resid[:, support] -= np.outer(kernel[:, k], delta)
+            change = np.zeros(m)
+            seen = np.zeros(m, dtype=bool)
+        for atom in slots:
+            old = codes[atom, lanes]
+            live = (old != 0.0) & usable[atom]
+            numer = np.einsum("ij,ij->i", metric[atom], resid)
+            new = old + numer * scale[atom]
+            new[np.abs(new) <= ZERO_THRESHOLD] = 0.0
+            new = np.where(live, new, old)
+            delta = new - old
+            codes[atom, lanes] = new
+            resid -= synth_rows[atom] * delta[:, None]
             if obj_log is not None:
-                obj_log.append(
-                    float(
-                        np.linalg.norm(dual_resid) ** 2
-                        + cfg.rho1 * np.linalg.norm(resid) ** 2
-                    )
+                # Each update changes its column's objective by this much.
+                change += np.bincount(
+                    atom, weights=delta * (delta * denom[atom] - 2.0 * numer),
+                    minlength=m,
                 )
+                seen[atom[live]] = True
+        if obj_log is not None:
+            obj_log.extend((start + np.cumsum(change)[seen]).tolist())
     return codes
 
 

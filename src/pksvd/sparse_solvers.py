@@ -1,6 +1,7 @@
 """Sparse coding engines.
 
-* ``omp`` — greedy orthogonal matching pursuit (used by K-SVD).
+* ``omp`` — greedy orthogonal matching pursuit; ``_omp_columns`` runs it
+  on many columns at once (Batch-OMP, used by K-SVD).
 * ``bpdn`` — operator-splitting ADMM for min ||w||_1 s.t. ||b - A w||_2 <= eps.
 * ``basis_pursuit`` — the eps = 0 specialization with a vertex polish step.
 * ``bp_bruteforce_oracle`` — exact LP optimum by basic-solution enumeration,
@@ -22,6 +23,14 @@ from .matrix_core import as_matrix
 ZERO_THRESHOLD = 1e-6
 
 _ORACLE_MAX_ATOMS = 12
+
+# Entries of the support-Gram inverses (columns x k x k) one Batch-OMP
+# batch may hold: 16 columns at k = 64, 4096 columns at k = 4.
+_OMP_BATCH_ENTRIES = 2 ** 16
+
+# A candidate atom whose squared distance from the span of the support is
+# at most this fraction of its squared norm counts as dependent on it.
+_SCHUR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,34 +61,103 @@ class SparseVec:
 
 
 def omp(d: Dictionary, y, k: int, residual_tol: float = 0.0) -> SparseVec:
-    """Orthogonal matching pursuit with budget ``k``.
+    """Orthogonal matching pursuit with budget ``k`` on one signal.
 
-    Greedily adds the atom most correlated with the residual, then
-    re-solves least squares on the selected support. Stops when the
-    residual norm drops to ``residual_tol`` or ``k`` atoms are in use.
+    A one-column call of ``_omp_columns``, which states the rule.
     """
-    a = d.mat
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != d.n:
         raise ValueError(f"signal length {y.size} does not match dictionary rows {d.n}")
     if k < 0 or k > d.n:
         raise ValueError(f"budget k={k} must be in [0, n={d.n}]")
+    return SparseVec(_omp_columns(d.mat, y[:, None], k, residual_tol)[:, 0])
 
-    coeffs = np.zeros(d.m)
-    support: list[int] = []
-    residual = y.copy()
-    available = np.ones(d.m, dtype=bool)
-    while len(support) < k and np.linalg.norm(residual) > residual_tol:
-        corr = np.abs(a.T @ residual)
-        corr[~available] = -1.0
-        best = int(np.argmax(corr))
-        available[best] = False
-        support.append(best)
-        sol, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
-        residual = y - a[:, support] @ sol
-    if support:
-        coeffs[support] = sol
-    return SparseVec(coeffs)
+
+def _omp_columns(dict_mat, data, k, residual_tol=0.0):
+    """Orthogonal matching pursuit on every column of ``data`` (Batch-OMP).
+
+    Per column: add the unused atom most correlated with the residual
+    (ties go to the lowest index), re-solve least squares on the support,
+    and stop once ``k`` atoms are in use or the residual norm is at most
+    ``residual_tol``. The least-squares solves use the precomputed Gram
+    matrix D^T D and projections D^T Y: each column keeps the inverse of
+    its support Gram and grows it by the Schur complement of the new atom
+    (Rubinstein, Zibulevsky & Elad 2008). A column whose new atom is
+    numerically dependent on its support already has a residual at
+    rounding level; it keeps its codes and stops. Residuals are explicit,
+    Y - D X, and columns go in batches whose inverses hold at most
+    ``_OMP_BATCH_ENTRIES`` entries. Returns the m x N codes.
+    """
+    dict_mat = as_matrix(dict_mat, "dictionary")
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != dict_mat.shape[0]:
+        raise ValueError(f"data shape {data.shape} does not match {dict_mat.shape}")
+    gram = dict_mat.T @ dict_mat
+    codes = np.zeros((dict_mat.shape[1], data.shape[1]))
+    width = max(1, _OMP_BATCH_ENTRIES // max(k, 1) ** 2)
+    for start in range(0, data.shape[1], width):
+        block = slice(start, start + width)
+        codes[:, block] = _omp_block(dict_mat, gram, data[:, block].T, k,
+                                     residual_tol).T
+    return codes
+
+
+def _omp_block(dict_mat, gram, y, k, residual_tol):
+    """``_omp_columns`` on one batch with signals as the rows of ``y``.
+
+    Every array carries one lane (signal) per row; a lane leaves the batch
+    when it stops, so all remaining lanes hold supports of equal size.
+    """
+    n_atoms = dict_mat.shape[1]
+    out = np.zeros((y.shape[0], n_atoms))
+    lanes = np.flatnonzero(_col_norms(y.T) > residual_tol)
+    y = y[lanes]
+    proj = y @ dict_mat
+    corr = proj
+    codes = np.zeros((lanes.size, n_atoms))
+    support = np.zeros((lanes.size, 0), dtype=np.intp)
+    inv = np.zeros((lanes.size, 0, 0))
+    while lanes.size and support.shape[1] < k:
+        rows = np.arange(lanes.size)[:, None]
+        score = np.abs(corr)
+        score[rows, support] = -1.0
+        new = np.argmax(score, axis=1)
+        cross = gram[support, new[:, None]]
+        half = np.einsum("lij,lj->li", inv, cross)
+        schur = gram[new, new] - np.einsum("li,li->l", cross, half)
+        stalled = schur <= _SCHUR_FLOOR * gram[new, new]
+        schur[stalled] = 1.0  # keeps the arithmetic finite; the lane stops
+        size = support.shape[1]
+        grown = np.empty((lanes.size, size + 1, size + 1))
+        edge = -half / schur[:, None]
+        # In place: grown's top-left block is inv + half half^T / schur.
+        top = grown[:, :size, :size]
+        np.multiply(half[:, :, None], -edge[:, None, :], out=top)
+        top += inv
+        grown[:, :size, size] = edge
+        grown[:, size, :size] = edge
+        grown[:, size, size] = 1.0 / schur
+        inv = grown
+        support = np.column_stack([support, new])
+        coef = np.einsum("lij,lj->li", inv, np.take_along_axis(proj, support, axis=1))
+        fresh = np.zeros_like(codes)
+        fresh[rows, support] = coef
+        fresh[stalled] = codes[stalled]
+        codes = fresh
+        resid = y - codes @ dict_mat.T
+        done = stalled | (_col_norms(resid.T) <= residual_tol)
+        done |= support.shape[1] == k
+        out[lanes[done]] = codes[done]
+        keep = ~done
+        lanes, y, proj, codes, support, inv = (
+            lanes[keep], y[keep], proj[keep], codes[keep], support[keep], inv[keep]
+        )
+        corr = resid[keep] @ dict_mat
+    return out
+
+
+def _col_norms(v):
+    return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
 def _project_l2_ball(v, radius):
@@ -155,19 +233,16 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
         np.broadcast_to(np.asarray(eps, dtype=float), (n_cols,))
     )
 
-    def col_norms(v):
-        return np.sqrt(np.einsum("ij,ij->j", v, v))
-
     out = np.zeros((m, n_cols))
     # Columns whose data already fits inside the ball have the exact
     # solution w = 0 and are never iterated on.
-    active_idx = np.flatnonzero(col_norms(b_all) > eps_all)
+    active_idx = np.flatnonzero(_col_norms(b_all) > eps_all)
     # Per-column normalization keeps every column's trajectory independent
     # of the rest of the batch; w scales linearly with (b, eps).
-    scale = np.maximum(col_norms(b_all[:, active_idx]), 1e-300)
+    scale = np.maximum(_col_norms(b_all[:, active_idx]), 1e-300)
     b = b_all[:, active_idx] / scale
     eps_act = eps_all[active_idx] / scale
-    col_ref = np.maximum(1.0, col_norms(b))
+    col_ref = np.maximum(1.0, _col_norms(b))
     if feas_abs is None:
         feas_target = tol * col_ref
     else:
@@ -217,7 +292,7 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
         uz = warm["uz"][:, active_idx]
         rho = warm["rho"][active_idx].copy()
         resid = b - matvec(sys_act, w)
-        norms0 = col_norms(resid)
+        norms0 = _col_norms(resid)
         clip = np.ones(norms0.size)
         np.divide(eps_act, norms0, out=clip, where=norms0 > eps_act)
         r = resid * clip
@@ -249,7 +324,7 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
         aw_h = relax * aw + (1.0 - relax) * (b - r)
         z = _soft_threshold(w_h + uz, 1.0 / rho)
         v = b - aw_h - ur
-        norms = col_norms(v)
+        norms = _col_norms(v)
         shrink = np.ones(norms.size)
         np.divide(eps_act, norms, out=shrink, where=norms > eps_act)
         r = v * shrink
@@ -258,11 +333,11 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
         ur += aw_h + r - b
 
         if it % check_every == 0 or it == max_iter:
-            feas_norm = col_norms(aw + r - b)
-            split_norm = col_norms(w - z)
+            feas_norm = _col_norms(aw + r - b)
+            split_norm = _col_norms(w - z)
             dual = rho * np.sqrt(
-                col_norms(z - z_old) ** 2
-                + col_norms(rmatvec(sys_act, r - r_old)) ** 2
+                _col_norms(z - z_old) ** 2
+                + _col_norms(rmatvec(sys_act, r - r_old)) ** 2
             )
             done = (
                 (feas_norm <= feas_target)

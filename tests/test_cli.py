@@ -96,6 +96,34 @@ class TestTrain:
         assert code != 0
 
 
+class TestFlatImage:
+    """A constant image has all-zero blocks once block means are removed."""
+
+    @pytest.fixture
+    def flat_image(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        write_pgm(np.full((32, 32), 100.0), path)
+        return path
+
+    def test_parseval_reports_singular_code_gram(self, flat_image, tmp_path, capsys):
+        code = main(["train", str(flat_image), "--method", "parseval",
+                     "--out", str(tmp_path / "p.pk"), *CFG])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "code Gram matrix is singular" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.pk").exists()
+
+    def test_ksvd_codes_have_empty_supports(self, flat_image, tmp_path):
+        codes = tmp_path / "k.pkx"
+        assert main(["train", str(flat_image), "--method", "ksvd",
+                     "--out", str(tmp_path / "k.pk"), "--out-codes", str(codes),
+                     *CFG]) == 0
+        loaded = load_codes(codes)
+        assert loaded.shape == (24, 64)
+        assert not np.any(loaded)
+
+
 @pytest.fixture(scope="module")
 def trained(train_image, tmp_path_factory):
     # converged pair: enough iterations for the constraints to bind tightly

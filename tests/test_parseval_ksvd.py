@@ -36,6 +36,43 @@ def small_problem(seed=0, n=4, m=6, n_cols=12, k=2):
     return data, codes, synth, analysis, state, cfg
 
 
+def reference_update_codes(data, codes, synth, analysis, cfg, obj_log=None):
+    """Row-at-a-time Gauss-Seidel refresh with an explicit dual residual."""
+    codes = codes.copy()
+    codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
+    resid = data - synth @ codes
+    dual_resid = analysis.T @ resid
+    kernel = analysis.T @ synth
+    atom_sq = np.einsum("ij,ij->j", synth, synth)
+    kernel_sq = np.einsum("ij,ij->j", kernel, kernel)
+    for _ in range(cfg.x_sweeps):
+        for k in range(synth.shape[1]):
+            support = np.flatnonzero(codes[k, :])
+            if support.size == 0:
+                continue
+            denom = cfg.rho1 * atom_sq[k] + kernel_sq[k]
+            if denom <= 0.0:
+                continue
+            numer = (
+                cfg.rho1 * (synth[:, k] @ resid[:, support])
+                + kernel[:, k] @ dual_resid[:, support]
+            )
+            new_vals = codes[k, support] + numer / denom
+            new_vals[np.abs(new_vals) <= ZERO_THRESHOLD] = 0.0
+            delta = new_vals - codes[k, support]
+            codes[k, support] = new_vals
+            resid[:, support] -= np.outer(synth[:, k], delta)
+            dual_resid[:, support] -= np.outer(kernel[:, k], delta)
+            if obj_log is not None:
+                obj_log.append(
+                    float(
+                        np.linalg.norm(dual_resid) ** 2
+                        + cfg.rho1 * np.linalg.norm(resid) ** 2
+                    )
+                )
+    return codes
+
+
 def lagrangian(data, codes, synth, analysis, state, cfg):
     n = synth.shape[0]
     resid = data - synth @ codes
@@ -200,6 +237,31 @@ class TestUpdateCodes:
         seq = [start] + log
         for a, b in zip(seq, seq[1:]):
             assert b <= a + 1e-9 * max(1.0, a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_row_order_reference(self, seed):
+        data, codes, synth, analysis, _, cfg = small_problem(
+            20 + seed, n=5, m=9, n_cols=30, k=3
+        )
+        codes[4, :] = 0.0  # a row with empty support
+        codes[1, :4] = 4e-7  # below the zero threshold
+        codes[6, :] = np.where(codes[6, :] != 0.0, 1.0, 0.0)
+        # a zero atom in both dictionaries: its weighted norm is zero
+        synth[:, 6] = 0.0
+        analysis[:, 6] = 0.0
+        # tiny data drive some entries through the threshold mid-sweep
+        data[:, 20:] *= 1e-7
+        got_log, ref_log = [], []
+        got = update_codes(data, codes, synth, analysis, cfg, obj_log=got_log)
+        ref = reference_update_codes(data, codes, synth, analysis, cfg, obj_log=ref_log)
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got[6], np.where(codes[6] != 0.0, 1.0, 0.0))
+        assert len(got_log) == len(ref_log) > 0
+        assert np.allclose(got_log, ref_log, rtol=1e-12, atol=0.0)
+        assert np.array_equal(
+            got, update_codes(data, codes, synth, analysis, cfg)
+        )
 
     def test_empty_support_rows_skipped(self):
         data, codes, synth, analysis, _, cfg = small_problem(14)

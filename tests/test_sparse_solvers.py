@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from pksvd import sparse_solvers
 from pksvd.errors import TooLarge
 from pksvd.frames import Dictionary
 from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
     SparseVec,
+    _omp_columns,
     basis_pursuit,
     bp_bruteforce_oracle,
     bpdn,
@@ -15,6 +17,31 @@ from pksvd.sparse_solvers import (
 
 def random_frame(rng, n, m):
     return Dictionary(rng.standard_normal((n, m)))
+
+
+def reference_omp(a, y, k, residual_tol=0.0):
+    """Per-column OMP with a fresh least-squares solve per step."""
+    coeffs = np.zeros(a.shape[1])
+    support = []
+    residual = y.copy()
+    available = np.ones(a.shape[1], dtype=bool)
+    while len(support) < k and np.linalg.norm(residual) > residual_tol:
+        corr = np.abs(a.T @ residual)
+        corr[~available] = -1.0
+        best = int(np.argmax(corr))
+        available[best] = False
+        support.append(best)
+        sol, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
+        residual = y - a[:, support] @ sol
+    if support:
+        coeffs[support] = sol
+    return coeffs
+
+
+def reference_omp_columns(a, data, k, residual_tol=0.0):
+    return np.column_stack(
+        [reference_omp(a, data[:, j], k, residual_tol) for j in range(data.shape[1])]
+    )
 
 
 class TestSparseVec:
@@ -77,6 +104,87 @@ class TestOmp:
         d = Dictionary(np.eye(3))
         u = omp(d, np.array([5.0, 1e-9, 0.0]), k=3, residual_tol=1e-6)
         assert list(u.support) == [0]
+
+
+class TestOmpColumns:
+    """The batched OMP against the per-column least-squares reference."""
+
+    def assert_matches_reference(self, a, data, k, residual_tol=0.0):
+        got = _omp_columns(a, data, k, residual_tol)
+        ref = reference_omp_columns(a, data, k, residual_tol)
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-10
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_frames_non_unit_atoms(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(4, 10))
+        m = int(rng.integers(n + 1, 3 * n))
+        a = rng.standard_normal((n, m)) * rng.uniform(0.2, 5.0, size=m)
+        data = rng.standard_normal((n, 40)) * 3.0
+        for k in (1, 2, n // 2):
+            self.assert_matches_reference(a, data, k)
+
+    def test_exact_ties_go_to_lowest_index(self):
+        data = np.array([[1.0, -2.0], [-1.0, 2.0], [1.0, 0.0], [1.0, 2.0]])
+        got = self.assert_matches_reference(np.eye(4), data, 2)
+        assert list(np.flatnonzero(got[:, 0])) == [0, 1]
+        assert list(np.flatnonzero(got[:, 1])) == [0, 1]
+
+    def test_early_stop_at_residual_tol(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 10)) * rng.uniform(0.5, 2.0, size=10)
+        data = rng.standard_normal((6, 12))
+        data[:, :4] = a[:, [3, 3, 7, 1]] * [2.0, -1.0, 0.5, 4.0]
+        data[:, 4:6] = a[:, [2, 5]] @ np.array([[1.0, 2.0], [-3.0, 1.0]])
+        got = self.assert_matches_reference(a, data, 5, residual_tol=1e-8)
+        sizes = (got != 0.0).sum(axis=0)
+        assert list(sizes[:4]) == [1, 1, 1, 1]
+        assert np.all(sizes[6:] == 5)
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((5, 9))
+        data = rng.standard_normal((5, 7))
+        data[:, [0, 3, 6]] = 0.0
+        got = self.assert_matches_reference(a, data, 3)
+        assert np.all(got[:, [0, 3, 6]] == 0.0)
+
+    def test_budget_equals_dimension(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 11)) * rng.uniform(0.5, 2.0, size=11)
+        data = rng.standard_normal((6, 25))
+        got = self.assert_matches_reference(a, data, 6)
+        assert np.all((got != 0.0).sum(axis=0) == 6)
+        assert np.linalg.norm(data - a @ got) <= 1e-10
+
+    def test_column_count_not_a_batch_multiple(self, monkeypatch):
+        # Batches of 3 columns at k = 4, so 11 columns end in a short batch.
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 3 * 4 ** 2)
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((8, 20)) * rng.uniform(0.5, 2.0, size=20)
+        data = rng.standard_normal((8, 11))
+        data[:, 4] = 0.0
+        self.assert_matches_reference(a, data, 4)
+
+    def test_dependent_atom_stops_the_column(self):
+        # Three atoms in a plane: once two are in use the residual is at
+        # rounding level and the third adds nothing but noise.
+        rng = np.random.default_rng(3)
+        plane = rng.standard_normal((3, 2))
+        a = plane @ np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
+        data = plane @ rng.standard_normal((2, 6))
+        got = _omp_columns(a, data, 3)
+        assert np.all((got != 0.0).sum(axis=0) == 2)
+        assert np.abs(data - a @ got).max() <= 1e-12
+
+    def test_single_column_wrapper(self):
+        rng = np.random.default_rng(11)
+        d = random_frame(rng, 5, 9)
+        y = rng.standard_normal(5)
+        u = omp(d, y, 3)
+        assert np.array_equal(u.entries, _omp_columns(d.mat, y[:, None], 3)[:, 0])
 
 
 class TestBruteforceOracle:
