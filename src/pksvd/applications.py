@@ -11,14 +11,13 @@ only on that block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadShape, EmptyBlockMask, SolverDidNotConverge
 from .frames import Dictionary
 from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
-from .sparse_solvers import ZERO_THRESHOLD, _bpdn_columns
+from .sparse_solvers import ZERO_THRESHOLD, _apply, _bpdn_columns
 
 # Per-block solve tolerances: optimality at PSNR-grade accuracy, ball
 # feasibility much tighter. Feasibility is re-checked afterwards, so the
@@ -92,12 +91,6 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     return Mask(observed)
 
 
-def _system_matvec(system, sol):
-    if system.ndim == 3:
-        return np.einsum("nqm,mn->qn", system, sol)
-    return system @ sol
-
-
 def _column_system(system, j):
     return system[j] if system.ndim == 3 else system
 
@@ -121,18 +114,20 @@ def _prune_support(full_system, rhs, support, fit, limit):
     return support, fit
 
 
-def _polish_columns(system, blocks, sol, limits, prune=False):
+def _polish_columns(system, blocks, sol, limits):
     """Per-column support refit (exact where the fit interpolates).
 
     Columns whose refit is feasible and no worse in l1 take the refit; an
     infeasible column additionally accepts a small l1 increase in exchange
-    for exact feasibility. With ``prune`` the accepted support is further
-    reduced by backward elimination, snapping near-sparse iterates onto
-    the minimum-l1 vertex. Mirrors the basis-pursuit vertex polish.
-    ``system`` is one shared matrix or a per-column stack.
+    for exact feasibility. For a per-column stack, whose systems are small,
+    the accepted support is further reduced by backward elimination,
+    snapping near-sparse iterates onto the minimum-l1 vertex. Mirrors the
+    basis-pursuit vertex polish. ``system`` is one shared matrix or a
+    per-column stack.
     """
+    prune = system.ndim == 3
     out = sol.copy()
-    before = np.linalg.norm(blocks - _system_matvec(system, sol), axis=0)
+    before = np.linalg.norm(blocks - _apply(system, sol), axis=0)
     for j in range(sol.shape[1]):
         w = sol[:, j]
         support = np.flatnonzero(np.abs(w) > ZERO_THRESHOLD)
@@ -155,112 +150,43 @@ def _polish_columns(system, blocks, sol, limits, prune=False):
     return out
 
 
-class _StrictSolution(NamedTuple):
-    codes: np.ndarray
-    state: dict
-
-
-def _solve_columns_strict(system, blocks, eps, warm_io=None) -> _StrictSolution:
+def _solve_columns_strict(system, blocks, eps):
     """Batched ball-constrained l1 solve with per-column feasibility.
 
-    One fast batched pass, a per-column support polish, then a tight
-    re-solve of whatever columns still miss their ball; raises with the
-    first offending block index if any column ends up infeasible.
-    ``system`` is one shared p x m matrix or an (N, p, m) stack.
-    ``warm_io`` optionally seeds the iteration with a previous solve's
-    returned state.
+    One batched ADMM pass, a per-column support polish, then a
+    pseudo-inverse step for whatever columns still miss their ball; raises
+    with the first offending block index if any column ends up infeasible.
+    ``system`` is one shared p x m matrix or an (N, p, m) stack. Returns
+    the m x N codes.
     """
     eps_cols = np.broadcast_to(np.asarray(eps, dtype=float), (blocks.shape[1],))
     slack = eps_cols * _FEAS_SLACK + 1e-6 * max(1.0, float(np.abs(blocks).max()))
     limits = eps_cols + slack
-    sol, _, state = _bpdn_columns(system, blocks, eps_cols, tol=_APP_TOL,
-                                  max_iter=_APP_MAX_ITER,
-                                  warm=warm_io, return_state=True)
-    # Per-block systems are small, so the sharper pruning polish is cheap.
-    sol = _polish_columns(system, blocks, sol, limits, prune=system.ndim == 3)
-
-    def violations(candidate):
-        resid = blocks - _system_matvec(system, candidate)
-        return np.linalg.norm(resid, axis=0) - limits
-
-    excess = violations(sol)
-    near = np.flatnonzero(excess > 0)
+    sol, _ = _bpdn_columns(system, blocks, eps_cols, tol=_APP_TOL,
+                           max_iter=_APP_MAX_ITER)
+    sol = _polish_columns(system, blocks, sol, limits)
+    resid = blocks - _apply(system, sol)
+    norms = np.linalg.norm(resid, axis=0)
+    near = np.flatnonzero(norms > limits)
     if near.size:
-        # The per-column residual lies in the system's range, so a
-        # pseudo-inverse step lands each column exactly on its ball.
-        sol = sol.copy()
-        resid = blocks[:, near] - _system_matvec(
-            system[near] if system.ndim == 3 else system, sol[:, near]
-        )
-        norms = np.linalg.norm(resid, axis=0)
+        # Dictionaries have full row rank, so for the denoise (A^T S) and
+        # the inpaint (zero-padded row subsets of S) systems each column's
+        # residual lies in the system's range, and a pseudo-inverse step
+        # lands the column at eps + slack / 2.
         target = eps_cols[near] + 0.5 * slack[near]
-        reach = (1.0 - target / norms) * resid
-        if system.ndim == 3:
-            fixes = np.einsum(
-                "nmq,qn->mn", np.linalg.pinv(system[near]), reach
-            )
-        else:
-            fixes = np.linalg.pinv(system) @ reach
-        sol[:, near] += fixes
-        excess = violations(sol)
-    retry = np.flatnonzero(excess > 0)
-    if retry.size:
-        # Near-equality columns: re-solve the equality problem for a good
-        # support, then force feasibility by greedy support growth.
-        sub_system = system[retry] if system.ndim == 3 else system
-        redo, _ = _bpdn_columns(
-            sub_system, blocks[:, retry], 0.0, tol=_APP_TOL * 1e-1,
-            max_iter=10 * _APP_MAX_ITER,
-        )
-        sol = sol.copy()
-        for pos, j in enumerate(retry):
-            grown = _grow_fit(
-                _column_system(system, j), blocks[:, j], redo[:, pos], limits[j]
-            )
-            if grown is not None:
-                sol[:, j] = grown
-        excess = violations(sol)
+        reach = (1.0 - target / norms[near]) * resid[:, near]
+        pinv = np.linalg.pinv(system[near] if system.ndim == 3 else system)
+        sol[:, near] += _apply(pinv, reach)
+        norms = np.linalg.norm(blocks - _apply(system, sol), axis=0)
+    excess = norms - limits
     worst = int(np.argmax(excess))
     if excess[worst] > 0:
         raise SolverDidNotConverge(
             f"block {worst}: constraint residual exceeds eps {eps_cols[worst]:g} "
             f"by {excess[worst]:.4e}",
-            residual=float(excess[worst] + limits[worst]),
+            residual=float(norms[worst]),
         )
-    return _StrictSolution(sol, state)
-
-
-def _grow_fit(column_system, rhs, seed_codes, limit):
-    """Least-squares fit on a greedily grown support until feasible.
-
-    Starts from the support of ``seed_codes`` and adds the atom most
-    correlated with the residual until the fit lands within ``limit``.
-    Returns the full-length coefficient vector, or None if even the full
-    dictionary cannot reach the limit.
-    """
-    m = column_system.shape[1]
-    support = list(np.flatnonzero(np.abs(seed_codes) > ZERO_THRESHOLD))
-    candidate = np.zeros(m)
-    while True:
-        if support:
-            sub = column_system[:, support]
-            fit, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            resid = rhs - sub @ fit
-        else:
-            fit = np.zeros(0)
-            resid = rhs.copy()
-        if np.linalg.norm(resid) <= limit:
-            candidate[:] = 0.0
-            candidate[support] = fit
-            return candidate
-        if len(support) >= m:
-            return None
-        corr = np.abs(column_system.T @ resid)
-        corr[support] = -1.0
-        best = int(np.argmax(corr))
-        if corr[best] <= 0.0:
-            return None
-        support.append(best)
+    return sol
 
 
 def denoise(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
@@ -274,36 +200,17 @@ def denoise(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
         raise BadShape("dictionary shapes do not match the blocked image")
     coeffs = analysis.mat.T @ noisy.blocks
     system = analysis.mat.T @ synth.mat
-    sol = _solve_columns_strict(system, coeffs, eps)
-    return noisy.with_blocks(synth.mat @ sol.codes)
+    return noisy.with_blocks(synth.mat @ _solve_columns_strict(system, coeffs, eps))
 
 
 def denoise_sweep(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
                   eps_grid) -> list[BlockedImage]:
-    """Run ``denoise`` for every radius in ``eps_grid``.
+    """Run ``denoise`` once for every radius in ``eps_grid``.
 
     Implements the candidate-radius protocol (the caller keeps whichever
-    result scores best). All radii are solved as one column-tiled batch;
-    each block still depends only on its own column and radius.
+    result scores best). Each radius is an independent cold solve.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("all radii must be positive")
-    if synth.mat.shape != analysis.mat.shape or synth.n != noisy.n:
-        raise BadShape("dictionary shapes do not match the blocked image")
-    coeffs = analysis.mat.T @ noisy.blocks
-    system = analysis.mat.T @ synth.mat
-    # Solve radii from the loosest down, warm-starting each solve from the
-    # previous one; the per-radius solutions are what single-eps denoise
-    # calls would produce (same optima, continued trajectory).
-    order = np.argsort(eps_grid)[::-1]
-    results = [None] * len(eps_grid)
-    state = None
-    for pos in order:
-        sol = _solve_columns_strict(system, coeffs, eps_grid[pos], warm_io=state)
-        state = sol.state
-        results[pos] = noisy.with_blocks(synth.mat @ sol.codes)
-    return results
+    return [denoise(noisy, synth, analysis, float(e)) for e in eps_grid]
 
 
 def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
@@ -331,8 +238,7 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
         rows = np.flatnonzero(masks[:, j])
         systems[j, : rows.size] = synth.mat[rows]
         data[: rows.size, j] = observed.blocks[rows, j]
-    sol = _solve_columns_strict(systems, data, eps)
-    return observed.with_blocks(synth.mat @ sol.codes)
+    return observed.with_blocks(synth.mat @ _solve_columns_strict(systems, data, eps))
 
 
 def _binary_entropy(p):

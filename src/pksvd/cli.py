@@ -182,12 +182,7 @@ def cmd_verify(args):
             raise BadShape(
                 f"dual shape {dual.mat.shape} does not match {d.mat.shape}"
             )
-        ident = np.linalg.norm(d.mat @ dual.mat.T - np.eye(d.n)) ** 2
-        match = np.linalg.norm(d.mat - dual.mat) ** 2
-        trace_gap = abs(
-            np.log10(max(abs(np.trace(d.mat @ dual.mat.T)), 1e-300))
-            - np.log10(d.n)
-        )
+        ident, trace_gap, match = parseval_ksvd.pair_residuals(d.mat, dual.mat)
         print(f"  pair residuals: ||SA^T - I||_F^2 = {ident:.3e}, "
               f"trace gap {trace_gap:.3e}, ||S - A||_F^2 = {match:.3e}")
     return 0
@@ -227,15 +222,13 @@ def cmd_denoise(args):
         noisy, cfg["block_size"], subtract_mean=True, mean_value=float(img.mean())
     )
     eps_grid = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-    best = None
-    for eps in eps_grid:
-        restored = imaging.from_blocks(
-            applications.denoise(blocked, synth, analysis, eps)
-        )
-        value = imaging.psnr(img, restored)
-        if best is None or value > best[1]:
-            best = (restored, value, eps)
-    restored, value, eps_used = best
+    restorations = [
+        imaging.from_blocks(out)
+        for out in applications.denoise_sweep(blocked, synth, analysis, eps_grid)
+    ]
+    scores = [imaging.psnr(img, restored) for restored in restorations]
+    best = int(np.argmax(scores))
+    restored, value, eps_used = restorations[best], scores[best], eps_grid[best]
     out_img = f"{args.out_prefix}.pgm"
     out_csv = f"{args.out_prefix}.csv"
     imaging.write_pgm(restored, out_img)
@@ -316,7 +309,7 @@ def cmd_theory(args):
     rng = np.random.default_rng(seed)
     rows = []
 
-    frame = theory_lab._random_general_position_frame(3, 6, rng)
+    frame = theory_lab.random_general_position_frame(3, 6, rng)
     worst_gap = np.inf
     for trial in range(args.trials):
         x = rng.standard_normal(3)
@@ -334,7 +327,7 @@ def cmd_theory(args):
           f"(worst margin {worst_gap:.3e})")
 
     floor = theory_lab.cosparsity_floor_check(
-        theory_lab._random_general_position_frame(3, 5, rng),
+        theory_lab.random_general_position_frame(3, 5, rng),
         trials=max(100, args.trials), seed=seed + 1,
     )
     rows.append(("-", "cosparsity_min_support", float(floor)))

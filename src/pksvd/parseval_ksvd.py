@@ -77,15 +77,23 @@ class ConvergenceTrace:
         return len(self.objective)
 
     def record(self, synth, analysis, objective_value):
-        n = synth.shape[0]
-        gram = synth @ analysis.T
-        ident = np.linalg.norm(gram - np.eye(n)) ** 2
-        match = np.linalg.norm(synth - analysis) ** 2
-        trace_gap = abs(np.log10(max(abs(np.trace(gram)), _LOG_FLOOR)) - np.log10(n))
+        ident, trace_gap, match = pair_residuals(synth, analysis)
         self.log10_identity_residual.append(float(np.log10(max(ident, _LOG_FLOOR))))
         self.log10_trace_gap.append(float(trace_gap))
         self.log10_match_residual.append(float(np.log10(max(match, _LOG_FLOOR))))
         self.objective.append(float(objective_value))
+
+
+def pair_residuals(synth, analysis):
+    """Constraint residuals of a dictionary pair (n x m matrices):
+    ||S A^T - I||_F^2, the trace gap |log10 tr(S A^T) - log10 n| and
+    ||S - A||_F^2."""
+    n = synth.shape[0]
+    gram = synth @ analysis.T
+    ident = np.linalg.norm(gram - np.eye(n)) ** 2
+    trace_gap = abs(np.log10(max(abs(np.trace(gram)), _LOG_FLOOR)) - np.log10(n))
+    match = np.linalg.norm(synth - analysis) ** 2
+    return ident, trace_gap, match
 
 
 def objective_value(data, codes, synth, analysis, rho1):

@@ -205,8 +205,22 @@ def bpdn(a, b, eps: float, tol: float = 1e-6, max_iter: int = 2000) -> SparseVec
     return SparseVec(w)
 
 
-def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
-                  warm=None, return_state=False):
+def _apply(mats, cols):
+    """``mats @ cols`` column by column: ``mats`` is one shared p x m
+    matrix or a stack of N per-column matrices shaped (N, p, m)."""
+    if mats.ndim == 3:
+        return np.einsum("nqm,mn->qn", mats, cols)
+    return mats @ cols
+
+
+def _apply_t(mats, cols):
+    """The transpose of ``_apply``: ``mats^T @ cols`` column by column."""
+    if mats.ndim == 3:
+        return np.einsum("nqm,qn->mn", mats, cols)
+    return mats.T @ cols
+
+
+def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
     """Vectorized ADMM over many independent ball-constrained l1 columns.
 
     ``b`` is p x N and column j is solved against its own radius
@@ -214,11 +228,7 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
     system or a stack of N per-column systems shaped (N, p, m); zero rows
     may be used to pad per-column systems to a common height. All
     iteration steps act columnwise, so this equals N separate solves.
-    ``feas_abs`` optionally overrides the per-column absolute feasibility
-    target (default tol-relative). ``warm``, when given, is the state dict
-    returned by a previous call on the same (a, b) and seeds the iteration
-    (used to continue along a radius grid); the call then also returns the
-    updated state. Returns (W, converged[, state]).
+    Every solve starts cold. Returns (W, converged).
     """
     a = np.asarray(a, dtype=float)
     b_all = np.asarray(b, dtype=float)
@@ -229,9 +239,7 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
         stacked and a.shape[0] != n_cols
     ):
         raise ValueError(f"system shape {a.shape} does not match b {b_all.shape}")
-    eps_all = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(eps, dtype=float), (n_cols,))
-    )
+    eps_all = np.broadcast_to(np.asarray(eps, dtype=float), (n_cols,))
 
     out = np.zeros((m, n_cols))
     # Columns whose data already fits inside the ball have the exact
@@ -242,80 +250,28 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
     scale = np.maximum(_col_norms(b_all[:, active_idx]), 1e-300)
     b = b_all[:, active_idx] / scale
     eps_act = eps_all[active_idx] / scale
-    col_ref = np.maximum(1.0, _col_norms(b))
-    if feas_abs is None:
-        feas_target = tol * col_ref
-    else:
-        feas_target = (
-            np.ascontiguousarray(
-                np.broadcast_to(np.asarray(feas_abs, dtype=float), (n_cols,))
-            )[active_idx]
-            / scale
-        )
+    target = tol * np.maximum(1.0, _col_norms(b))
 
-    if stacked:
-        sys_act = a[active_idx]
-        gram = np.einsum("nqa,nqb->nab", sys_act, sys_act)
-        gram[:, np.arange(m), np.arange(m)] += 1.0
-        inv = np.linalg.inv(gram)
+    sys_act = a[active_idx] if stacked else a
+    # I + A^T A has every eigenvalue >= 1, so its inverse is safe to form.
+    inv = np.linalg.inv(np.swapaxes(sys_act, -1, -2) @ sys_act + np.eye(m))
 
-        def matvec(sys_mats, w_cols):
-            return np.einsum("nqm,mn->qn", sys_mats, w_cols)
-
-        def rmatvec(sys_mats, v_cols):
-            return np.einsum("nqm,qn->mn", sys_mats, v_cols)
-
-        def quad_solve(solver, rhs_cols):
-            return np.einsum("nab,bn->an", solver, rhs_cols)
-    else:
-        sys_act = a
-        inv = np.linalg.cholesky(np.eye(m) + a.T @ a)
-
-        def matvec(sys_mats, w_cols):
-            return sys_mats @ w_cols
-
-        def rmatvec(sys_mats, v_cols):
-            return sys_mats.T @ v_cols
-
-        def quad_solve(solver, rhs_cols):
-            return np.linalg.solve(solver.T, np.linalg.solve(solver, rhs_cols))
-
-    if warm is None:
-        w = np.zeros((m, active_idx.size))
-        z = np.zeros_like(w)
-        uz = np.zeros_like(w)
-        r = b.copy()
-        rho = np.full(active_idx.size, float(rho))
-    else:
-        w = warm["w"][:, active_idx] / scale
-        z = warm["z"][:, active_idx] / scale
-        uz = warm["uz"][:, active_idx]
-        rho = warm["rho"][active_idx].copy()
-        resid = b - matvec(sys_act, w)
-        norms0 = _col_norms(resid)
-        clip = np.ones(norms0.size)
-        np.divide(eps_act, norms0, out=clip, where=norms0 > eps_act)
-        r = resid * clip
+    w = np.zeros((m, active_idx.size))
+    z = np.zeros_like(w)
+    uz = np.zeros_like(w)
+    r = b.copy()
     ur = np.zeros_like(b)
-    state = None
-    if warm is not None or return_state:
-        state = {
-            "w": np.zeros((m, n_cols)),
-            "z": np.zeros((m, n_cols)),
-            "uz": np.zeros((m, n_cols)),
-            "rho": np.full(n_cols, 1.0),
-        }
     # Per-column penalties: the quadratic step is penalty-free, so each
     # column carries its own rho and rebalances it independently.
+    rho = np.ones(active_idx.size)
     relax = 1.7
     check_every = 8
 
     it = 0
     while active_idx.size and it < max_iter:
         it += 1
-        rhs = (z - uz) + rmatvec(sys_act, b - r - ur)
-        w = quad_solve(inv, rhs)
-        aw = matvec(sys_act, w)
+        w = _apply(inv, (z - uz) + _apply_t(sys_act, b - r - ur))
+        aw = _apply(sys_act, w)
 
         z_old = z
         r_old = r
@@ -337,34 +293,19 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
             split_norm = _col_norms(w - z)
             dual = rho * np.sqrt(
                 _col_norms(z - z_old) ** 2
-                + _col_norms(rmatvec(sys_act, r - r_old)) ** 2
+                + _col_norms(_apply_t(sys_act, r - r_old)) ** 2
             )
-            done = (
-                (feas_norm <= feas_target)
-                & (split_norm <= tol * col_ref)
-                & (dual <= tol * col_ref)
-            )
+            done = (feas_norm <= target) & (split_norm <= target) & (dual <= target)
             if done.any():
                 out[:, active_idx[done]] = w[:, done] * scale[done]
-                if state is not None:
-                    cols = active_idx[done]
-                    state["w"][:, cols] = w[:, done] * scale[done]
-                    state["z"][:, cols] = z[:, done] * scale[done]
-                    state["uz"][:, cols] = uz[:, done]
-                    state["rho"][cols] = rho[done]
                 keep = ~done
-                active_idx = active_idx[keep]
-                b, eps_act, col_ref, rho = (
-                    b[:, keep], eps_act[keep], col_ref[keep], rho[keep]
-                )
-                feas_target = feas_target[keep]
-                scale = scale[keep]
+                active_idx, scale, target = active_idx[keep], scale[keep], target[keep]
+                b, eps_act, rho = b[:, keep], eps_act[keep], rho[keep]
                 w, z, r, uz, ur = (
                     w[:, keep], z[:, keep], r[:, keep], uz[:, keep], ur[:, keep]
                 )
                 if stacked:
-                    sys_act = sys_act[keep]
-                    inv = inv[keep]
+                    sys_act, inv = sys_act[keep], inv[keep]
                 continue
             # Per-column residual balancing keeps each penalty productive.
             primal = np.sqrt(split_norm ** 2 + feas_norm ** 2)
@@ -379,17 +320,8 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000, rho=1.0, feas_abs=None,
                 uz[:, shrink_rho] *= 2.0
                 ur[:, shrink_rho] *= 2.0
 
-    converged = active_idx.size == 0
-    if not converged:
-        out[:, active_idx] = w * scale
-        if state is not None:
-            state["w"][:, active_idx] = w * scale
-            state["z"][:, active_idx] = z * scale
-            state["uz"][:, active_idx] = uz
-            state["rho"][active_idx] = rho
-    if state is not None:
-        return out, converged, state
-    return out, converged
+    out[:, active_idx] = w * scale
+    return out, active_idx.size == 0
 
 
 def basis_pursuit(d: Dictionary, x, tol: float = 1e-9) -> SparseVec:

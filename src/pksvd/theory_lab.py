@@ -19,7 +19,6 @@ from .matrix_core import pseudo_inverse
 from .sparse_solvers import ZERO_THRESHOLD, bp_bruteforce_oracle
 
 _SPARK_MAX_ATOMS = 14
-_ORACLE_MAX_ATOMS = 12
 
 
 def spark(d: Dictionary) -> int:
@@ -102,10 +101,8 @@ def proxy_trial(d: Dictionary, x, n_alt_duals: int, seed: int) -> ProxyTrial:
 
     Computes the exact l1 minimizer by brute force, the canonical-dual
     coefficients, and the distance of each sampled dual's coefficients to
-    the l1 minimizer.
+    the l1 minimizer. The oracle limits the frame to m <= 12 atoms.
     """
-    if d.m > _ORACLE_MAX_ATOMS:
-        raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}")
     x = np.asarray(x, dtype=float).reshape(-1)
     u1 = bp_bruteforce_oracle(d, x).entries
     u2 = canonical_dual(d).mat.T @ x
@@ -135,7 +132,8 @@ class CounterexampleReport:
     violation: float
 
 
-def _random_general_position_frame(n, m, rng):
+def random_general_position_frame(n, m, rng):
+    """Random unit-norm n x m frame whose every n columns are independent."""
     for _ in range(64):
         mat = rng.standard_normal((n, m))
         mat /= np.linalg.norm(mat, axis=0, keepdims=True)
@@ -154,14 +152,14 @@ def nonexistence_search(n, m, trials: int, seed: int) -> CounterexampleReport:
     ``NoViolationFound`` when all trials stay additive (the expected
     outcome for square frames, where the representation is unique).
     """
-    if m > _ORACLE_MAX_ATOMS or m > 10:
+    if m > 10:
         raise TooLarge("search limited to m <= 10")
     if m < n:
         raise ValueError("need m >= n")
     rng = np.random.default_rng(seed)
     best_violation = 0.0
     for trial in range(trials):
-        frame = _random_general_position_frame(n, m, rng)
+        frame = random_general_position_frame(n, m, rng)
         x1 = rng.standard_normal(n)
         x2 = rng.standard_normal(n)
         u_a = bp_bruteforce_oracle(frame, x1).entries

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pksvd import applications
 from pksvd.applications import (
     Mask,
     add_gaussian_noise,
@@ -109,8 +110,7 @@ class TestDenoise:
         swept = denoise_sweep(blocked, synth, analysis, grid)
         for eps, blk in zip(grid, swept):
             single = denoise(blocked, synth, analysis, eps)
-            gap = np.linalg.norm(blk.blocks - single.blocks)
-            assert gap <= 1e-2 * max(1.0, np.linalg.norm(single.blocks))
+            assert np.array_equal(blk.blocks, single.blocks)
 
     def test_block_locality(self):
         # editing one block's pixels changes only that output block
@@ -128,6 +128,50 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise(to_blocks(np.zeros((4, 4)), 2), identity_dict(4),
                     identity_dict(4), eps=0.0)
+
+
+class TestFeasibilityAfterOneIteration:
+    """With the ADMM cut to one iteration, the pseudo-inverse step alone
+    must bring every block inside its ball, on random frames whose atoms
+    are not unit norm, for the shared (denoise) and the stacked (inpaint)
+    system."""
+
+    @pytest.fixture(autouse=True)
+    def one_iteration(self, monkeypatch):
+        monkeypatch.setattr(applications, "_APP_MAX_ITER", 1)
+
+    @staticmethod
+    def frame(rng):
+        return Dictionary(rng.standard_normal((16, 24)) * rng.uniform(0.2, 5.0, 24))
+
+    @staticmethod
+    def limit(eps, data):
+        slack = eps * applications._FEAS_SLACK + 1e-6 * max(1.0, np.abs(data).max())
+        return eps + slack
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_denoise_shared_system(self, seed, dual):
+        rng = np.random.default_rng(seed)
+        blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
+        synth = self.frame(rng)
+        analysis = canonical_dual(synth) if dual else self.frame(rng)
+        coeffs = analysis.mat.T @ blocked.blocks
+        for eps in (4.0, 10.0):
+            out = denoise(blocked, synth, analysis, eps)
+            resid = np.linalg.norm(coeffs - analysis.mat.T @ out.blocks, axis=0)
+            assert np.all(resid <= self.limit(eps, coeffs))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_inpaint_stacked_systems(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
+        mask = random_mask((8, 8), 0.5, seed=seed, block_size=4)
+        seen = mask.block_columns(4)
+        out = inpaint(blocked, mask, self.frame(rng), eps)
+        resid = np.linalg.norm(np.where(seen, blocked.blocks - out.blocks, 0.0), axis=0)
+        assert np.all(resid <= self.limit(eps, blocked.blocks[seen]))
 
 
 class TestInpaint:
