@@ -19,13 +19,13 @@ from .frames import Dictionary
 from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
 from .sparse_solvers import ZERO_THRESHOLD, _apply, _bpdn_columns
 
-# Per-block solve tolerances: optimality at PSNR-grade accuracy, ball
-# feasibility much tighter. Feasibility is re-checked afterwards, so the
-# iteration cap cannot silently degrade results.
+# Per-block ADMM stopping tolerance (PSNR-grade accuracy) and iteration
+# cap. Feasibility is re-checked afterwards, so the cap cannot silently
+# degrade results.
 _APP_TOL = 1e-3
 _APP_MAX_ITER = 1200
-# Allowed relative overshoot of the constraint radius (matches the
-# solver's advertised feasibility guarantee).
+# Allowed relative overshoot of the constraint radius, which every
+# returned block must meet; the pseudo-inverse step lands at half of it.
 _FEAS_SLACK = 1e-3
 
 
@@ -91,10 +91,6 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     return Mask(observed)
 
 
-def _column_system(system, j):
-    return system[j] if system.ndim == 3 else system
-
-
 def _prune_support(full_system, rhs, support, fit, limit):
     """Greedy backward elimination: drop atoms while the reduced refit
     stays feasible and does not raise the l1 norm."""
@@ -115,17 +111,15 @@ def _prune_support(full_system, rhs, support, fit, limit):
 
 
 def _polish_columns(system, blocks, sol, limits):
-    """Per-column support refit (exact where the fit interpolates).
+    """Per-column support refit and prune for an (N, p, m) system stack.
 
-    Columns whose refit is feasible and no worse in l1 take the refit; an
-    infeasible column additionally accepts a small l1 increase in exchange
-    for exact feasibility. For a per-column stack, whose systems are small,
-    the accepted support is further reduced by backward elimination,
-    snapping near-sparse iterates onto the minimum-l1 vertex. Mirrors the
-    basis-pursuit vertex polish. ``system`` is one shared matrix or a
-    per-column stack.
+    Each column's support is refit by least squares and, if the refit is
+    feasible, reduced by backward elimination, snapping near-sparse
+    iterates onto the minimum-l1 vertex. The column takes the result if it
+    is no worse in l1; an infeasible column additionally accepts a small
+    l1 increase in exchange for exact feasibility. Mirrors the
+    basis-pursuit vertex polish.
     """
-    prune = system.ndim == 3
     out = sol.copy()
     before = np.linalg.norm(blocks - _apply(system, sol), axis=0)
     for j in range(sol.shape[1]):
@@ -133,14 +127,13 @@ def _polish_columns(system, blocks, sol, limits):
         support = np.flatnonzero(np.abs(w) > ZERO_THRESHOLD)
         if support.size == 0:
             continue
-        full = _column_system(system, j)
+        full = system[j]
         rhs = blocks[:, j]
         fit, *_ = np.linalg.lstsq(full[:, support], rhs, rcond=None)
         resid = float(np.linalg.norm(rhs - full[:, support] @ fit))
         if resid > limits[j]:
             continue
-        if prune:
-            support, fit = _prune_support(full, rhs, support, fit, limits[j])
+        support, fit = _prune_support(full, rhs, support, fit, limits[j])
         l1_old = float(np.abs(w).sum())
         l1_new = float(np.abs(fit).sum())
         budget = l1_old if before[j] <= limits[j] else l1_old * 1.01 + 1e-9
@@ -153,18 +146,22 @@ def _polish_columns(system, blocks, sol, limits):
 def _solve_columns_strict(system, blocks, eps):
     """Batched ball-constrained l1 solve with per-column feasibility.
 
-    One batched ADMM pass, a per-column support polish, then a
-    pseudo-inverse step for whatever columns still miss their ball; raises
-    with the first offending block index if any column ends up infeasible.
-    ``system`` is one shared p x m matrix or an (N, p, m) stack. Returns
-    the m x N codes.
+    Three steps: one batched ADMM pass; a per-column support polish, for
+    an (N, p, m) stack only; then a pseudo-inverse step for whatever
+    columns still miss their ball. Raises with the worst offending block
+    index if any column ends up infeasible. ``system`` is one shared
+    p x m matrix or an (N, p, m) stack. Returns the m x N codes.
     """
     eps_cols = np.broadcast_to(np.asarray(eps, dtype=float), (blocks.shape[1],))
     slack = eps_cols * _FEAS_SLACK + 1e-6 * max(1.0, float(np.abs(blocks).max()))
     limits = eps_cols + slack
     sol, _ = _bpdn_columns(system, blocks, eps_cols, tol=_APP_TOL,
                            max_iter=_APP_MAX_ITER)
-    sol = _polish_columns(system, blocks, sol, limits)
+    if system.ndim == 3:
+        # A shared system is not polished: with eps > 0 and the ball
+        # active, a least-squares refit on the same support moves the
+        # point inside the ball, and that raises its l1 norm.
+        sol = _polish_columns(system, blocks, sol, limits)
     resid = blocks - _apply(system, sol)
     norms = np.linalg.norm(resid, axis=0)
     near = np.flatnonzero(norms > limits)

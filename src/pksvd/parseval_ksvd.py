@@ -104,32 +104,30 @@ def objective_value(data, codes, synth, analysis, rho1):
     )
 
 
-def update_analysis(data, codes, synth, analysis, state, cfg, method="schur"):
+def update_analysis(data, codes, synth, state, cfg):
     """Solve the analysis-dictionary stationarity condition.
 
     The condition is the Sylvester equation A1 @ phi + phi @ B1 = C1 with
     A1 = 2 (Y - synth X)(Y - synth X)^T, B1 = rho2 synth^T synth + rho3 I,
     C1 = -mult_id^T synth + rho2 synth + mult_eq + rho3 synth. The current
-    analysis matrix does not enter the condition; it is accepted only for
-    signature parity with the synthesis update.
+    analysis matrix does not enter the condition.
     """
-    del analysis
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
     b1 = cfg.rho2 * (synth.T @ synth) + cfg.rho3 * np.eye(synth.shape[1])
     c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
-    return solve_sylvester(a1, b1, c1, method=method)
+    return solve_sylvester(a1, b1, c1)
 
 
-def update_synthesis(data, codes, synth, analysis, state, cfg, method="schur"):
+def update_synthesis(data, codes, analysis, state, cfg):
     """Solve the synthesis-dictionary stationarity condition.
 
-    Requires the code Gram X X^T to be invertible; it is ridge-regularized
-    by 1e-8 * tr(X X^T) / m before inversion and the update fails with
+    The current synthesis matrix does not enter the condition. Requires
+    the code Gram X X^T to be invertible; it is ridge-regularized by
+    1e-8 * tr(X X^T) / m before inversion and the update fails with
     ``SingularCoefficientGram`` if it stays singular.
     """
-    del synth
-    n, m = analysis.shape
+    m = analysis.shape[1]
     gram = codes @ codes.T
     ridge = 1e-8 * np.trace(gram) / m
     gram_reg = gram + ridge * np.eye(m)
@@ -155,7 +153,7 @@ def update_synthesis(data, codes, synth, analysis, state, cfg, method="schur"):
         + cfg.rho3 * analysis
         + 2.0 * analysis @ (analysis.T @ data_codes)
     )
-    return solve_sylvester(a1, b1, c1, method=method)
+    return solve_sylvester(a1, b1, c1)
 
 
 def update_multipliers(synth, analysis, state, cfg):
@@ -237,7 +235,7 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     return codes
 
 
-def pksvd_train(data, cfg: PkvConfig, init, method="schur", track_updates=False):
+def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     """Run the full ADMM loop for ``cfg.max_iters`` iterations.
 
     ``init`` is the (Dictionary, codes) pair produced by the K-SVD
@@ -255,7 +253,6 @@ def pksvd_train(data, cfg: PkvConfig, init, method="schur", track_updates=False)
 
     state = AdmmState.zeros(n, m)
     trace = ConvergenceTrace()
-    analysis = None
 
     def log_update(label):
         if track_updates:
@@ -264,9 +261,9 @@ def pksvd_train(data, cfg: PkvConfig, init, method="schur", track_updates=False)
             )
 
     for _ in range(cfg.max_iters):
-        analysis = update_analysis(data, codes, synth, analysis, state, cfg, method)
+        analysis = update_analysis(data, codes, synth, state, cfg)
         log_update("analysis")
-        synth = update_synthesis(data, codes, synth, analysis, state, cfg, method)
+        synth = update_synthesis(data, codes, analysis, state, cfg)
         log_update("synthesis")
         state = update_multipliers(synth, analysis, state, cfg)
         if track_updates:

@@ -15,11 +15,26 @@ from pksvd.applications import (
 from pksvd.errors import BadShape, EmptyBlockMask
 from pksvd.frames import Dictionary, canonical_dual
 from pksvd.imaging import from_blocks, psnr, to_blocks
-from pksvd.sparse_solvers import bp_bruteforce_oracle, bpdn
+from pksvd.sparse_solvers import (
+    ZERO_THRESHOLD,
+    _bpdn_columns,
+    bp_bruteforce_oracle,
+    bpdn,
+)
 
 
 def identity_dict(n):
     return Dictionary(np.eye(n))
+
+
+def random_frame(rng):
+    """16 x 24 frame whose atoms are not unit norm."""
+    return Dictionary(rng.standard_normal((16, 24)) * rng.uniform(0.2, 5.0, 24))
+
+
+def ball_limit(eps, data):
+    """Largest residual norm the recovery solve may return for ``eps``."""
+    return eps + eps * applications._FEAS_SLACK + 1e-6 * max(1.0, np.abs(data).max())
 
 
 class TestNoise:
@@ -140,27 +155,18 @@ class TestFeasibilityAfterOneIteration:
     def one_iteration(self, monkeypatch):
         monkeypatch.setattr(applications, "_APP_MAX_ITER", 1)
 
-    @staticmethod
-    def frame(rng):
-        return Dictionary(rng.standard_normal((16, 24)) * rng.uniform(0.2, 5.0, 24))
-
-    @staticmethod
-    def limit(eps, data):
-        slack = eps * applications._FEAS_SLACK + 1e-6 * max(1.0, np.abs(data).max())
-        return eps + slack
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dual", [True, False])
     def test_denoise_shared_system(self, seed, dual):
         rng = np.random.default_rng(seed)
         blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
-        synth = self.frame(rng)
-        analysis = canonical_dual(synth) if dual else self.frame(rng)
+        synth = random_frame(rng)
+        analysis = canonical_dual(synth) if dual else random_frame(rng)
         coeffs = analysis.mat.T @ blocked.blocks
         for eps in (4.0, 10.0):
             out = denoise(blocked, synth, analysis, eps)
             resid = np.linalg.norm(coeffs - analysis.mat.T @ out.blocks, axis=0)
-            assert np.all(resid <= self.limit(eps, coeffs))
+            assert np.all(resid <= ball_limit(eps, coeffs))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("eps", [0.0, 0.01])
@@ -169,9 +175,86 @@ class TestFeasibilityAfterOneIteration:
         blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
         mask = random_mask((8, 8), 0.5, seed=seed, block_size=4)
         seen = mask.block_columns(4)
-        out = inpaint(blocked, mask, self.frame(rng), eps)
+        out = inpaint(blocked, mask, random_frame(rng), eps)
         resid = np.linalg.norm(np.where(seen, blocked.blocks - out.blocks, 0.0), axis=0)
-        assert np.all(resid <= self.limit(eps, blocked.blocks[seen]))
+        assert np.all(resid <= ball_limit(eps, blocked.blocks[seen]))
+
+
+def shared_refit_reference(system, blocks, sol, limits):
+    """Reference least-squares support refit for a shared system, without
+    pruning: a column takes the refit of its support when the refit is
+    feasible and no worse in l1 (an infeasible column accepts 1% more l1
+    for feasibility)."""
+    out = sol.copy()
+    before = np.linalg.norm(blocks - system @ sol, axis=0)
+    for j in range(sol.shape[1]):
+        support = np.flatnonzero(np.abs(sol[:, j]) > ZERO_THRESHOLD)
+        if support.size == 0:
+            continue
+        fit, *_ = np.linalg.lstsq(system[:, support], blocks[:, j], rcond=None)
+        if np.linalg.norm(blocks[:, j] - system[:, support] @ fit) > limits[j]:
+            continue
+        l1_old = np.abs(sol[:, j]).sum()
+        budget = l1_old if before[j] <= limits[j] else l1_old * 1.01 + 1e-9
+        if np.abs(fit).sum() <= budget:
+            out[:, j] = 0.0
+            out[support, j] = fit
+    return out
+
+
+class TestPolishScope:
+    """The support polish runs for per-block stacks (inpainting) only."""
+
+    @pytest.fixture
+    def polish_calls(self, monkeypatch):
+        calls = []
+        polish = applications._polish_columns
+
+        def spy(system, blocks, sol, limits):
+            calls.append(system.ndim)
+            return polish(system, blocks, sol, limits)
+
+        monkeypatch.setattr(applications, "_polish_columns", spy)
+        return calls
+
+    def test_denoise_skips_polish(self, polish_calls):
+        rng = np.random.default_rng(12)
+        blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
+        synth = random_frame(rng)
+        for eps in (4.0, 10.0):
+            denoise(blocked, synth, canonical_dual(synth), eps)
+        assert polish_calls == []
+
+    def test_inpaint_polishes_stack_once(self, polish_calls):
+        rng = np.random.default_rng(13)
+        blocked = to_blocks(rng.uniform(0, 255, (8, 8)), 4, subtract_mean=True)
+        mask = random_mask((8, 8), 0.5, seed=13, block_size=4)
+        inpaint(blocked, mask, random_frame(rng), 0.01)
+        assert polish_calls == [3]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_shared_refit_changes_no_column(self, seed, dual):
+        # The premise of skipping the polish for a shared system: at the
+        # production tolerance and cap, the refit of the ADMM support
+        # never beats the ADMM codes, whatever the radius.
+        rng = np.random.default_rng(seed)
+        blocked = to_blocks(rng.uniform(0, 255, (16, 16)), 4, subtract_mean=True)
+        synth = random_frame(rng)
+        analysis = canonical_dual(synth) if dual else random_frame(rng)
+        system = analysis.mat.T @ synth.mat
+        coeffs = analysis.mat.T @ blocked.blocks
+        changed = {}
+        for eps in (1e-6, 0.1, 2.0, 10.0, 50.0):
+            eps_cols = np.full(coeffs.shape[1], eps)
+            sol, _ = _bpdn_columns(system, coeffs, eps_cols, tol=applications._APP_TOL,
+                                   max_iter=applications._APP_MAX_ITER)
+            limits = np.full(coeffs.shape[1], ball_limit(eps, coeffs))
+            refit = shared_refit_reference(system, coeffs, sol, limits)
+            cols = np.flatnonzero(np.any(refit != sol, axis=0)).tolist()
+            if cols:
+                changed[eps] = cols
+        assert changed == {}
 
 
 class TestInpaint:
