@@ -160,17 +160,6 @@ def _col_norms(v):
     return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
-def _project_l2_ball(v, radius):
-    nrm = np.linalg.norm(v)
-    if nrm <= radius:
-        return v
-    return v * (radius / nrm)
-
-
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def bpdn(a, b, eps: float, tol: float = 1e-6, max_iter: int = 2000) -> SparseVec:
     """min ||w||_1  s.t.  ||b - A w||_2 <= eps  via operator splitting.
 
@@ -182,13 +171,11 @@ def bpdn(a, b, eps: float, tol: float = 1e-6, max_iter: int = 2000) -> SparseVec
     """
     a = as_matrix(a, "A")
     b = np.asarray(b, dtype=float).reshape(-1)
-    p, m = a.shape
+    p = a.shape[0]
     if b.size != p:
         raise ValueError(f"b has length {b.size}, expected {p}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if np.linalg.norm(b) <= eps:
-        return SparseVec(np.zeros(m))
 
     w, converged = _bpdn_columns(a, b[:, None], eps, tol=tol, max_iter=max_iter)
     w = w[:, 0]
@@ -209,14 +196,14 @@ def _apply(mats, cols):
     """``mats @ cols`` column by column: ``mats`` is one shared p x m
     matrix or a stack of N per-column matrices shaped (N, p, m)."""
     if mats.ndim == 3:
-        return np.einsum("nqm,mn->qn", mats, cols)
+        return (mats @ cols.T[:, :, None])[:, :, 0].T
     return mats @ cols
 
 
 def _apply_t(mats, cols):
     """The transpose of ``_apply``: ``mats^T @ cols`` column by column."""
     if mats.ndim == 3:
-        return np.einsum("nqm,qn->mn", mats, cols)
+        return (cols.T[:, None, :] @ mats)[:, 0, :].T
     return mats.T @ cols
 
 
@@ -270,23 +257,37 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
     it = 0
     while active_idx.size and it < max_iter:
         it += 1
-        w = _apply(inv, (z - uz) + _apply_t(sys_act, b - r - ur))
+        b_r = b - r
+        rhs = _apply_t(sys_act, b_r - ur)
+        rhs += z - uz
+        w = _apply(inv, rhs)
         aw = _apply(sys_act, w)
 
         z_old = z
         r_old = r
-        # Over-relaxed copies of w and A w for the prox and dual steps.
-        w_h = relax * w + (1.0 - relax) * z
-        aw_h = relax * aw + (1.0 - relax) * (b - r)
-        z = _soft_threshold(w_h + uz, 1.0 / rho)
-        v = b - aw_h - ur
+        # Moreau decomposition t = soft(t, 1/rho) + clip(t, -1/rho, 1/rho)
+        # with t = w_h + uz and w_h the over-relaxed w: the clipped part is
+        # the updated uz and z is the rest. The old uz is dead here, and
+        # z_old keeps the previous z for the dual residual.
+        t = relax * w
+        t += (1.0 - relax) * z
+        t += uz
+        thr = 1.0 / rho
+        uz = np.minimum(t, thr, out=uz)
+        np.maximum(uz, -thr, out=uz)
+        z = t
+        z -= uz
+        # v = b - aw_h - ur with aw_h the over-relaxed A w; r is v pulled
+        # into the ball, and the updated ur is r - v.
+        v = relax * aw
+        v += (1.0 - relax) * b_r
+        np.subtract(b, v, out=v)
+        v -= ur
         norms = _col_norms(v)
         shrink = np.ones(norms.size)
         np.divide(eps_act, norms, out=shrink, where=norms > eps_act)
         r = v * shrink
-
-        uz += w_h - z
-        ur += aw_h + r - b
+        ur = np.subtract(r, v, out=ur)
 
         if it % check_every == 0 or it == max_iter:
             feas_norm = _col_norms(aw + r - b)
