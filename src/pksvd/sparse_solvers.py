@@ -307,8 +307,10 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
                 )
                 if stacked:
                     sys_act, inv = sys_act[keep], inv[keep]
-                continue
-            # Per-column residual balancing keeps each penalty productive.
+                feas_norm, split_norm, dual = feas_norm[keep], split_norm[keep], dual[keep]
+            # Per-column residual balancing keeps each penalty productive;
+            # it runs whether or not other columns just finished, so no
+            # column's trajectory depends on its batch.
             primal = np.sqrt(split_norm ** 2 + feas_norm ** 2)
             grow = primal > 10 * dual
             shrink_rho = dual > 10 * primal
