@@ -10,6 +10,7 @@ only on that block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,15 @@ def _prune_support(full_system, rhs, support, fit, limit):
     improved = True
     while improved and support.size > 1:
         improved = False
+        keep = np.ones(support.size, dtype=bool)
         for pos in np.argsort(np.abs(fit)):
-            trial = np.delete(support, pos)
-            cand, *_ = np.linalg.lstsq(full_system[:, trial], rhs, rcond=None)
-            resid = float(np.linalg.norm(rhs - full_system[:, trial] @ cand))
+            keep[pos] = False
+            trial = support[keep]
+            keep[pos] = True
+            sub = full_system[:, trial]
+            cand, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+            gap = rhs - sub @ cand
+            resid = math.sqrt(gap @ gap)
             cand_l1 = float(np.abs(cand).sum())
             if resid <= limit and cand_l1 <= l1 + 1e-12:
                 support, fit, l1 = trial, cand, cand_l1

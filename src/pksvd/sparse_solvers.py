@@ -273,6 +273,7 @@ def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
         t += (1.0 - relax) * z
         t += uz
         thr = 1.0 / rho
+        # np.clip with array bounds costs about twice this pair.
         uz = np.minimum(t, thr, out=uz)
         np.maximum(uz, -thr, out=uz)
         z = t
