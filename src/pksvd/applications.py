@@ -10,24 +10,14 @@ only on that block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, EmptyBlockMask, SolverDidNotConverge
+from .errors import BadShape, EmptyBlockMask
 from .frames import Dictionary
 from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
-from .sparse_solvers import ZERO_THRESHOLD, _apply, _bpdn_columns
-
-# Per-block ADMM stopping tolerance (PSNR-grade accuracy) and iteration
-# cap. Feasibility is re-checked afterwards, so the cap cannot silently
-# degrade results.
-_APP_TOL = 1e-3
-_APP_MAX_ITER = 1200
-# Allowed relative overshoot of the constraint radius, which every
-# returned block must meet; the pseudo-inverse step lands at half of it.
-_FEAS_SLACK = 1e-3
+from .sparse_solvers import _homotopy_columns
 
 
 @dataclass(frozen=True)
@@ -92,136 +82,46 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     return Mask(observed)
 
 
-def _prune_support(full_system, rhs, support, fit, limit):
-    """Greedy backward elimination: drop atoms while the reduced refit
-    stays feasible and does not raise the l1 norm."""
-    l1 = float(np.abs(fit).sum())
-    improved = True
-    while improved and support.size > 1:
-        improved = False
-        keep = np.ones(support.size, dtype=bool)
-        for pos in np.argsort(np.abs(fit)):
-            keep[pos] = False
-            trial = support[keep]
-            keep[pos] = True
-            sub = full_system[:, trial]
-            cand, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            gap = rhs - sub @ cand
-            resid = math.sqrt(gap @ gap)
-            cand_l1 = float(np.abs(cand).sum())
-            if resid <= limit and cand_l1 <= l1 + 1e-12:
-                support, fit, l1 = trial, cand, cand_l1
-                improved = True
-                break
-    return support, fit
-
-
-def _polish_columns(system, blocks, sol, limits):
-    """Per-column support refit and prune for an (N, p, m) system stack.
-
-    Each column's support is refit by least squares and, if the refit is
-    feasible, reduced by backward elimination, snapping near-sparse
-    iterates onto the minimum-l1 vertex. The column takes the result if it
-    is no worse in l1; an infeasible column additionally accepts a small
-    l1 increase in exchange for exact feasibility. Mirrors the
-    basis-pursuit vertex polish.
-    """
-    out = sol.copy()
-    before = np.linalg.norm(blocks - _apply(system, sol), axis=0)
-    for j in range(sol.shape[1]):
-        w = sol[:, j]
-        support = np.flatnonzero(np.abs(w) > ZERO_THRESHOLD)
-        if support.size == 0:
-            continue
-        full = system[j]
-        rhs = blocks[:, j]
-        fit, *_ = np.linalg.lstsq(full[:, support], rhs, rcond=None)
-        resid = float(np.linalg.norm(rhs - full[:, support] @ fit))
-        if resid > limits[j]:
-            continue
-        support, fit = _prune_support(full, rhs, support, fit, limits[j])
-        l1_old = float(np.abs(w).sum())
-        l1_new = float(np.abs(fit).sum())
-        budget = l1_old if before[j] <= limits[j] else l1_old * 1.01 + 1e-9
-        if l1_new <= budget:
-            out[:, j] = 0.0
-            out[support, j] = fit
-    return out
-
-
-def _solve_columns_strict(system, blocks, eps):
-    """Batched ball-constrained l1 solve with per-column feasibility.
-
-    Three steps: one batched ADMM pass; a per-column support polish, for
-    an (N, p, m) stack only; then a pseudo-inverse step for whatever
-    columns still miss their ball. Raises with the worst offending block
-    index if any column ends up infeasible. ``system`` is one shared
-    p x m matrix or an (N, p, m) stack. Returns the m x N codes.
-    """
-    eps_cols = np.broadcast_to(np.asarray(eps, dtype=float), (blocks.shape[1],))
-    slack = eps_cols * _FEAS_SLACK + 1e-6 * max(1.0, float(np.abs(blocks).max()))
-    limits = eps_cols + slack
-    sol, _ = _bpdn_columns(system, blocks, eps_cols, tol=_APP_TOL,
-                           max_iter=_APP_MAX_ITER)
-    if system.ndim == 3:
-        # A shared system is not polished: with eps > 0 and the ball
-        # active, a least-squares refit on the same support moves the
-        # point inside the ball, and that raises its l1 norm.
-        sol = _polish_columns(system, blocks, sol, limits)
-    resid = blocks - _apply(system, sol)
-    norms = np.linalg.norm(resid, axis=0)
-    near = np.flatnonzero(norms > limits)
-    if near.size:
-        # Dictionaries have full row rank, so for the denoise (A^T S) and
-        # the inpaint (zero-padded row subsets of S) systems each column's
-        # residual lies in the system's range, and a pseudo-inverse step
-        # lands the column at eps + slack / 2.
-        target = eps_cols[near] + 0.5 * slack[near]
-        reach = (1.0 - target / norms[near]) * resid[:, near]
-        pinv = np.linalg.pinv(system[near] if system.ndim == 3 else system)
-        sol[:, near] += _apply(pinv, reach)
-        norms = np.linalg.norm(blocks - _apply(system, sol), axis=0)
-    excess = norms - limits
-    worst = int(np.argmax(excess))
-    if excess[worst] > 0:
-        raise SolverDidNotConverge(
-            f"block {worst}: constraint residual exceeds eps {eps_cols[worst]:g} "
-            f"by {excess[worst]:.4e}",
-            residual=float(norms[worst]),
-        )
-    return sol
-
-
 def denoise(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
             eps: float) -> BlockedImage:
     """Per block: decompose with the analysis dictionary, find the
     minimum-l1 codes whose analysis-domain image stays within ``eps`` of
-    the coefficients, then synthesize."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if synth.mat.shape != analysis.mat.shape or synth.n != noisy.n:
-        raise BadShape("dictionary shapes do not match the blocked image")
-    coeffs = analysis.mat.T @ noisy.blocks
-    system = analysis.mat.T @ synth.mat
-    return noisy.with_blocks(synth.mat @ _solve_columns_strict(system, coeffs, eps))
+    the coefficients, then synthesize. A one-radius ``denoise_sweep``."""
+    return denoise_sweep(noisy, synth, analysis, [eps])[0]
 
 
 def denoise_sweep(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
                   eps_grid) -> list[BlockedImage]:
-    """Run ``denoise`` once for every radius in ``eps_grid``.
+    """``denoise`` at every radius of ``eps_grid``, in the grid's order.
 
     Implements the candidate-radius protocol (the caller keeps whichever
-    result scores best). Each radius is an independent cold solve.
+    result scores best). One homotopy path per block crosses every
+    radius. The constraint ||A^T (y - S w)|| <= eps has m rows; with the
+    thin QR A^T = QR it is the same constraint ||R (y - S w)|| <= eps on
+    the n x m system R S, so the solve runs on n rows.
     """
-    return [denoise(noisy, synth, analysis, float(e)) for e in eps_grid]
+    grid = np.asarray(eps_grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise ValueError("the eps grid is empty")
+    if not (grid > 0).all():
+        raise ValueError(f"eps must be positive, got {grid.tolist()}")
+    if synth.mat.shape != analysis.mat.shape or synth.n != noisy.n:
+        raise BadShape("dictionary shapes do not match the blocked image")
+    tri = np.linalg.qr(analysis.mat.T, mode="r")
+    order = np.argsort(-grid, kind="stable")
+    codes = _homotopy_columns(tri @ synth.mat, tri @ noisy.blocks, grid[order])
+    out = [None] * grid.size
+    for k, pos in enumerate(order):
+        out[pos] = noisy.with_blocks(synth.mat @ codes[k])
+    return out
 
 
 def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
             eps: float = 0.01) -> BlockedImage:
     """Per block: fit minimum-l1 codes whose synthesis matches the
     observed pixels within ``eps``, then synthesize every pixel."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     if synth.n != observed.n:
         raise BadShape("dictionary rows do not match the block size")
     masks = mask.block_columns(observed.block_size)
@@ -241,7 +141,8 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
         rows = np.flatnonzero(masks[:, j])
         systems[j, : rows.size] = synth.mat[rows]
         data[: rows.size, j] = observed.blocks[rows, j]
-    return observed.with_blocks(synth.mat @ _solve_columns_strict(systems, data, eps))
+    codes = _homotopy_columns(systems, data, [eps])[0]
+    return observed.with_blocks(synth.mat @ codes)
 
 
 def _binary_entropy(p):

@@ -2,10 +2,14 @@
 
 * ``omp`` — greedy orthogonal matching pursuit; ``_omp_columns`` runs it
   on many columns at once (Batch-OMP, used by K-SVD).
-* ``bpdn`` — operator-splitting ADMM for min ||w||_1 s.t. ||b - A w||_2 <= eps.
-* ``basis_pursuit`` — the eps = 0 specialization with a vertex polish step.
+* ``bpdn`` — min ||w||_1 s.t. ||b - A w||_2 <= eps, solved exactly by the
+  LASSO homotopy ``_homotopy_columns``: one path per column gives the
+  code at every radius of a descending grid. Denoising runs it on the
+  n x m system R S from the thin QR A^T = QR of its analysis operator,
+  inpainting on per-block row subsets of the dictionary.
+* ``basis_pursuit`` — the eps = 0 end of the same path.
 * ``bp_bruteforce_oracle`` — exact LP optimum by basic-solution enumeration,
-  kept fully independent of the ADMM code path.
+  kept fully independent of the homotopy code path.
 """
 
 from __future__ import annotations
@@ -31,6 +35,21 @@ _OMP_BATCH_ENTRIES = 2 ** 16
 # A candidate atom whose squared distance from the span of the support is
 # at most this fraction of its squared norm counts as dependent on it.
 _SCHUR_FLOOR = 1e-12
+
+# A homotopy code may miss its radius by this fraction of its data norm.
+_RADIUS_RTOL = 1e-9
+# Homotopy steps after which the paths still running count as failed.
+_PATH_MAX_STEPS = 10_000
+# A homotopy event within this fraction of the path's starting lam from
+# lam = 0 counts as the end of the path.
+_PATH_END_RTOL = 1e-12
+# A join step whose correlation gains on lam by at most this rate is not
+# taken: it is rounding on an atom tied to the support.
+_JOIN_FLOOR = 1e-9
+# Entries of the per-lane support systems one homotopy batch may hold.
+_PATH_BATCH_ENTRIES = 2 ** 20
+# Support Grams are padded to a multiple of this many rows.
+_GRAM_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -160,202 +179,33 @@ def _col_norms(v):
     return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
-def bpdn(a, b, eps: float, tol: float = 1e-6, max_iter: int = 2000) -> SparseVec:
-    """min ||w||_1  s.t.  ||b - A w||_2 <= eps  via operator splitting.
+def bpdn(a, b, eps: float) -> SparseVec:
+    """min ||w||_1  s.t.  ||b - A w||_2 <= eps, solved exactly.
 
-    ADMM on the splitting (w; z = w; r = b - A w) with a soft-threshold
-    step for z and a projection onto the eps-ball for r. The penalty is
-    rebalanced when primal and dual residuals drift apart. Raises
-    ``SolverDidNotConverge`` after ``max_iter`` iterations, reporting the
-    best iterate and its residuals.
+    A one-column, one-radius call of ``_homotopy_columns``, which states
+    the method. Raises ``SolverDidNotConverge`` when no code meets the
+    radius (a system whose range misses ``b``).
     """
     a = as_matrix(a, "A")
     b = np.asarray(b, dtype=float).reshape(-1)
-    p = a.shape[0]
-    if b.size != p:
-        raise ValueError(f"b has length {b.size}, expected {p}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-
-    w, converged = _bpdn_columns(a, b[:, None], eps, tol=tol, max_iter=max_iter)
-    w = w[:, 0]
-    if not converged:
-        resid = float(np.linalg.norm(b - a @ w))
-        raise SolverDidNotConverge(
-            f"ADMM did not reach tol={tol:g} in {max_iter} iterations "
-            f"(constraint residual {resid:.3e})",
-            best=SparseVec(w),
-            residual=resid,
-            gap=max(0.0, resid - eps),
-            iterations=max_iter,
-        )
-    return SparseVec(w)
-
-
-def _apply(mats, cols):
-    """``mats @ cols`` column by column: ``mats`` is one shared p x m
-    matrix or a stack of N per-column matrices shaped (N, p, m)."""
-    if mats.ndim == 3:
-        return (mats @ cols.T[:, :, None])[:, :, 0].T
-    return mats @ cols
-
-
-def _apply_t(mats, cols):
-    """The transpose of ``_apply``: ``mats^T @ cols`` column by column."""
-    if mats.ndim == 3:
-        return (cols.T[:, None, :] @ mats)[:, 0, :].T
-    return mats.T @ cols
-
-
-def _bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
-    """Vectorized ADMM over many independent ball-constrained l1 columns.
-
-    ``b`` is p x N and column j is solved against its own radius
-    ``eps[j]`` (scalar eps broadcasts). ``a`` is either one shared p x m
-    system or a stack of N per-column systems shaped (N, p, m); zero rows
-    may be used to pad per-column systems to a common height. All
-    iteration steps act columnwise, so this equals N separate solves.
-    Every solve starts cold. Returns (W, converged).
-    """
-    a = np.asarray(a, dtype=float)
-    b_all = np.asarray(b, dtype=float)
-    n_cols = b_all.shape[1]
-    stacked = a.ndim == 3
-    m = a.shape[-1]
-    if (a.ndim not in (2, 3)) or a.shape[-2] != b_all.shape[0] or (
-        stacked and a.shape[0] != n_cols
-    ):
-        raise ValueError(f"system shape {a.shape} does not match b {b_all.shape}")
-    eps_all = np.broadcast_to(np.asarray(eps, dtype=float), (n_cols,))
-
-    out = np.zeros((m, n_cols))
-    # Columns whose data already fits inside the ball have the exact
-    # solution w = 0 and are never iterated on.
-    active_idx = np.flatnonzero(_col_norms(b_all) > eps_all)
-    # Per-column normalization keeps every column's trajectory independent
-    # of the rest of the batch; w scales linearly with (b, eps).
-    scale = np.maximum(_col_norms(b_all[:, active_idx]), 1e-300)
-    b = b_all[:, active_idx] / scale
-    eps_act = eps_all[active_idx] / scale
-    target = tol * np.maximum(1.0, _col_norms(b))
-
-    sys_act = a[active_idx] if stacked else a
-    # I + A^T A has every eigenvalue >= 1, so its inverse is safe to form.
-    inv = np.linalg.inv(np.swapaxes(sys_act, -1, -2) @ sys_act + np.eye(m))
-
-    w = np.zeros((m, active_idx.size))
-    z = np.zeros_like(w)
-    uz = np.zeros_like(w)
-    r = b.copy()
-    ur = np.zeros_like(b)
-    # Per-column penalties: the quadratic step is penalty-free, so each
-    # column carries its own rho and rebalances it independently.
-    rho = np.ones(active_idx.size)
-    relax = 1.7
-    check_every = 8
-
-    it = 0
-    while active_idx.size and it < max_iter:
-        it += 1
-        b_r = b - r
-        rhs = _apply_t(sys_act, b_r - ur)
-        rhs += z - uz
-        w = _apply(inv, rhs)
-        aw = _apply(sys_act, w)
-
-        z_old = z
-        r_old = r
-        # Moreau decomposition t = soft(t, 1/rho) + clip(t, -1/rho, 1/rho)
-        # with t = w_h + uz and w_h the over-relaxed w: the clipped part is
-        # the updated uz and z is the rest. The old uz is dead here, and
-        # z_old keeps the previous z for the dual residual.
-        t = relax * w
-        t += (1.0 - relax) * z
-        t += uz
-        thr = 1.0 / rho
-        # np.clip with array bounds costs about twice this pair.
-        uz = np.minimum(t, thr, out=uz)
-        np.maximum(uz, -thr, out=uz)
-        z = t
-        z -= uz
-        # v = b - aw_h - ur with aw_h the over-relaxed A w; r is v pulled
-        # into the ball, and the updated ur is r - v.
-        v = relax * aw
-        v += (1.0 - relax) * b_r
-        np.subtract(b, v, out=v)
-        v -= ur
-        norms = _col_norms(v)
-        shrink = np.ones(norms.size)
-        np.divide(eps_act, norms, out=shrink, where=norms > eps_act)
-        r = v * shrink
-        ur = np.subtract(r, v, out=ur)
-
-        if it % check_every == 0 or it == max_iter:
-            feas_norm = _col_norms(aw + r - b)
-            split_norm = _col_norms(w - z)
-            dual = rho * np.sqrt(
-                _col_norms(z - z_old) ** 2
-                + _col_norms(_apply_t(sys_act, r - r_old)) ** 2
-            )
-            done = (feas_norm <= target) & (split_norm <= target) & (dual <= target)
-            if done.any():
-                out[:, active_idx[done]] = w[:, done] * scale[done]
-                keep = ~done
-                active_idx, scale, target = active_idx[keep], scale[keep], target[keep]
-                b, eps_act, rho = b[:, keep], eps_act[keep], rho[keep]
-                w, z, r, uz, ur = (
-                    w[:, keep], z[:, keep], r[:, keep], uz[:, keep], ur[:, keep]
-                )
-                if stacked:
-                    sys_act, inv = sys_act[keep], inv[keep]
-                feas_norm, split_norm, dual = feas_norm[keep], split_norm[keep], dual[keep]
-            # Per-column residual balancing keeps each penalty productive;
-            # it runs whether or not other columns just finished, so no
-            # column's trajectory depends on its batch.
-            primal = np.sqrt(split_norm ** 2 + feas_norm ** 2)
-            grow = primal > 10 * dual
-            shrink_rho = dual > 10 * primal
-            if grow.any():
-                rho[grow] *= 2.0
-                uz[:, grow] /= 2.0
-                ur[:, grow] /= 2.0
-            if shrink_rho.any():
-                rho[shrink_rho] /= 2.0
-                uz[:, shrink_rho] *= 2.0
-                ur[:, shrink_rho] *= 2.0
-
-    out[:, active_idx] = w * scale
-    return out, active_idx.size == 0
+    if b.size != a.shape[0]:
+        raise ValueError(f"b has length {b.size}, expected {a.shape[0]}")
+    return SparseVec(_homotopy_columns(a, b[:, None], [eps])[0, :, 0])
 
 
 def basis_pursuit(d: Dictionary, x, tol: float = 1e-9) -> SparseVec:
-    """min ||u||_1 s.t. mat @ u = x, solved as the eps = 0 split problem.
+    """min ||u||_1 s.t. mat @ u = x: the eps = 0 end of the homotopy path.
 
-    The ADMM solution is polished by re-solving least squares on its
-    support; the polished point is kept only when it stays feasible and
-    lowers the l1 objective, so the result is never worse than the raw
-    ADMM iterate.
+    Raises ``SolverDidNotConverge`` if the constraint residual exceeds
+    ``tol * max(1, ||x||)``.
     """
-    a = d.mat
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != d.n:
         raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
-    feas_tol = tol * max(1.0, np.linalg.norm(x))
-
-    w, converged = _bpdn_columns(
-        a, x[:, None], eps=0.0, tol=min(tol, 1e-9), max_iter=20000
-    )
-    u = w[:, 0]
-    u = _polish_vertex(a, x, u, feas_tol)
-    resid = float(np.linalg.norm(a @ u - x))
+    u = _homotopy_columns(d.mat, x[:, None], [0.0])[0, :, 0]
+    resid = float(np.linalg.norm(d.mat @ u - x))
+    feas_tol = tol * max(1.0, float(np.linalg.norm(x)))
     if resid > feas_tol:
-        if not converged:
-            raise SolverDidNotConverge(
-                f"basis pursuit stalled at constraint residual {resid:.3e}",
-                best=SparseVec(u),
-                residual=resid,
-                iterations=20000,
-            )
         raise SolverDidNotConverge(
             f"constraint residual {resid:.3e} exceeds tolerance {feas_tol:.3e}",
             best=SparseVec(u),
@@ -364,18 +214,216 @@ def basis_pursuit(d: Dictionary, x, tol: float = 1e-9) -> SparseVec:
     return SparseVec(u)
 
 
-def _polish_vertex(a, x, u, feas_tol):
-    """Refit ``u`` on its support; keep the refit only if it wins."""
-    support = np.flatnonzero(np.abs(u) > ZERO_THRESHOLD)
-    if support.size == 0 or support.size > a.shape[0]:
-        return u
-    sol, *_ = np.linalg.lstsq(a[:, support], x, rcond=None)
-    candidate = np.zeros_like(u)
-    candidate[support] = sol
-    feasible = np.linalg.norm(a @ candidate - x) <= feas_tol
-    if feasible and np.abs(candidate).sum() <= np.abs(u).sum() + feas_tol:
-        return candidate
-    return u
+def _homotopy_columns(system, data, radii):
+    """min ||w||_1 s.t. ||b - A w||_2 <= eps for every column b of ``data``
+    and every radius eps of the descending grid ``radii``.
+
+    The LASSO homotopy, LARS with drops (Osborne, Presnell & Turlach
+    2000; Efron et al. 2004). ``system`` is one shared p x m matrix A or
+    a stack of N per-column matrices shaped (N, p, m); zero rows pad
+    per-column systems to a common height. Each column follows the path
+    of argmin 1/2 ||b - A w||^2 + lam ||w||_1 from lam = ||A^T b||_inf
+    down to 0. The path is piecewise linear and its residual norm falls
+    monotonically, so one path crosses every radius in turn: on the
+    segment that crosses eps, with residual r at its start and residual
+    r - gamma u along it, the code is at the smaller root of
+    ||r - gamma u||^2 = eps^2. A column with ||b|| <= eps gets the zero
+    code, and a radius below the residual at the end of the path gets
+    the code at the end.
+
+    Returns the codes as a (K, m, N) array, one m x N block per radius.
+    Raises ``ValueError`` for an empty grid or a radius that is NaN,
+    negative or out of order, and ``SolverDidNotConverge`` when a code
+    misses its radius by more than ``_RADIUS_RTOL * ||b||`` or a path
+    takes more than ``_PATH_MAX_STEPS`` steps.
+    """
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if radii.size == 0:
+        raise ValueError("the radius grid is empty")
+    if np.isnan(radii).any() or (radii < 0).any():
+        raise ValueError(f"radii must be nonnegative numbers, got {radii.tolist()}")
+    if (np.diff(radii) > 0).any():
+        raise ValueError("radii must be in descending order")
+    system = np.asarray(system, dtype=float)
+    data = np.asarray(data, dtype=float)
+    stacked = system.ndim == 3
+    if system.ndim not in (2, 3) or data.ndim != 2 or system.shape[-2] != data.shape[0] or (
+        stacked and system.shape[0] != data.shape[1]
+    ):
+        raise ValueError(f"system shape {system.shape} does not match data {data.shape}")
+    # Lanes are rows from here on; a shared system is a stack of one,
+    # which broadcasts. Stacked products compute every lane on its own,
+    # so a lane's arithmetic does not depend on its batch-mates.
+    mats = system if stacked else system[None]
+    lanes_b = data.T
+    rank = np.linalg.matrix_rank(mats)
+    cap = int(rank.max())
+    p, m = system.shape[-2:]
+    codes = np.zeros((radii.size, data.shape[1], m))
+    width = max(1, _PATH_BATCH_ENTRIES // (cap * (p + cap) + 4 * m))
+    for start in range(0, data.shape[1], width):
+        block = slice(start, start + width)
+        codes[:, block] = _homotopy_block(
+            np.swapaxes(mats[block] if stacked else mats, 1, 2), lanes_b[block], radii,
+            rank[block] if stacked else rank,
+        )
+    resid = lanes_b - (mats @ codes[..., None])[..., 0]
+    norms = np.sqrt(np.einsum("knp,knp->kn", resid, resid))
+    excess = norms - radii[:, None] - _RADIUS_RTOL * _col_norms(data)
+    k, j = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[k, j] > 0:
+        raise SolverDidNotConverge(
+            f"block {j}: constraint residual {norms[k, j]:.6g} exceeds "
+            f"eps {radii[k]:g}",
+            best=SparseVec(codes[k, j]),
+            residual=float(norms[k, j]),
+            gap=float(norms[k, j] - radii[k]),
+        )
+    return codes.transpose(0, 2, 1)
+
+
+def _homotopy_block(atoms, b, radii, rank):
+    """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
+
+    ``atoms`` holds the transposed systems, (N, m, p), or (1, m, p) for a
+    shared system, so that the atoms are rows; ``rank`` holds their
+    ranks. Each step solves every lane's support Gram for the direction d
+    (A_S^T A_S d_S = sign(w_S)) and moves w <- w + gamma d and
+    lam <- lam - gamma until the first event: an atom joins (its correlation reaches +-lam; ties go to the lowest
+    index), an atom drops (its code reaches zero), or the path ends
+    (lam = 0). Join steps are clamped at gamma >= 0; an atom dropped on
+    the previous step may not rejoin on the side it left; joins stop once
+    a lane's support reaches the rank of its system. A lane leaves the
+    batch once it has a code for every radius. Returns (K, N, m) codes.
+    """
+    n_lanes, p = b.shape
+    m = atoms.shape[1]
+    n_radii = radii.size
+    out = np.zeros((n_radii, n_lanes, m))
+    eps2 = radii ** 2
+    # Radii at or above the data norm keep the zero code.
+    nxt = np.count_nonzero(eps2 >= np.einsum("lp,lp->l", b, b)[:, None], axis=1)
+    lanes = np.flatnonzero(nxt < n_radii)
+    b, nxt = b[lanes], nxt[lanes]
+    if atoms.shape[0] > 1:
+        atoms, rank = atoms[lanes], rank[lanes]
+    atoms = np.ascontiguousarray(atoms)
+    w = np.zeros((lanes.size, m))
+    sign = np.zeros((lanes.size, m))  # nonzero exactly on the support
+    left = np.zeros_like(sign)  # the side an atom dropped from last step
+    r = b.copy()
+    c = (atoms @ r[:, :, None])[:, :, 0]
+    lam = np.abs(c).max(axis=1)
+    # An event this close to lam = 0 is the end of the path: in exact
+    # arithmetic every atom the support already spans "joins" there.
+    floor = _PATH_END_RTOL * lam
+    steps = 0
+    while lanes.size:
+        if steps == _PATH_MAX_STEPS:
+            raise SolverDidNotConverge(
+                f"homotopy path did not end within {_PATH_MAX_STEPS} steps",
+                iterations=steps,
+            )
+        steps += 1
+        rows = np.arange(lanes.size)
+        size = np.count_nonzero(sign, axis=1)
+        # Each lane's support Gram is padded with the identity to the next
+        # multiple of _GRAM_PAD rows: the width depends on the lane alone,
+        # so no lane's arithmetic depends on its batch-mates.
+        order = np.argsort(sign == 0, axis=1, kind="stable")
+        width = np.minimum(-(-size // _GRAM_PAD) * _GRAM_PAD, m)
+        d = np.zeros_like(w)
+        u = np.zeros_like(b)
+        for wide in np.unique(width):
+            i = np.flatnonzero(width == wide)
+            slots = order[i, :wide]
+            real = np.arange(wide) < size[i, None]
+            owner = i if atoms.shape[0] > 1 else np.zeros_like(i)
+            sub = atoms[owner[:, None], slots]
+            sub *= real[:, :, None]
+            gram = sub @ np.swapaxes(sub, 1, 2)
+            gram[:, np.arange(wide), np.arange(wide)] += ~real
+            d_s = np.linalg.solve(gram, np.take_along_axis(sign[i], slots, axis=1)[..., None])
+            u[i] = (np.swapaxes(d_s, 1, 2) @ sub)[:, 0, :]
+            d[i[:, None], slots] = d_s[:, :, 0]
+        v = (atoms @ u[:, :, None])[:, :, 0]
+
+        # Join steps: the correlation c - gamma v reaches +(lam - gamma)
+        # or -(lam - gamma).
+        lam_col = lam[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(1.0 - v > _JOIN_FLOOR,
+                          np.maximum(lam_col - c, 0.0) / (1.0 - v), np.inf)
+            down = np.where(1.0 + v > _JOIN_FLOOR,
+                            np.maximum(lam_col + c, 0.0) / (1.0 + v), np.inf)
+        up[left > 0] = np.inf
+        down[left < 0] = np.inf
+        join = np.minimum(up, down)
+        join[sign != 0] = np.inf
+        join[size >= rank] = np.inf
+        new = np.argmin(join, axis=1)
+        g_join = join[rows, new]
+        new_sign = np.where(up[rows, new] <= down[rows, new], 1.0, -1.0)
+        # Drop steps: an active code moving against its sign reaches 0.
+        closing = sign * d < 0
+        drop = np.full_like(w, np.inf)
+        drop[closing] = np.maximum(sign * w, 0.0)[closing] / -(sign * d)[closing]
+        old = np.argmin(drop, axis=1)
+        g_drop = drop[rows, old]
+        gamma = np.minimum(np.minimum(g_join, g_drop), lam)
+        ends = lam - gamma <= floor
+        gamma[ends] = lam[ends]
+        dropping = ~ends & (g_drop <= g_join)
+        joining = ~ends & ~dropping
+
+        # Radii crossed on this segment: ||r - gamma u||^2 falls from rr
+        # to end2. The roots of ||r - gamma u||^2 = eps^2 are
+        # (ru -+ sqrt(uu (eps^2 - dist2))) / uu, with dist the distance
+        # from r to the line through u; dist2 is formed from vectors, so a
+        # radius near the segment's closest point keeps its accuracy.
+        rr = np.einsum("lp,lp->l", r, r)
+        ru = np.einsum("lp,lp->l", r, u)
+        uu = np.einsum("lp,lp->l", u, u)
+        tail = r - gamma[:, None] * u
+        end2 = np.einsum("lp,lp->l", tail, tail)
+        foot = np.divide(ru, uu, out=np.zeros_like(ru), where=uu > 0)
+        tail = r - foot[:, None] * u
+        dist2 = np.einsum("lp,lp->l", tail, tail)
+        while True:
+            k = np.minimum(nxt, n_radii - 1)
+            inside = end2 <= eps2[k]
+            hit = np.flatnonzero((nxt < n_radii) & (inside | ends))
+            if not hit.size:
+                break
+            over = rr[hit] - eps2[k[hit]]
+            disc = uu[hit] * np.maximum(eps2[k[hit]] - dist2[hit], 0.0)
+            denom = ru[hit] + np.sqrt(disc)
+            root = np.divide(over, denom, out=np.zeros_like(over), where=denom > 0)
+            g = np.where(inside[hit], np.clip(root, 0.0, gamma[hit]), gamma[hit])
+            out[nxt[hit], lanes[hit]] = w[hit] + g[:, None] * d[hit]
+            nxt[hit] += 1
+
+        w += gamma[:, None] * d
+        lam -= gamma
+        i = np.flatnonzero(dropping)
+        j = old[i]
+        left = np.zeros_like(sign)
+        left[i, j] = sign[i, j]
+        w[i, j] = 0.0
+        sign[i, j] = 0.0
+        i = np.flatnonzero(joining)
+        sign[i, new[i]] = new_sign[i]
+
+        keep = nxt < n_radii
+        lanes, b, nxt, w, sign, left, lam, floor = (
+            lanes[keep], b[keep], nxt[keep], w[keep], sign[keep], left[keep],
+            lam[keep], floor[keep],
+        )
+        if atoms.shape[0] > 1:
+            atoms, rank = atoms[keep], rank[keep]
+        r = b - (w[:, None, :] @ atoms)[:, 0, :]
+        c = (atoms @ r[:, :, None])[:, :, 0]
+    return out
 
 
 def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:

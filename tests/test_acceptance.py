@@ -330,25 +330,26 @@ def test_criterion_12_cli_determinism(test_image, tmp_path):
     cfg = ["--block_size", "4", "--m", "24", "--k", "3", "--ksvd_iters", "4",
            "--max_iters", "4", "--x_sweeps", "4", "--seed", "11"]
     snapshots = []
+    # Both runs use the same file names, in two directories: the denoise
+    # table records the dictionary's file name.
     for tag in ("one", "two"):
-        out = tmp_path / f"{tag}.pk"
-        trace = tmp_path / f"{tag}.csv"
+        run = tmp_path / tag
+        run.mkdir()
+        out = run / "dict.pk"
+        trace = run / "trace.csv"
         assert main(["train", str(img_path), "--method", "parseval",
                      "--out", str(out), "--trace", str(trace), *cfg]) == 0
-        prefix = tmp_path / f"{tag}-dn"
         assert main(["denoise", str(img_path), "--dict", str(out),
-                     "--dual", str(tmp_path / f"{tag}.dual.pk"),
+                     "--dual", str(run / "dict.dual.pk"),
                      "--sigma", "10", "--eps", "8,16", "--seed", "11",
-                     "--out-prefix", str(prefix), "--block_size", "4"]) == 0
-        rd_prefix = tmp_path / f"{tag}-rd"
+                     "--out-prefix", str(run / "dn"), "--block_size", "4"]) == 0
         assert main(["compress", str(img_path), "--dict", str(out),
-                     "--steps", "2,8,32", "--out-prefix", str(rd_prefix),
+                     "--steps", "2,8,32", "--out-prefix", str(run / "rd"),
                      "--block_size", "4"]) == 0
         snapshots.append(b"".join(
             p.read_bytes()
-            for p in (out, tmp_path / f"{tag}.dual.pk", trace,
-                      tmp_path / f"{tag}-dn.pgm", tmp_path / f"{tag}-dn.csv",
-                      tmp_path / f"{tag}-rd.csv")
+            for p in (out, run / "dict.dual.pk", trace, run / "dn.pgm",
+                      run / "dn.csv", run / "rd.csv")
         ))
     ok = snapshots[0] == snapshots[1]
     assert report(

@@ -251,6 +251,25 @@ class TestInpaint:
         assert (tmp_path / "ip2.corrupted.pgm").exists()
 
 
+class TestBadRadius:
+    """A NaN, negative or empty radius fails with an error line and writes
+    nothing."""
+
+    @pytest.mark.parametrize("cmd,eps", [("denoise", "nan"), ("denoise", "-4"),
+                                         ("denoise", ","), ("denoise", "8,nan"),
+                                         ("inpaint", "nan"), ("inpaint", "-0.5")])
+    def test_exits_with_error(self, trained, tmp_path, capsys, cmd, eps):
+        prefix = tmp_path / "bad"
+        extra = (["--dual", str(trained["dual"]), "--sigma", "10"] if cmd == "denoise"
+                 else ["--fraction", "0.3"])
+        code = main([cmd, str(trained["image"]), "--dict", str(trained["synth"]),
+                     *extra, f"--eps={eps}", "--out-prefix", str(prefix),
+                     "--block_size", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompress:
     def test_one_point_per_step(self, trained, tmp_path):
         prefix = tmp_path / "rd"

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from pksvd import sparse_solvers
-from pksvd.errors import TooLarge
-from pksvd.frames import Dictionary, canonical_dual
+from pksvd.errors import SolverDidNotConverge, TooLarge
+from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
+from pksvd.imaging import to_blocks
 from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
     SparseVec,
-    _apply,
-    _apply_t,
-    _bpdn_columns,
-    _col_norms,
+    _homotopy_columns,
     _omp_columns,
     basis_pursuit,
     bp_bruteforce_oracle,
@@ -48,83 +46,6 @@ def reference_omp_columns(a, data, k, residual_tol=0.0):
     )
 
 
-def reference_bpdn_columns(a, b, eps, tol=1e-6, max_iter=2000):
-    """The batched ball-constrained ADMM with every step written out: a
-    soft-threshold z step, explicit scaled multiplier updates and
-    ``einsum`` applies for a system stack."""
-    stacked = a.ndim == 3
-
-    def apply(mats, cols):
-        return np.einsum("nqm,mn->qn", mats, cols) if stacked else mats @ cols
-
-    def apply_t(mats, cols):
-        return np.einsum("nqm,qn->mn", mats, cols) if stacked else mats.T @ cols
-
-    def soft(v, t):
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-    n_cols = b.shape[1]
-    m = a.shape[-1]
-    eps_all = np.broadcast_to(np.asarray(eps, dtype=float), (n_cols,))
-    out = np.zeros((m, n_cols))
-    active_idx = np.flatnonzero(_col_norms(b) > eps_all)
-    scale = np.maximum(_col_norms(b[:, active_idx]), 1e-300)
-    b = b[:, active_idx] / scale
-    eps_act = eps_all[active_idx] / scale
-    target = tol * np.maximum(1.0, _col_norms(b))
-    sys_act = a[active_idx] if stacked else a
-    inv = np.linalg.inv(np.swapaxes(sys_act, -1, -2) @ sys_act + np.eye(m))
-    w = np.zeros((m, active_idx.size))
-    z = np.zeros_like(w)
-    uz = np.zeros_like(w)
-    r = b.copy()
-    ur = np.zeros_like(b)
-    rho = np.ones(active_idx.size)
-    relax = 1.7
-    it = 0
-    while active_idx.size and it < max_iter:
-        it += 1
-        w = apply(inv, (z - uz) + apply_t(sys_act, b - r - ur))
-        aw = apply(sys_act, w)
-        z_old, r_old = z, r
-        w_h = relax * w + (1.0 - relax) * z
-        aw_h = relax * aw + (1.0 - relax) * (b - r)
-        z = soft(w_h + uz, 1.0 / rho)
-        v = b - aw_h - ur
-        norms = _col_norms(v)
-        shrink = np.ones(norms.size)
-        np.divide(eps_act, norms, out=shrink, where=norms > eps_act)
-        r = v * shrink
-        uz = uz + w_h - z
-        ur = ur + aw_h + r - b
-        if it % 8 == 0 or it == max_iter:
-            feas_norm = _col_norms(aw + r - b)
-            split_norm = _col_norms(w - z)
-            dual = rho * np.sqrt(_col_norms(z - z_old) ** 2
-                                 + _col_norms(apply_t(sys_act, r - r_old)) ** 2)
-            done = (feas_norm <= target) & (split_norm <= target) & (dual <= target)
-            if done.any():
-                out[:, active_idx[done]] = w[:, done] * scale[done]
-                keep = ~done
-                active_idx, scale, target = active_idx[keep], scale[keep], target[keep]
-                b, eps_act, rho = b[:, keep], eps_act[keep], rho[keep]
-                w, z, r, uz, ur = w[:, keep], z[:, keep], r[:, keep], uz[:, keep], ur[:, keep]
-                if stacked:
-                    sys_act, inv = sys_act[keep], inv[keep]
-                feas_norm, split_norm, dual = feas_norm[keep], split_norm[keep], dual[keep]
-            primal = np.sqrt(split_norm ** 2 + feas_norm ** 2)
-            grow = primal > 10 * dual
-            shrink_rho = dual > 10 * primal
-            rho[grow] *= 2.0
-            uz[:, grow] /= 2.0
-            ur[:, grow] /= 2.0
-            rho[shrink_rho] /= 2.0
-            uz[:, shrink_rho] *= 2.0
-            ur[:, shrink_rho] *= 2.0
-    out[:, active_idx] = w * scale
-    return out, active_idx.size == 0
-
-
 def nonunit_frame(rng, n=16, m=24):
     """n x m frame whose atoms are not unit norm."""
     return rng.standard_normal((n, m)) * rng.uniform(0.2, 5.0, m)
@@ -152,6 +73,25 @@ def recovery_system(rng, kind, n_cols):
     else:
         analysis = nonunit_frame(rng)
     return analysis.T @ synth, analysis.T @ signals
+
+
+def kkt_system(rng, kind):
+    """A recovery problem as the pipelines pose it: the n-row denoise
+    system R S from the thin QR A^T = QR (shared kinds), the observed-row
+    inpaint systems (stacked), or 300 transpose-symmetric integer-pixel
+    blocks against the overcomplete DCT, on which the transposed atom
+    pairs tie exactly."""
+    if kind == "stacked":
+        return recovery_system(rng, kind, 40)
+    if kind == "dct-ties":
+        pixels = rng.integers(0, 256, (300, 4, 4)).astype(float)
+        pixels = np.triu(pixels) + np.swapaxes(np.triu(pixels, 1), 1, 2)
+        blocks = to_blocks(np.hstack(list(pixels)), 4, subtract_mean=True).blocks
+        return dct_dictionary(16, 32).mat, blocks
+    synth = nonunit_frame(rng)
+    analysis = canonical_dual(Dictionary(synth)).mat if kind == "canonical" else nonunit_frame(rng)
+    tri = np.linalg.qr(analysis.T, mode="r")
+    return tri @ synth, tri @ (rng.standard_normal((16, 40)) * 20.0)
 
 
 class TestSparseVec:
@@ -370,7 +310,7 @@ class TestBpdn:
         eps = 0.1
         t = eps / np.sqrt(2.0)
         expected = np.array([3.0 - t, 0.1 - t])
-        w = bpdn(np.eye(2), b, eps=eps, tol=1e-10, max_iter=50000)
+        w = bpdn(np.eye(2), b, eps=eps)
         assert np.allclose(w.entries, expected, atol=1e-6)
         assert np.linalg.norm(b - w.entries) <= eps * (1 + 1e-6)
 
@@ -379,7 +319,7 @@ class TestBpdn:
         for _ in range(10):
             d = random_frame(rng, 3, 6)
             x = rng.standard_normal(3)
-            w = bpdn(d.mat, x, eps=0.0, tol=1e-9, max_iter=50000)
+            w = bpdn(d.mat, x, eps=0.0)
             u = basis_pursuit(d, x)
             assert abs(w.l1 - u.l1) <= 1e-5 * max(1.0, u.l1)
 
@@ -389,7 +329,7 @@ class TestBpdn:
             a = rng.standard_normal((5, 8))
             b = rng.standard_normal(5) * 3
             eps = 0.5
-            w = bpdn(a, b, eps=eps, tol=1e-8, max_iter=50000)
+            w = bpdn(a, b, eps=eps)
             assert np.linalg.norm(b - a @ w.entries) <= eps * (1 + 1e-3)
 
     def test_matches_cvxpy_reference(self):
@@ -399,7 +339,7 @@ class TestBpdn:
             a = rng.standard_normal((4, 7))
             b = rng.standard_normal(4) * 2
             eps = 0.7
-            got = bpdn(a, b, eps=eps, tol=1e-9, max_iter=100000)
+            got = bpdn(a, b, eps=eps)
             w = cvxpy.Variable(7)
             prob = cvxpy.Problem(
                 cvxpy.Minimize(cvxpy.norm1(w)),
@@ -410,12 +350,51 @@ class TestBpdn:
             assert got.l1 <= ref * (1 + 1e-4) + 1e-6
             assert got.l1 >= ref * (1 - 1e-4) - 1e-6
 
+    @pytest.mark.parametrize("kind", ["canonical", "non-dual", "stacked", "dct-ties"])
+    def test_kkt_certificate(self, kind):
+        # An offline optimality certificate at every radius of a grid: the
+        # code lies on its radius, and g = A^T r / ||A^T r||_inf equals
+        # sign(w) on the support and stays within [-1, 1] off it. Below
+        # 1e-3 of the data scale r is too small to form g beyond rounding,
+        # so only the radius is checked there.
+        a, b = kkt_system(np.random.default_rng(30), kind)
+        scale = np.linalg.norm(b, axis=0).max()
+        radii = scale * np.array(
+            [1.1, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.001, 1e-9, 0.0])
+        codes = _homotopy_columns(a, b, radii)
+        for eps, block in zip(radii, codes):
+            for j in range(b.shape[1]):
+                mat = a[j] if a.ndim == 3 else a
+                w = block[:, j]
+                if np.linalg.norm(b[:, j]) <= eps:
+                    assert not w.any()
+                    continue
+                r = b[:, j] - mat @ w
+                assert abs(np.linalg.norm(r) - eps) <= 1e-9 * np.linalg.norm(b[:, j])
+                if eps < 1e-3 * scale:
+                    continue
+                g = mat.T @ r
+                g /= np.abs(g).max()
+                on = w != 0
+                assert np.abs(g[on] - np.sign(w[on])).max() <= 1e-9
+                assert np.abs(g[~on]).max() <= 1.0 + 1e-9
+
+    def test_rejects_bad_radius(self):
+        a, b = np.eye(2), np.ones(2)
+        for eps in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                bpdn(a, b, eps)
+
+    def test_infinite_radius_gives_zero_code(self):
+        w = bpdn(np.eye(2), np.array([3.0, -4.0]), eps=float("inf"))
+        assert np.array_equal(w.entries, np.zeros(2))
+
     def test_agrees_with_basis_pursuit_on_twenty_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             d = random_frame(rng, 4, 7)
             x = rng.standard_normal(4)
-            w = bpdn(d.mat, x, eps=0.0, tol=1e-9, max_iter=50000)
+            w = bpdn(d.mat, x, eps=0.0)
             u = basis_pursuit(d, x)
             assert abs(w.l1 - u.l1) <= 1e-5 * max(1.0, u.l1)
 
@@ -431,37 +410,81 @@ class TestBpdn:
 
 
 class TestBpdnColumns:
-    """The Moreau-form iteration against the step-by-step reference."""
-
-    @pytest.mark.parametrize("kind", ["canonical", "non-dual", "stacked"])
-    @pytest.mark.parametrize("settings", [dict(tol=1e-3, max_iter=1200), dict()],
-                             ids=["recovery", "bpdn-defaults"])
-    def test_matches_reference(self, kind, settings):
-        a, b = recovery_system(np.random.default_rng(0), kind, 24)
-        for eps in (0.0, 1e-6, 0.1, 2.0, 10.0):
-            got, converged = _bpdn_columns(a, b, eps, **settings)
-            ref, ref_converged = reference_bpdn_columns(a, b, eps, **settings)
-            assert converged == ref_converged
-            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+    """The lane-batched homotopy behind every ball-constrained solve."""
 
     @pytest.mark.parametrize("kind", ["non-dual", "stacked"])
     def test_batch_equals_single_column_solves(self, kind):
-        # Columns converge at different checks; the ones still running
-        # must evolve as if they were solved alone.
+        # Paths end after different numbers of steps; the ones still
+        # running must evolve as if they were solved alone.
         rng = np.random.default_rng(20)
         a, b = recovery_system(rng, kind, 40)
-        got, _ = _bpdn_columns(a, b, 2.0, tol=1e-3, max_iter=1200)
+        radii = [10.0, 2.0, 0.1]
+        got = _homotopy_columns(a, b, radii)
         for j in range(b.shape[1]):
-            one, _ = _bpdn_columns(a[j : j + 1] if kind == "stacked" else a,
-                                   b[:, j : j + 1], 2.0, tol=1e-3, max_iter=1200)
-            assert np.abs(got[:, j] - one[:, 0]).max() <= 1e-9 * np.abs(one).max()
+            one = _homotopy_columns(a[j : j + 1] if kind == "stacked" else a,
+                                    b[:, j : j + 1], radii)
+            assert np.abs(got[:, :, j] - one[:, :, 0]).max() <= 1e-9 * np.abs(one).max()
 
-    def test_stacked_applies_match_einsum(self):
-        rng = np.random.default_rng(5)
-        mats = rng.standard_normal((7, 4, 6))
-        cols = rng.standard_normal((6, 7))
-        back = rng.standard_normal((4, 7))
-        assert np.allclose(_apply(mats, cols), np.einsum("nqm,mn->qn", mats, cols),
-                           rtol=0.0, atol=1e-12)
-        assert np.allclose(_apply_t(mats, back), np.einsum("nqm,qn->mn", mats, back),
-                           rtol=0.0, atol=1e-12)
+    def test_eps_zero_matches_oracle(self):
+        rng = np.random.default_rng(21)
+        a = nonunit_frame(rng, 4, 8)
+        b = rng.standard_normal((4, 10))
+        codes = _homotopy_columns(a, b, [0.0])[0]
+        for j in range(b.shape[1]):
+            oracle = bp_bruteforce_oracle(Dictionary(a), b[:, j])
+            assert abs(np.abs(codes[:, j]).sum() - oracle.l1) <= 1e-9 * oracle.l1
+            assert np.linalg.norm(a @ codes[:, j] - b[:, j]) <= 1e-9 * np.linalg.norm(b[:, j])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_duplicate_and_zero_atoms(self, stacked):
+        # Atoms the support already spans "join" only through rounding;
+        # such steps must not be taken.
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((6, 10))
+        a[:, 7] = a[:, 2]
+        a[:, 9] = -a[:, 4]
+        a[:, 8] = 0.0
+        b = rng.standard_normal((6, 200))
+        system = np.broadcast_to(a, (200, 6, 10)) if stacked else a
+        radii = [2.0, 1.0, 0.3, 0.0]
+        codes = _homotopy_columns(system, b, radii)
+        for eps, block in zip(radii, codes):
+            resid = np.linalg.norm(b - a @ block, axis=0)
+            inside = np.linalg.norm(b, axis=0) <= eps
+            assert np.all(np.abs(resid[~inside] - eps) <= 1e-9 * np.linalg.norm(b, axis=0)[~inside])
+            assert not block[:, inside].any()
+
+    def test_ties_go_to_lowest_index(self):
+        # Atoms 1 and 2 are equal, so they tie at every step; the code
+        # goes to atom 1 alone.
+        a = np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        w = _homotopy_columns(a, np.array([[0.0], [3.0]]), [1.0, 0.0])
+        assert np.all(w[:, 1, 0] > 0) and not w[:, 2, 0].any()
+
+    def test_integer_blocks_reach_eps_zero(self):
+        # At the end of the path every atom the support spans "joins"
+        # through rounding; on integer pixels against the DCT such steps
+        # would make the support Gram singular.
+        rng = np.random.default_rng(24)
+        pixels = rng.integers(0, 256, (3000, 4, 4)).astype(float)
+        blocks = to_blocks(np.hstack(list(pixels)), 4, subtract_mean=True).blocks
+        a = dct_dictionary(16, 32).mat
+        codes = _homotopy_columns(a, blocks, [0.0])[0]
+        resid = np.linalg.norm(blocks - a @ codes, axis=0)
+        assert np.all(resid <= 1e-9 * np.linalg.norm(blocks, axis=0))
+
+    def test_unreachable_radius_raises(self):
+        a = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(SolverDidNotConverge, match="exceeds eps 0.5"):
+            _homotopy_columns(a, np.array([[1.0], [1.0]]), [0.5])
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sparse_solvers, "_PATH_MAX_STEPS", 2)
+        a, b = recovery_system(np.random.default_rng(23), "stacked", 5)
+        with pytest.raises(SolverDidNotConverge, match="within 2 steps"):
+            _homotopy_columns(a, b, [0.0])
+
+    @pytest.mark.parametrize("radii", [[], [float("nan")], [-1.0], [1.0, 2.0]])
+    def test_rejects_bad_grid(self, radii):
+        with pytest.raises(ValueError):
+            _homotopy_columns(np.eye(2), np.ones((2, 1)), radii)
