@@ -26,7 +26,7 @@ class SingularCoefficientGram(PksvdError, ArithmeticError):
 
 
 class SolverDidNotConverge(PksvdError, RuntimeError):
-    """Iterative solver exhausted its iteration budget.
+    """A solver exhausted its step budget or missed its constraint.
 
     Carries the best iterate found so far plus the residual at the stop.
     """

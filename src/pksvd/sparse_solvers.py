@@ -289,9 +289,9 @@ def _homotopy_block(atoms, b, radii, rank):
     shared system, so that the atoms are rows; ``rank`` holds their
     ranks. Each step solves every lane's support Gram for the direction d
     (A_S^T A_S d_S = sign(w_S)) and moves w <- w + gamma d and
-    lam <- lam - gamma until the first event: an atom joins (its correlation reaches +-lam; ties go to the lowest
-    index), an atom drops (its code reaches zero), or the path ends
-    (lam = 0). Join steps are clamped at gamma >= 0; an atom dropped on
+    lam <- lam - gamma until the first event: an atom joins (its
+    correlation reaches +-lam; ties go to the lowest index), an atom
+    drops (its code reaches zero), or the path ends (lam = 0). Join steps are clamped at gamma >= 0; an atom dropped on
     the previous step may not rejoin on the side it left; joins stop once
     a lane's support reaches the rank of its system. A lane leaves the
     batch once it has a code for every radius. Returns (K, N, m) codes.
