@@ -1,15 +1,16 @@
 """Dense linear-algebra substrate.
 
-Factorization-backed pseudo-inverse, a hand-rolled Kronecker product, and
-two interchangeable Sylvester-equation solvers: a Schur-reduction path
-(default, tractable) and a vec/Kronecker least-squares path kept as an
-independent cross-check of the Schur route.
+Factorization-backed pseudo-inverse, a hand-rolled Kronecker product, the
+eigenpairs of a symmetric-definite pencil, a symmetric Sylvester solver
+working from eigenpairs (the Parseval dictionary updates run on it), and
+a general Sylvester solver with a Schur-reduction method and a
+vec/Kronecker least-squares method that cross-check each other and the
+eigen route. Only ``solve_sylvester(method="schur")`` loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadShape, NearSingularSylvester
 
@@ -57,20 +58,75 @@ def kron(a, b):
     return out.reshape(ra * rb, ca * cb)
 
 
-def _sylvester_condition_estimate(a, b):
-    """Estimate the conditioning of I (x) A + B^T (x) I.
+def _spectral_condition(eva, evb):
+    """Condition estimate of I (x) A + B^T (x) I from the spectra of A and B.
 
     The operator's eigenvalues are all pairwise sums of the eigenvalues of
-    ``a`` and ``b``; their max/min modulus ratio estimates the condition
-    number without forming the nm x nm system.
+    A and B; their max/min modulus ratio estimates the condition number
+    without forming the nm x nm system.
     """
-    eva = np.linalg.eigvals(a)
-    evb = np.linalg.eigvals(b)
     sums = np.abs(eva[:, None] + evb[None, :])
     smallest = sums.min()
     if smallest == 0.0:
         return np.inf
     return sums.max() / smallest
+
+
+def _sylvester_condition_estimate(a, b):
+    """``_spectral_condition`` of the eigenvalues of the matrices ``a`` and ``b``."""
+    return _spectral_condition(np.linalg.eigvals(a), np.linalg.eigvals(b))
+
+
+def _check_condition(cond):
+    if not np.isfinite(cond) or cond > SYLVESTER_COND_LIMIT:
+        raise NearSingularSylvester(
+            f"spectra of A and -B nearly overlap (condition estimate {cond:.3e})"
+        )
+
+
+def check_sylvester_residual(a, b, c, beta):
+    """Raise ``NearSingularSylvester`` unless ``beta`` solves
+    A @ beta + beta @ B = C to ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
+    residual = np.linalg.norm(a @ beta + beta @ b - c)
+    if residual > SYLVESTER_RESIDUAL_TOL * max(1.0, np.linalg.norm(c)):
+        raise NearSingularSylvester(
+            f"solution residual {residual:.3e} exceeds tolerance; "
+            "spectra of A and -B likely overlap"
+        )
+
+
+def generalized_eigh(m, g):
+    """Eigenpairs (lam, V) of the pencil (M, G): M V = G V diag(lam) with
+    V^T G V = I, for symmetric positive definite M and G.
+
+    With M = L L^T, one ``eigh`` of L^-1 G L^-T gives nu = 1/lam;
+    factoring M, not G, keeps the result accurate for an ill-conditioned G
+    such as a ridged code Gram with an unused atom. Raises
+    ``np.linalg.LinAlgError`` when M or G is not positive definite.
+    """
+    chol_inv = np.linalg.inv(np.linalg.cholesky(m))
+    nu, w = np.linalg.eigh(chol_inv @ g @ chol_inv.T)
+    if not nu[0] > 0.0:
+        raise np.linalg.LinAlgError("G is not positive definite")
+    return 1.0 / nu, (chol_inv.T @ w) / np.sqrt(nu)
+
+
+def solve_sylvester_eig(a_eig, b_eig, k):
+    """Solve A @ beta @ G + beta @ M = K from eigenpairs.
+
+    ``a_eig = (sigma, U)`` is ``np.linalg.eigh(A)`` of a symmetric A and
+    ``b_eig = (lam, V)`` is ``generalized_eigh(M, G)``, or
+    ``np.linalg.eigh(M)`` when G = I. This is the Sylvester equation with
+    B = M G^-1 (spectrum lam) and C = K G^-1, and
+    beta = U [(U^T K V) / (sigma_i + lam_j)] V^T. Raises
+    ``NearSingularSylvester`` when the condition estimate from sigma and
+    lam exceeds ``SYLVESTER_COND_LIMIT``; the residual check of the
+    stated system is the caller's (``check_sylvester_residual``).
+    """
+    sigma, u = a_eig
+    lam, v = b_eig
+    _check_condition(_spectral_condition(sigma, lam))
+    return u @ ((u.T @ k @ v) / (sigma[:, None] + lam[None, :])) @ v.T
 
 
 def solve_sylvester(a, b, c, method="schur"):
@@ -92,13 +148,12 @@ def solve_sylvester(a, b, c, method="schur"):
     if c.shape != (n, m):
         raise BadShape(f"C must be {n}x{m}, got {c.shape}")
 
-    cond = _sylvester_condition_estimate(a, b)
-    if not np.isfinite(cond) or cond > SYLVESTER_COND_LIMIT:
-        raise NearSingularSylvester(
-            f"spectra of A and -B nearly overlap (condition estimate {cond:.3e})"
-        )
+    _check_condition(_sylvester_condition_estimate(a, b))
 
     if method == "schur":
+        # Imported here so that loading pksvd, or any command, never loads scipy.
+        import scipy.linalg
+
         beta = scipy.linalg.solve_sylvester(a, b, c)
     elif method == "kron":
         op = kron(np.eye(m), a) + kron(b.T, np.eye(n))
@@ -108,10 +163,5 @@ def solve_sylvester(a, b, c, method="schur"):
     else:
         raise ValueError(f"unknown method {method!r}; expected 'schur' or 'kron'")
 
-    residual = np.linalg.norm(a @ beta + beta @ b - c)
-    if residual > SYLVESTER_RESIDUAL_TOL * max(1.0, np.linalg.norm(c)):
-        raise NearSingularSylvester(
-            f"solution residual {residual:.3e} exceeds tolerance; "
-            "spectra of A and -B likely overlap"
-        )
+    check_sylvester_residual(a, b, c, beta)
     return beta

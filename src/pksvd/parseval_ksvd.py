@@ -1,8 +1,9 @@
 """ADMM learning of a Parseval tight frame with a co-trained analysis dual.
 
 The trainer alternates: (v) analysis- then synthesis-dictionary updates,
-each a Sylvester solve; (vi) gradient-ascent multiplier updates for the
-two constraints (synth @ analysis.T = I and synth = analysis); (vii) a
+each a symmetric Sylvester solve by eigendecomposition; (vi) gradient-
+ascent multiplier updates for the two constraints (synth @ analysis.T = I
+and synth = analysis); (vii) a
 support-preserving Gauss-Seidel refresh of the sparse codes in row order,
 repeated ``x_sweeps`` times and run one support slot at a time across
 all columns. The weighted objective
@@ -20,7 +21,12 @@ import numpy as np
 
 from .errors import SingularCoefficientGram
 from .frames import Dictionary
-from .matrix_core import as_matrix, solve_sylvester
+from .matrix_core import (
+    as_matrix,
+    check_sylvester_residual,
+    generalized_eigh,
+    solve_sylvester_eig,
+)
 from .sparse_solvers import ZERO_THRESHOLD
 
 _LOG_FLOOR = 1e-300
@@ -110,42 +116,39 @@ def update_analysis(data, codes, synth, state, cfg):
     The condition is the Sylvester equation A1 @ phi + phi @ B1 = C1 with
     A1 = 2 (Y - synth X)(Y - synth X)^T, B1 = rho2 synth^T synth + rho3 I,
     C1 = -mult_id^T synth + rho2 synth + mult_eq + rho3 synth. The current
-    analysis matrix does not enter the condition.
+    analysis matrix does not enter the condition; it is solved from the
+    eigendecompositions of the symmetric A1 and B1.
     """
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
     b1 = cfg.rho2 * (synth.T @ synth) + cfg.rho3 * np.eye(synth.shape[1])
     c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
-    return solve_sylvester(a1, b1, c1)
+    analysis = solve_sylvester_eig(np.linalg.eigh(a1), np.linalg.eigh(b1), c1)
+    check_sylvester_residual(a1, b1, c1, analysis)
+    return analysis
 
 
 def update_synthesis(data, codes, analysis, state, cfg):
     """Solve the synthesis-dictionary stationarity condition.
 
-    The current synthesis matrix does not enter the condition. Requires
-    the code Gram X X^T to be invertible; it is ridge-regularized by
-    1e-8 * tr(X X^T) / m before inversion and the update fails with
-    ``SingularCoefficientGram`` if it stays singular.
+    The condition is A1 @ synth + synth @ B1 = C1 with A1 = 2 analysis
+    analysis^T, B1 = M G^-1 and C1 = K G^-1 for the code Gram G = X X^T,
+    ridge-regularized by 1e-8 * tr(G) / m. It is solved as
+    A1 @ synth @ G + synth @ M = K from the eigenpairs of A1 and of the
+    pencil (M, G), so G is never inverted; the update fails with
+    ``SingularCoefficientGram`` if G is not positive definite. The current
+    synthesis matrix does not enter the condition.
     """
     m = analysis.shape[1]
     gram = codes @ codes.T
     ridge = 1e-8 * np.trace(gram) / m
     gram_reg = gram + ridge * np.eye(m)
-    eig = np.linalg.eigvalsh(gram_reg)
-    if eig[0] <= 0.0 or not np.isfinite(eig[0]):
-        raise SingularCoefficientGram(
-            "code Gram matrix is singular even after regularization"
-        )
-
-    def right_divide(mat):
-        # mat @ inv(gram_reg) with gram_reg symmetric
-        return np.linalg.solve(gram_reg, mat.T).T
 
     a1 = 2.0 * (analysis @ analysis.T)
-    b1 = right_divide(2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
-                      + cfg.rho3 * np.eye(m))
+    metric = (2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
+              + cfg.rho3 * np.eye(m))
     data_codes = data @ codes.T
-    c1 = right_divide(
+    rhs = (
         2.0 * cfg.rho1 * data_codes
         - state.mult_id @ analysis
         + cfg.rho2 * analysis
@@ -153,7 +156,20 @@ def update_synthesis(data, codes, analysis, state, cfg):
         + cfg.rho3 * analysis
         + 2.0 * analysis @ (analysis.T @ data_codes)
     )
-    return solve_sylvester(a1, b1, c1)
+    try:
+        pencil = generalized_eigh(metric, gram_reg)
+    except np.linalg.LinAlgError:
+        raise SingularCoefficientGram(
+            "code Gram matrix is singular even after regularization"
+        ) from None
+    synth = solve_sylvester_eig(np.linalg.eigh(a1), pencil, rhs)
+
+    def right_divide(mat):
+        # mat @ inv(gram_reg) with gram_reg symmetric
+        return np.linalg.solve(gram_reg, mat.T).T
+
+    check_sylvester_residual(a1, right_divide(metric), right_divide(rhs), synth)
+    return synth
 
 
 def update_multipliers(synth, analysis, state, cfg):

@@ -193,25 +193,16 @@ def bpdn(a, b, eps: float) -> SparseVec:
     return SparseVec(_homotopy_columns(a, b[:, None], [eps])[0, :, 0])
 
 
-def basis_pursuit(d: Dictionary, x, tol: float = 1e-9) -> SparseVec:
+def basis_pursuit(d: Dictionary, x) -> SparseVec:
     """min ||u||_1 s.t. mat @ u = x: the eps = 0 end of the homotopy path.
 
-    Raises ``SolverDidNotConverge`` if the constraint residual exceeds
-    ``tol * max(1, ||x||)``.
+    Raises ``SolverDidNotConverge`` (from ``_homotopy_columns``) if the
+    constraint residual exceeds ``_RADIUS_RTOL * ||x||``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != d.n:
         raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
-    u = _homotopy_columns(d.mat, x[:, None], [0.0])[0, :, 0]
-    resid = float(np.linalg.norm(d.mat @ u - x))
-    feas_tol = tol * max(1.0, float(np.linalg.norm(x)))
-    if resid > feas_tol:
-        raise SolverDidNotConverge(
-            f"constraint residual {resid:.3e} exceeds tolerance {feas_tol:.3e}",
-            best=SparseVec(u),
-            residual=resid,
-        )
-    return SparseVec(u)
+    return SparseVec(_homotopy_columns(d.mat, x[:, None], [0.0])[0, :, 0])
 
 
 def _homotopy_columns(system, data, radii):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -294,3 +299,46 @@ class TestTheory:
         assert "optimal proxy" in text
         assert "ruled out" in text
         assert out.exists()
+
+
+class TestScipyStaysUnloaded:
+    """Loading pksvd and a Parseval train run on numpy alone; only the
+    Schur route of ``solve_sylvester`` loads scipy."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import pksvd.cli
+        from pksvd.imaging import write_pgm
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert not scipy_modules(), scipy_modules()
+        out = sys.argv[1]
+        rng = np.random.default_rng(0)
+        write_pgm(rng.integers(0, 256, (32, 32)).astype(float), out + "/img.pgm")
+        code = pksvd.cli.main(["train", out + "/img.pgm", "--method", "parseval",
+                               "--block_size", "4", "--m", "32", "--k", "4",
+                               "--ksvd_iters", "1", "--max_iters", "1",
+                               "--out", out + "/dict.pk"])
+        assert code == 0
+        assert not scipy_modules(), scipy_modules()
+        from pksvd.matrix_core import solve_sylvester
+        beta = solve_sylvester(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
+                               np.ones((2, 2)), "schur")
+        assert np.allclose(beta, [[1 / 4, 1 / 5], [1 / 5, 1 / 6]])
+        assert "scipy.linalg" in sys.modules
+        print("ok")
+    """)
+
+    def test_train_runs_without_scipy(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok"
+        assert (tmp_path / "dict.pk").exists()

@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pksvd.errors import BadShape, NearSingularSylvester
-from pksvd.matrix_core import kron, pseudo_inverse, solve_sylvester
+from pksvd.matrix_core import (
+    generalized_eigh,
+    kron,
+    pseudo_inverse,
+    solve_sylvester,
+    solve_sylvester_eig,
+)
+
+# Few, reproducible examples: each draws a seed and small sizes.
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+SIZES = st.integers(1, 6)
 
 
 def random_spd(rng, n, shift=0.5):
@@ -121,3 +134,82 @@ class TestSolveSylvester:
             solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
         with pytest.raises(ValueError):
             solve_sylvester(np.eye(2), np.eye(2), np.eye(2), method="lu")
+
+
+class TestSylvesterProperties:
+    """Seeded, well-conditioned systems: every route gives one answer."""
+
+    @PROPERTY
+    @given(SEEDS, SIZES, SIZES)
+    def test_schur_matches_kron(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 3.0 * n * np.eye(n)
+        b = rng.standard_normal((m, m)) + 3.0 * m * np.eye(m)
+        c = rng.standard_normal((n, m))
+        s1 = solve_sylvester(a, b, c, "schur")
+        s2 = solve_sylvester(a, b, c, "kron")
+        assert np.linalg.norm(s1 - s2) <= 1e-9 * np.linalg.norm(s2)
+
+    @PROPERTY
+    @given(SEEDS, SIZES, SIZES)
+    def test_eig_matches_kron_on_symmetric_systems(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n)
+        b = random_spd(rng, m)
+        c = rng.standard_normal((n, m))
+        got = solve_sylvester_eig(np.linalg.eigh(a), np.linalg.eigh(b), c)
+        ref = solve_sylvester(a, b, c, "kron")
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @PROPERTY
+    @given(SEEDS, SIZES, SIZES)
+    def test_eig_matches_kron_on_pencil_systems(self, seed, n, m):
+        # A beta G + beta M = K is A beta + beta (M G^-1) = K G^-1.
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n)
+        metric = random_spd(rng, m)
+        gram = random_spd(rng, m)
+        k = rng.standard_normal((n, m))
+        got = solve_sylvester_eig(np.linalg.eigh(a), generalized_eigh(metric, gram), k)
+        gram_inv = np.linalg.inv(gram)
+        ref = solve_sylvester(a, metric @ gram_inv, k @ gram_inv, "kron")
+        assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class TestGeneralizedEigh:
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_pencil_identities(self, m):
+        rng = np.random.default_rng(m)
+        metric = random_spd(rng, m)
+        gram = random_spd(rng, m, shift=1e-6)
+        lam, v = generalized_eigh(metric, gram)
+        assert np.allclose(v.T @ gram @ v, np.eye(m), atol=1e-9)
+        assert np.allclose(metric @ v, gram @ v * lam, rtol=1e-9, atol=1e-9 * lam.max())
+
+    def test_identity_gram_is_eigh(self):
+        rng = np.random.default_rng(5)
+        metric = random_spd(rng, 4)
+        lam, v = generalized_eigh(metric, np.eye(4))
+        assert np.allclose(np.sort(lam), np.linalg.eigvalsh(metric), rtol=1e-12)
+        assert np.allclose(v @ v.T, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("gram", [np.zeros((3, 3)), -np.eye(3),
+                                      np.diag([1.0, 0.0, 1.0])])
+    def test_rejects_gram_that_is_not_definite(self, gram):
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigh(np.eye(3), gram)
+
+
+class TestSolveSylvesterEig:
+    def test_overlapping_spectra_rejected(self):
+        a_eig = (np.array([1.0, 2.0]), np.eye(2))
+        b_eig = (np.array([-1.0, 5.0]), np.eye(2))  # sigma_1 + lam_1 = 0
+        with pytest.raises(NearSingularSylvester, match="condition estimate"):
+            solve_sylvester_eig(a_eig, b_eig, np.ones((2, 2)))
+
+    def test_diagonal_closed_form(self):
+        a_eig = (np.array([1.0, 2.0]), np.eye(2))
+        b_eig = (np.array([3.0, 4.0]), np.eye(2))
+        expected = np.array([[1 / 4, 1 / 5], [1 / 5, 1 / 6]])
+        got = solve_sylvester_eig(a_eig, b_eig, np.ones((2, 2)))
+        assert np.allclose(got, expected, atol=1e-15)

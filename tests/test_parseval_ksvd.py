@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from pksvd import matrix_core, parseval_ksvd
+from pksvd.errors import NearSingularSylvester
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary, frame_bounds
 from pksvd.ksvd import KsvdConfig, ksvd_train
-from pksvd.matrix_core import solve_sylvester
+from pksvd.matrix_core import _sylvester_condition_estimate, solve_sylvester
 from pksvd.parseval_ksvd import (
     AdmmState,
     PkvConfig,
@@ -126,6 +128,153 @@ def stated_synthesis_system(data, codes, analysis, state, cfg):
         + 2 * analysis @ analysis.T @ data @ codes.T
     ) @ inv
     return a1, b1, c1
+
+
+def reference_update_analysis(data, codes, synth, state, cfg):
+    """The analysis update as a general Sylvester solve (Schur route)."""
+    return solve_sylvester(*stated_analysis_system(data, codes, synth, state, cfg))
+
+
+def reference_update_synthesis(data, codes, analysis, state, cfg):
+    """The synthesis update as a general Sylvester solve (Schur route) on
+    the system with B1 and C1 right-divided by the ridged code Gram."""
+    m = analysis.shape[1]
+    gram = codes @ codes.T
+    gram_reg = gram + (1e-8 * np.trace(gram) / m) * np.eye(m)
+
+    def right_divide(mat):
+        return np.linalg.solve(gram_reg, mat.T).T
+
+    a1 = 2.0 * (analysis @ analysis.T)
+    b1 = right_divide(2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
+                      + cfg.rho3 * np.eye(m))
+    data_codes = data @ codes.T
+    c1 = right_divide(
+        2.0 * cfg.rho1 * data_codes
+        - state.mult_id @ analysis
+        + cfg.rho2 * analysis
+        - state.mult_eq
+        + cfg.rho3 * analysis
+        + 2.0 * analysis @ (analysis.T @ data_codes)
+    )
+    return solve_sylvester(a1, b1, c1)
+
+
+def rel_diff(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def stationarity_solution(data, codes, analysis, state, cfg):
+    """The synthesis update from the vec form of A1 @ S @ G + S @ M = K,
+    the stationarity condition before its right-division by the ridged
+    code Gram G. That form stays well conditioned when G is not."""
+    n, m = analysis.shape
+    gram = codes @ codes.T
+    gram_reg = gram + (1e-8 * np.trace(gram) / m) * np.eye(m)
+    a1, b1, c1 = stated_synthesis_system(data, codes, analysis, state, cfg)
+    op = np.kron(gram_reg, a1) + np.kron((b1 @ gram_reg).T, np.eye(n))
+    vec = np.linalg.solve(op, (c1 @ gram_reg).reshape(-1, order="F"))
+    return vec.reshape((n, m), order="F")
+
+
+class TestMatchesReferenceUpdates:
+    """The eigen-route updates against the general Sylvester solves."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(4, 6, 12, 2), (8, 20, 40, 3), (16, 32, 256, 4)])
+    @pytest.mark.parametrize("unused_atom", [False, True])
+    def test_single_updates(self, seed, shape, unused_atom):
+        n, m, n_cols, k = shape
+        data, codes, synth, analysis, state, cfg = small_problem(
+            30 + seed, n=n, m=m, n_cols=n_cols, k=k
+        )
+        if unused_atom:
+            # the code Gram is ridge-only in this row and column
+            codes[m // 2, :] = 0.0
+        got = update_analysis(data, codes, synth, state, cfg)
+        ref = reference_update_analysis(data, codes, synth, state, cfg)
+        assert rel_diff(got, ref) <= 1e-8
+        got = update_synthesis(data, codes, analysis, state, cfg)
+        ref = reference_update_synthesis(data, codes, analysis, state, cfg)
+        assert rel_diff(got, ref) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 1), (4, 6, 12, 2), (16, 32, 256, 4)])
+    def test_synthesis_solves_stationarity_with_unused_atom(self, seed, shape):
+        # The right-divided reference loses about cond(G) * eps here (up
+        # to 3e-8 relative on the 2 x 3 frames); the eigen route does not.
+        n, m, n_cols, k = shape
+        data, codes, _, analysis, state, cfg = small_problem(
+            30 + seed, n=n, m=m, n_cols=n_cols, k=k
+        )
+        codes[m // 2, :] = 0.0
+        got = update_synthesis(data, codes, analysis, state, cfg)
+        exact = stationarity_solution(data, codes, analysis, state, cfg)
+        assert rel_diff(got, exact) <= 1e-12
+
+    def test_desk_train_matches_reference_run(self, monkeypatch):
+        _, _, (_, _, _, got) = desk_training(iters=20)
+        monkeypatch.setattr(parseval_ksvd, "update_analysis", reference_update_analysis)
+        monkeypatch.setattr(parseval_ksvd, "update_synthesis", reference_update_synthesis)
+        _, _, (_, _, _, ref) = desk_training(iters=20)
+        assert len(got) == len(ref) == 20
+        assert np.allclose(got.objective, ref.objective, rtol=1e-9, atol=0.0)
+        assert np.allclose(got.log10_trace_gap, ref.log10_trace_gap, rtol=0.0, atol=1e-3)
+        for column in ("log10_identity_residual", "log10_match_residual"):
+            got_log = np.array(getattr(got, column))
+            ref_log = np.array(getattr(ref, column))
+            # Squared residuals below 1e-20 are rounding (the runs reach
+            # about 1e-28); there both runs only have to stay below it.
+            above = ref_log > -20.0
+            assert np.all(got_log[~above] <= -20.0), column
+            assert np.allclose(got_log[above], ref_log[above], rtol=0.0, atol=1e-3), column
+            assert above.sum() >= 5
+
+
+def spy_condition(monkeypatch):
+    """Record every condition estimate the eigen route computes."""
+    seen = []
+    original = matrix_core._spectral_condition
+
+    def spy(eva, evb):
+        seen.append(original(eva, evb))
+        return seen[-1]
+
+    monkeypatch.setattr(matrix_core, "_spectral_condition", spy)
+    return seen
+
+
+class TestConditionParity:
+    """The eigen route's condition estimate and errors match the general
+    solver's on the stated systems."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimate_matches_general_solver(self, seed, monkeypatch):
+        data, codes, synth, analysis, state, cfg = small_problem(
+            40 + seed, n=6, m=10, n_cols=30, k=2
+        )
+        seen = spy_condition(monkeypatch)
+        update_analysis(data, codes, synth, state, cfg)
+        update_synthesis(data, codes, analysis, state, cfg)
+        got = list(seen)
+        a1, b1, _ = stated_analysis_system(data, codes, synth, state, cfg)
+        a2, b2, _ = stated_synthesis_system(data, codes, analysis, state, cfg)
+        expected = [_sylvester_condition_estimate(a1, b1),
+                    _sylvester_condition_estimate(a2, b2)]
+        assert len(got) == 2
+        assert np.allclose(got, expected, rtol=1e-9, atol=0.0)
+
+    def test_both_updates_raise_above_limit(self, monkeypatch):
+        data, codes, synth, analysis, state, cfg = small_problem(44)
+        a1, b1, _ = stated_analysis_system(data, codes, synth, state, cfg)
+        a2, b2, _ = stated_synthesis_system(data, codes, analysis, state, cfg)
+        limit = 0.5 * min(_sylvester_condition_estimate(a1, b1),
+                          _sylvester_condition_estimate(a2, b2))
+        monkeypatch.setattr(matrix_core, "SYLVESTER_COND_LIMIT", limit)
+        with pytest.raises(NearSingularSylvester, match="condition estimate"):
+            update_analysis(data, codes, synth, state, cfg)
+        with pytest.raises(NearSingularSylvester, match="condition estimate"):
+            update_synthesis(data, codes, analysis, state, cfg)
 
 
 class TestUpdateAnalysis:
