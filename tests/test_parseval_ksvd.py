@@ -110,24 +110,32 @@ def stated_analysis_system(data, codes, synth, state, cfg):
     return a1, b1, c1
 
 
-def stated_synthesis_system(data, codes, analysis, state, cfg):
-    """(A1, B1, C1) of the synthesis update's Sylvester equation."""
+def synthesis_terms(data, codes, analysis, state, cfg):
+    """(G, A1, M, K) of the synthesis update: the ridged code Gram G and
+    the stationarity condition A1 @ S @ G + S @ M = K."""
     m = analysis.shape[1]
     gram = codes @ codes.T
     gram_reg = gram + (1e-8 * np.trace(gram) / m) * np.eye(m)
-    inv = np.linalg.inv(gram_reg)
-    a1 = 2 * analysis @ analysis.T
-    b1 = (2 * cfg.rho1 * gram + cfg.rho2 * analysis.T @ analysis
-          + cfg.rho3 * np.eye(m)) @ inv
-    c1 = (
-        2 * cfg.rho1 * data @ codes.T
+    a1 = 2.0 * (analysis @ analysis.T)
+    metric = (2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
+              + cfg.rho3 * np.eye(m))
+    data_codes = data @ codes.T
+    rhs = (
+        2.0 * cfg.rho1 * data_codes
         - state.mult_id @ analysis
         + cfg.rho2 * analysis
         - state.mult_eq
         + cfg.rho3 * analysis
-        + 2 * analysis @ analysis.T @ data @ codes.T
-    ) @ inv
-    return a1, b1, c1
+        + 2.0 * analysis @ (analysis.T @ data_codes)
+    )
+    return gram_reg, a1, metric, rhs
+
+
+def stated_synthesis_system(data, codes, analysis, state, cfg):
+    """(A1, B1, C1) of the synthesis update's Sylvester equation."""
+    gram_reg, a1, metric, rhs = synthesis_terms(data, codes, analysis, state, cfg)
+    inv = np.linalg.inv(gram_reg)
+    return a1, metric @ inv, rhs @ inv
 
 
 def reference_update_analysis(data, codes, synth, state, cfg):
@@ -137,44 +145,27 @@ def reference_update_analysis(data, codes, synth, state, cfg):
 
 def reference_update_synthesis(data, codes, analysis, state, cfg):
     """The synthesis update as a general Sylvester solve (Schur route) on
-    the system with B1 and C1 right-divided by the ridged code Gram."""
-    m = analysis.shape[1]
-    gram = codes @ codes.T
-    gram_reg = gram + (1e-8 * np.trace(gram) / m) * np.eye(m)
+    the stated system, B1 and C1 right-divided by the ridged code Gram."""
+    gram_reg, a1, metric, rhs = synthesis_terms(data, codes, analysis, state, cfg)
 
     def right_divide(mat):
         return np.linalg.solve(gram_reg, mat.T).T
 
-    a1 = 2.0 * (analysis @ analysis.T)
-    b1 = right_divide(2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
-                      + cfg.rho3 * np.eye(m))
-    data_codes = data @ codes.T
-    c1 = right_divide(
-        2.0 * cfg.rho1 * data_codes
-        - state.mult_id @ analysis
-        + cfg.rho2 * analysis
-        - state.mult_eq
-        + cfg.rho3 * analysis
-        + 2.0 * analysis @ (analysis.T @ data_codes)
-    )
-    return solve_sylvester(a1, b1, c1)
-
-
-def rel_diff(got, ref):
-    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+    return solve_sylvester(a1, right_divide(metric), right_divide(rhs))
 
 
 def stationarity_solution(data, codes, analysis, state, cfg):
     """The synthesis update from the vec form of A1 @ S @ G + S @ M = K,
-    the stationarity condition before its right-division by the ridged
-    code Gram G. That form stays well conditioned when G is not."""
-    n, m = analysis.shape
-    gram = codes @ codes.T
-    gram_reg = gram + (1e-8 * np.trace(gram) / m) * np.eye(m)
-    a1, b1, c1 = stated_synthesis_system(data, codes, analysis, state, cfg)
-    op = np.kron(gram_reg, a1) + np.kron((b1 @ gram_reg).T, np.eye(n))
-    vec = np.linalg.solve(op, (c1 @ gram_reg).reshape(-1, order="F"))
+    which stays well conditioned when the ridged code Gram G is not."""
+    gram_reg, a1, metric, rhs = synthesis_terms(data, codes, analysis, state, cfg)
+    n, m = rhs.shape
+    op = np.kron(gram_reg, a1) + np.kron(metric, np.eye(n))
+    vec = np.linalg.solve(op, rhs.reshape(-1, order="F"))
     return vec.reshape((n, m), order="F")
+
+
+def rel_diff(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
 class TestMatchesReferenceUpdates:
