@@ -132,6 +132,12 @@ def _print_dictionary_summary(label, dictionary, codes=None):
 
 def cmd_train(args):
     cfg = resolve_config(args)
+    if args.method == "parseval":
+        # Built before any data is read, so that bad penalties fail at once.
+        pkv_cfg = PkvConfig(
+            k=cfg["k"], rho1=cfg["rho1"], rho2=cfg["rho2"], rho3=cfg["rho3"],
+            max_iters=cfg["max_iters"], x_sweeps=cfg["x_sweeps"],
+        )
     data = _load_training_blocks(args.images, cfg["block_size"])
     if data.shape[1] < cfg["m"]:
         raise ConfigError(
@@ -149,10 +155,6 @@ def cmd_train(args):
         print(f"wrote {args.out}")
         return 0
 
-    pkv_cfg = PkvConfig(
-        k=cfg["k"], rho1=cfg["rho1"], rho2=cfg["rho2"], rho3=cfg["rho3"],
-        max_iters=cfg["max_iters"], x_sweeps=cfg["x_sweeps"],
-    )
     synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (base_dict, base_codes))
     formats.save_dictionary(synth, args.out)
     dual_out = args.out_dual or _dual_path(args.out)

@@ -154,6 +154,8 @@ def dct_dictionary(n: int, m: int) -> Dictionary:
     otherwise the next-larger square grid is built and the first m atoms
     kept (all unit norm either way).
     """
+    if m < n:
+        raise BadShape(f"need m >= n, got n={n}, m={m}")
     rm = int(np.ceil(np.sqrt(m)))
     if rm * rm == m:
         return overcomplete_dct(n, m)

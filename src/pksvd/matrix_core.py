@@ -84,10 +84,11 @@ def _check_condition(cond):
         )
 
 
-def check_sylvester_residual(a, b, c, beta):
-    """Raise ``NearSingularSylvester`` unless ``beta`` solves
-    A @ beta + beta @ B = C to ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
-    residual = np.linalg.norm(a @ beta + beta @ b - c)
+def check_sylvester_residual(residual, c):
+    """Raise ``NearSingularSylvester`` unless ``residual``, the matrix
+    A @ beta + beta @ B - C of a solve of A @ beta + beta @ B = C, has
+    Frobenius norm at most ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
+    residual = np.linalg.norm(residual)
     if residual > SYLVESTER_RESIDUAL_TOL * max(1.0, np.linalg.norm(c)):
         raise NearSingularSylvester(
             f"solution residual {residual:.3e} exceeds tolerance; "
@@ -163,5 +164,5 @@ def solve_sylvester(a, b, c, method="schur"):
     else:
         raise ValueError(f"unknown method {method!r}; expected 'schur' or 'kron'")
 
-    check_sylvester_residual(a, b, c, beta)
+    check_sylvester_residual(a @ beta + beta @ b - c, c)
     return beta

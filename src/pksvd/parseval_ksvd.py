@@ -3,10 +3,9 @@
 The trainer alternates: (v) analysis- then synthesis-dictionary updates,
 each a symmetric Sylvester solve by eigendecomposition; (vi) gradient-
 ascent multiplier updates for the two constraints (synth @ analysis.T = I
-and synth = analysis); (vii) a
-support-preserving Gauss-Seidel refresh of the sparse codes in row order,
-repeated ``x_sweeps`` times and run one support slot at a time across
-all columns. The weighted objective
+and synth = analysis); (vii) a support-preserving refresh of the sparse
+codes in row order, repeated ``x_sweeps`` times: Gauss–Seidel on
+per-column support Grams, in column batches. The weighted objective
 
     || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2
 
@@ -31,6 +30,11 @@ from .sparse_solvers import ZERO_THRESHOLD
 
 _LOG_FLOOR = 1e-300
 
+# Entries of the per-column support Grams (width x width x columns) one
+# code-refresh batch may hold: 32 columns at width 64, all columns at
+# desk scale.
+_CODE_BATCH_ENTRIES = 2 ** 17
+
 
 @dataclass(frozen=True)
 class PkvConfig:
@@ -44,8 +48,12 @@ class PkvConfig:
     x_sweeps: int = 20
 
     def __post_init__(self):
-        if min(self.rho1, self.rho2, self.rho3) <= 0:
-            raise ValueError("all penalty parameters must be positive")
+        for name in ("rho1", "rho2", "rho3"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"penalty {name} must be finite and positive, got {value}"
+                )
         if self.max_iters < 1 or self.x_sweeps < 1:
             raise ValueError("max_iters and x_sweeps must be >= 1")
         if self.k < 1:
@@ -124,7 +132,7 @@ def update_analysis(data, codes, synth, state, cfg):
     b1 = cfg.rho2 * (synth.T @ synth) + cfg.rho3 * np.eye(synth.shape[1])
     c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
     analysis = solve_sylvester_eig(np.linalg.eigh(a1), np.linalg.eigh(b1), c1)
-    check_sylvester_residual(a1, b1, c1, analysis)
+    check_sylvester_residual(a1 @ analysis + analysis @ b1 - c1, c1)
     return analysis
 
 
@@ -163,12 +171,12 @@ def update_synthesis(data, codes, analysis, state, cfg):
             "code Gram matrix is singular even after regularization"
         ) from None
     synth = solve_sylvester_eig(np.linalg.eigh(a1), pencil, rhs)
-
-    def right_divide(mat):
-        # mat @ inv(gram_reg) with gram_reg symmetric
-        return np.linalg.solve(gram_reg, mat.T).T
-
-    check_sylvester_residual(a1, right_divide(metric), right_divide(rhs), synth)
+    # The stated system's residual is (A1 @ synth @ G + synth @ M - K) G^-1
+    # and C1 = K G^-1; one solve with G (symmetric) right-divides both.
+    n = synth.shape[0]
+    stacked = np.vstack([a1 @ synth @ gram_reg + synth @ metric - rhs, rhs])
+    divided = np.linalg.solve(gram_reg, stacked.T).T
+    check_sylvester_residual(divided[:n], divided[n:])
     return synth
 
 
@@ -183,71 +191,90 @@ def update_multipliers(synth, analysis, state, cfg):
 
 
 def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
-    """Support-preserving Gauss-Seidel code refresh, batched by support slot.
+    """Support-preserving code refresh: Gauss–Seidel on per-column
+    support Grams, in column batches.
 
     Each of the ``cfg.x_sweeps`` sweeps visits rows 1..m in order and gives
     each row's nonzero entries the closed-form least-squares value for the
-    weighted objective at the current residual; entries falling below the
+    weighted objective at the current codes; entries falling below the
     zero threshold are frozen at zero from then on, so supports never
     grow. Rows with empty support and atoms whose weighted norm is not
     positive are skipped. An entry's update reads and writes only its own
-    column's residual, so a sweep equals visiting each column's support
-    atoms in increasing index order; it runs as one vectorized step per
-    support slot, step s updating the s-th support atom of every column.
-    When ``obj_log`` is given, the objective after each row that had a
-    live entry in the sweep is appended, as a row-at-a-time sweep sees it.
+    column, so a sweep equals visiting each column's support atoms in
+    increasing index order. With W = rho1 I + analysis analysis^T and
+    H = synth^T W synth, column j's steps are Gauss–Seidel on the normal
+    equations of its own support S_j, H[S_j, S_j] x = (synth^T W y_j)[S_j],
+    so no residual is kept. One step updates the s-th support atom of
+    every column in a batch; a batch's support Grams hold at most
+    ``_CODE_BATCH_ENTRIES`` entries. When ``obj_log`` is given, the
+    objective after each row that had a live entry in the sweep is
+    appended, as a row-at-a-time sweep sees it.
     """
     codes = codes.copy()
     # Entries at or below the zero threshold count as zero support-wise;
     # clamping them up front keeps supports monotone under that rule.
     codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
     m, n_cols = codes.shape
-    # The objective is sum_j r_j^T W r_j with W = rho1 I + analysis
-    # analysis^T. Residuals are kept one column per row: resid[j] = r_j.
-    resid = (data - synth @ codes).T
     kernel = analysis.T @ synth
-    metric = (cfg.rho1 * synth + analysis @ kernel).T  # row k = W synth_k
-    synth_rows = np.ascontiguousarray(synth.T)
-    denom = cfg.rho1 * np.einsum("ij,ij->j", synth, synth) + np.einsum(
-        "ij,ij->j", kernel, kernel
-    )
-    usable = denom > 0.0
-    scale = np.divide(1.0, denom, out=np.zeros(m), where=usable)
+    hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
+    target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
+    denom = np.diag(hess)
+    scale = np.divide(1.0, denom, out=np.zeros(m), where=denom > 0.0)
     # slots[s, j] is the s-th support atom of column j, in increasing
-    # index order; past the end of a support it names a zero entry. An
-    # entry that is zero (frozen or padding) is never updated.
+    # index order; past the end of a support it names a zero entry.
     present = codes != 0.0
     width = int(present.sum(axis=0).max(initial=0))
     slots = np.argsort(~present, axis=0, kind="stable")[:width]
-    lanes = np.arange(n_cols)
+    batch = max(1, min(n_cols, _CODE_BATCH_ENTRIES // max(width, 1) ** 2))
+    grams = np.empty((width, width, batch))
+    if obj_log is not None:
+        # The codes at the start of each sweep and each entry's objective
+        # change, kept per column and summed once at the end, so that the
+        # log does not depend on how the columns were batched.
+        snaps = np.zeros((cfg.x_sweeps, width, n_cols))
+        change = np.zeros((cfg.x_sweeps, width, n_cols))
 
-    for _ in range(cfg.x_sweeps):
-        if obj_log is not None:
-            start = float(
-                np.linalg.norm(resid @ analysis) ** 2
-                + cfg.rho1 * np.linalg.norm(resid) ** 2
-            )
-            change = np.zeros(m)
-            seen = np.zeros(m, dtype=bool)
-        for atom in slots:
-            old = codes[atom, lanes]
-            live = (old != 0.0) & usable[atom]
-            numer = np.einsum("ij,ij->i", metric[atom], resid)
-            new = old + numer * scale[atom]
-            new[np.abs(new) <= ZERO_THRESHOLD] = 0.0
-            new = np.where(live, new, old)
-            delta = new - old
-            codes[atom, lanes] = new
-            resid -= synth_rows[atom] * delta[:, None]
+    for lo in range(0, n_cols, batch):
+        hi = min(lo + batch, n_cols)
+        lanes = np.arange(lo, hi)
+        atoms = slots[:, lanes]
+        gram = grams[:, :, :lanes.size]
+        for s in range(width):
+            # gram[s, t, j] = hess[atoms[s, j], atoms[t, j]]
+            gram[s] = hess[atoms[s], atoms]
+        rhs = target[atoms, lanes]
+        x = codes[atoms, lanes]
+        # Zero entries (padding, frozen) and unusable atoms take no step.
+        step = np.where(x != 0.0, scale[atoms], 0.0)
+        for sweep in range(cfg.x_sweeps):
             if obj_log is not None:
-                # Each update changes its column's objective by this much.
-                change += np.bincount(
-                    atom, weights=delta * (delta * denom[atom] - 2.0 * numer),
-                    minlength=m,
-                )
-                seen[atom[live]] = True
-        if obj_log is not None:
-            obj_log.extend((start + np.cumsum(change)[seen]).tolist())
+                snaps[sweep, :, lo:hi] = x
+            for s in range(width):
+                numer = rhs[s] - np.einsum("tj,tj->j", gram[s], x)
+                old = x[s]
+                new = old + numer * step[s]
+                new[np.abs(new) <= ZERO_THRESHOLD] = 0.0
+                if obj_log is not None:
+                    # Each update changes its column's objective by this much.
+                    delta = new - old
+                    change[sweep, s, lo:hi] = delta * (
+                        delta * denom[atoms[s]] - 2.0 * numer
+                    )
+                step[s, new == 0.0] = 0.0
+                x[s] = new
+        codes[atoms, lanes] = x
+
+    if obj_log is not None:
+        rows = slots.ravel()
+        usable = scale[slots] > 0.0
+        for snap, entry_change in zip(snaps, change):
+            start = np.zeros_like(codes)
+            start[slots, np.arange(n_cols)] = snap
+            start_value = objective_value(data, start, synth, analysis, cfg.rho1)
+            per_row = np.bincount(rows, weights=entry_change.ravel(), minlength=m)
+            seen = np.zeros(m, dtype=bool)
+            seen[slots[(snap != 0.0) & usable]] = True
+            obj_log.extend((start_value + np.cumsum(per_row)[seen]).tolist())
     return codes
 
 

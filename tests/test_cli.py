@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from pksvd import cli
 from pksvd.cli import main, resolve_config
 from pksvd.errors import ConfigError
 from pksvd.formats import load_codes, load_dictionary
@@ -99,6 +100,37 @@ class TestTrain:
         code = main(["train", str(tmp_path / "none.pgm"), "--method", "ksvd",
                      "--out", str(tmp_path / "o.pk"), *CFG])
         assert code != 0
+
+
+class TestBadPenalties:
+    """A penalty that is not finite fails before any data is read."""
+
+    @pytest.mark.parametrize("key,value", [("rho1", "nan"), ("rho2", "nan"),
+                                           ("rho3", "inf"), ("rho1", "-inf")])
+    def test_fails_before_ksvd(self, train_image, tmp_path, capsys, monkeypatch,
+                               key, value):
+        calls = []
+        monkeypatch.setattr(cli, "ksvd_train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "p.pk"
+        code = main(["train", str(train_image), "--method", "parseval",
+                     "--out", str(out), *CFG, f"--{key}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists() and not (tmp_path / "p.dual.pk").exists()
+        assert calls == []
+
+
+class TestTooFewAtoms:
+    def test_error_names_requested_atom_count(self, train_image, tmp_path, capsys):
+        out = tmp_path / "k.pk"
+        code = main(["train", str(train_image), "--method", "ksvd",
+                     "--out", str(out), "--block_size", "4", "--m", "8"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "got n=16, m=8" in err
+        assert not out.exists()
 
 
 class TestFlatImage:

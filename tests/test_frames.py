@@ -179,6 +179,11 @@ class TestOvercompleteDct:
         full = dct_dictionary(16, 64)
         assert np.allclose(full.mat, overcomplete_dct(16, 64).mat)
 
+    @pytest.mark.parametrize("m", [8, 9, 15])
+    def test_too_few_atoms_named_as_requested(self, m):
+        with pytest.raises(BadShape, match=f"got n=16, m={m}$"):
+            dct_dictionary(16, m)
+
 
 class TestAtomDistanceHistogram:
     def test_self_match_all_zero(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,18 @@ class TestConditionParity:
             update_synthesis(data, codes, analysis, state, cfg)
 
 
+class TestPkvConfig:
+    @pytest.mark.parametrize("name", ["rho1", "rho2", "rho3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_penalties_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"penalty {name} must be finite"):
+            PkvConfig(k=2, **{name: value})
+
+    def test_defaults_accepted(self):
+        cfg = PkvConfig(k=2)
+        assert (cfg.rho1, cfg.rho2, cfg.rho3) == (0.1, 1e11, 1e11)
+
+
 class TestUpdateAnalysis:
     def test_cross_solver_agreement(self):
         data, codes, synth, _, state, cfg = small_problem(1, n=2, m=3, n_cols=8)
@@ -300,6 +314,14 @@ class TestUpdateSynthesis:
         )
         scale = 1.0 + abs(lagrangian(data, codes, new, analysis, state, cfg))
         assert np.linalg.norm(grad) <= 1e-5 * scale
+
+    def test_perturbed_solution_trips_residual_check(self, monkeypatch):
+        data, codes, _, analysis, state, cfg = small_problem(6)
+        solve = matrix_core.solve_sylvester_eig
+        monkeypatch.setattr(parseval_ksvd, "solve_sylvester_eig",
+                            lambda *args: solve(*args) * (1.0 + 1e-6))
+        with pytest.raises(NearSingularSylvester, match="solution residual"):
+            update_synthesis(data, codes, analysis, state, cfg)
 
     def test_solves_stated_sylvester_system(self):
         data, codes, _, analysis, state, cfg = small_problem(6)
@@ -405,6 +427,64 @@ class TestUpdateCodes:
         assert np.array_equal(
             got, update_codes(data, codes, synth, analysis, cfg)
         )
+
+    @staticmethod
+    def wide_problem(seed):
+        """Supports of width 10 with a zero atom in a middle slot, and small
+        codes on tiny data in the last columns, which the refresh drives
+        through the zero threshold."""
+        data, codes, synth, analysis, _, cfg = small_problem(
+            seed, n=12, m=24, n_cols=30, k=10
+        )
+        codes[11, :] = np.where(codes[11, :] != 0.0, 1.5, 0.0)
+        synth[:, 11] = 0.0
+        analysis[:, 11] = 0.0
+        data[:, 24:] *= 1e-7
+        codes[:, 24:] *= 1e-5
+        return data, codes, synth, analysis, cfg
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_supports_match_reference(self, seed):
+        data, codes, synth, analysis, cfg = self.wide_problem(60 + seed)
+        present = codes != 0.0
+        assert present.sum(axis=0).max() == 10
+        # atom 11 sits between the first and the last support atom
+        middle = present[11] & present[:11].any(axis=0) & present[12:].any(axis=0)
+        assert middle.any()
+        got_log, ref_log = [], []
+        got = update_codes(data, codes, synth, analysis, cfg, obj_log=got_log)
+        ref = reference_update_codes(data, codes, synth, analysis, cfg, obj_log=ref_log)
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.count_nonzero(got) < np.count_nonzero(codes)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got[11], codes[11])
+        assert len(got_log) == len(ref_log) > 0
+        assert np.allclose(got_log, ref_log, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("per_batch", [2, 7, 13])
+    def test_batches_do_not_change_results(self, per_batch, monkeypatch):
+        data, codes, synth, analysis, cfg = self.wide_problem(63)
+        one_log, split_log = [], []
+        one = update_codes(data, codes, synth, analysis, cfg, obj_log=one_log)
+        monkeypatch.setattr(parseval_ksvd, "_CODE_BATCH_ENTRIES", per_batch * 10 ** 2)
+        split = update_codes(data, codes, synth, analysis, cfg, obj_log=split_log)
+        assert -(-codes.shape[1] // per_batch) >= 3
+        assert one.tobytes() == split.tobytes()
+        assert np.array(one_log).tobytes() == np.array(split_log).tobytes()
+
+    def test_full_scale_memory(self):
+        data, codes, synth, analysis, _, cfg = small_problem(
+            70, n=64, m=256, n_cols=256, k=64
+        )
+        update_codes(data, codes, synth, analysis, cfg)
+        tracemalloc.start()
+        try:
+            update_codes(data, codes, synth, analysis, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 256 support Grams at once would be 8 MiB
+        assert peak <= 4 * 2 ** 20
 
     def test_empty_support_rows_skipped(self):
         data, codes, synth, analysis, _, cfg = small_problem(14)
