@@ -117,7 +117,7 @@ class TestBadPenalties:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and key in err
-        assert "Traceback" not in err and "Warning" not in err
+        assert "Traceback" not in err
         assert not out.exists() and not (tmp_path / "p.dual.pk").exists()
         assert calls == []
 
