@@ -4,8 +4,9 @@ The trainer alternates: (v) analysis- then synthesis-dictionary updates,
 each a symmetric Sylvester solve by eigendecomposition; (vi) gradient-
 ascent multiplier updates for the two constraints (synth @ analysis.T = I
 and synth = analysis); (vii) a support-preserving refresh of the sparse
-codes in row order, repeated ``x_sweeps`` times: Gauss–Seidel on
-per-column support Grams, in column batches. The weighted objective
+codes in row order, repeated ``x_sweeps`` times:
+Gauss–Seidel on per-column support Grams, in column batches.
+The weighted objective
 
     || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2
 
@@ -191,8 +192,9 @@ def update_multipliers(synth, analysis, state, cfg):
 
 
 def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
-    """Support-preserving code refresh: Gauss–Seidel on per-column
-    support Grams, in column batches.
+    """Support-preserving code refresh in row order.
+
+    Gauss–Seidel on per-column support Grams, in column batches.
 
     Each of the ``cfg.x_sweeps`` sweeps visits rows 1..m in order and gives
     each row's nonzero entries the closed-form least-squares value for the
