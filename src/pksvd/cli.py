@@ -420,9 +420,22 @@ def build_parser():
     return parser
 
 
+def _join_float_values(argv):
+    """Write ``--rho1 -inf`` as ``--rho1=-inf``: after a space, argparse
+    reads a value that starts with '-', such as -inf or -nan, as an option."""
+    flags = [f"--{key}" for key in _FLOAT_KEYS]
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except PksvdError as exc:

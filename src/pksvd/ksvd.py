@@ -1,7 +1,7 @@
 """Baseline K-SVD dictionary learning.
 
 Alternates column-batched OMP sparse coding (Batch-OMP) with atom-by-atom
-rank-1 SVD updates of the restricted residual. Used both standalone and as
+rank-1 updates of the restricted residual. Used both standalone and as
 the initializer of the Parseval trainer. Per-block means are preserved: no
 mean removal happens inside training.
 """
@@ -33,8 +33,10 @@ class KsvdConfig:
 
 
 def _canonical_sign(atom, row):
-    """Flip so the atom's largest-magnitude entry is positive."""
-    pivot = atom[np.argmax(np.abs(atom))]
+    """Flip so the atom's largest-magnitude entry is positive; of entries
+    within a relative 1e-12 of the largest, the lowest-index one decides."""
+    mag = np.abs(atom)
+    pivot = atom[np.argmax(mag >= (1.0 - 1e-12) * mag.max())]
     if pivot < 0:
         return -atom, -row
     return atom, row
@@ -96,8 +98,10 @@ def _update_atoms(dict_mat, data, codes):
     """One pass of atom-wise rank-1 updates; unused atoms are replaced by
     the worst-represented training column.
 
-    The residual data - dict @ codes is kept across the pass: each atom
-    update rewrites only the columns that use the atom.
+    An atom becomes the top eigenvector u of E E^T, with E its restricted
+    residual, and its code row u^T E. The residual data - dict @ codes is
+    kept across the pass: each atom update rewrites only the columns that
+    use the atom.
     """
     dict_mat = dict_mat.copy()
     codes = codes.copy()
@@ -117,8 +121,8 @@ def _update_atoms(dict_mat, data, codes):
                 dict_mat[:, j] = col / nrm
             continue
         restricted = resid[:, used] + np.outer(dict_mat[:, j], codes[j, used])
-        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
-        atom, row = _canonical_sign(u[:, 0], s[0] * vt[0, :])
+        top = np.linalg.eigh(restricted @ restricted.T)[1][:, -1]
+        atom, row = _canonical_sign(top, top @ restricted)
         dict_mat[:, j] = atom
         codes[j, used] = row
         resid[:, used] = restricted - np.outer(atom, row)

@@ -105,73 +105,74 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0):
     numerically dependent on its support already has a residual at
     rounding level; it keeps its codes and stops. Residuals are explicit,
     Y - D X, and columns go in batches whose inverses hold at most
-    ``_OMP_BATCH_ENTRIES`` entries. Returns the m x N codes.
+    ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
+    inverses once, at full size k. Returns the m x N codes.
     """
     dict_mat = as_matrix(dict_mat, "dictionary")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != dict_mat.shape[0]:
         raise ValueError(f"data shape {data.shape} does not match {dict_mat.shape}")
     gram = dict_mat.T @ dict_mat
+    proj = data.T @ dict_mat  # once: a one-column batch's product rounds differently
     codes = np.zeros((dict_mat.shape[1], data.shape[1]))
     width = max(1, _OMP_BATCH_ENTRIES // max(k, 1) ** 2)
     for start in range(0, data.shape[1], width):
         block = slice(start, start + width)
-        codes[:, block] = _omp_block(dict_mat, gram, data[:, block].T, k,
+        codes[:, block] = _omp_block(dict_mat, gram, data[:, block].T, proj[block], k,
                                      residual_tol).T
     return codes
 
 
-def _omp_block(dict_mat, gram, y, k, residual_tol):
-    """``_omp_columns`` on one batch with signals as the rows of ``y``.
+def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
+    """``_omp_columns`` on one batch: signals and their projections D^T y
+    are the rows of ``y`` and ``proj``.
 
     Every array carries one lane (signal) per row; a lane leaves the batch
-    when it stops, so all remaining lanes hold supports of equal size.
+    when it stops, so all remaining lanes hold supports of equal size. The
+    supports and inverses are allocated once, at size k, and grow in their
+    leading entries; new coefficients are written into the codes in place.
     """
     n_atoms = dict_mat.shape[1]
     out = np.zeros((y.shape[0], n_atoms))
     lanes = np.flatnonzero(_col_norms(y.T) > residual_tol)
-    y = y[lanes]
-    proj = y @ dict_mat
+    y, proj = y[lanes], proj[lanes]
     corr = proj
     codes = np.zeros((lanes.size, n_atoms))
-    support = np.zeros((lanes.size, 0), dtype=np.intp)
-    inv = np.zeros((lanes.size, 0, 0))
-    while lanes.size and support.shape[1] < k:
+    support = np.empty((lanes.size, k), dtype=np.intp)
+    inv = np.empty((lanes.size, k, k))
+    for size in range(k):
+        if not lanes.size:
+            break
         rows = np.arange(lanes.size)[:, None]
         score = np.abs(corr)
-        score[rows, support] = -1.0
+        score[rows, support[:, :size]] = -1.0
         new = np.argmax(score, axis=1)
-        cross = gram[support, new[:, None]]
-        half = np.einsum("lij,lj->li", inv, cross)
+        cross = gram[support[:, :size], new[:, None]]
+        cur = inv[:, :size, :size]
+        half = np.einsum("lij,lj->li", cur, cross)
         schur = gram[new, new] - np.einsum("li,li->l", cross, half)
         stalled = schur <= _SCHUR_FLOOR * gram[new, new]
         schur[stalled] = 1.0  # keeps the arithmetic finite; the lane stops
-        size = support.shape[1]
-        grown = np.empty((lanes.size, size + 1, size + 1))
         edge = -half / schur[:, None]
-        # In place: grown's top-left block is inv + half half^T / schur.
-        top = grown[:, :size, :size]
-        np.multiply(half[:, :, None], -edge[:, None, :], out=top)
-        top += inv
-        grown[:, :size, size] = edge
-        grown[:, size, :size] = edge
-        grown[:, size, size] = 1.0 / schur
-        inv = grown
-        support = np.column_stack([support, new])
-        coef = np.einsum("lij,lj->li", inv, np.take_along_axis(proj, support, axis=1))
-        fresh = np.zeros_like(codes)
-        fresh[rows, support] = coef
-        fresh[stalled] = codes[stalled]
-        codes = fresh
+        # The grown inverse: inv + half half^T / schur, bordered by edge.
+        cur += half[:, :, None] * -edge[:, None, :]
+        inv[:, :size, size] = edge
+        inv[:, size, :size] = edge
+        inv[:, size, size] = 1.0 / schur
+        support[:, size] = new
+        picked = support[:, :size + 1]
+        coef = np.einsum("lij,lj->li", inv[:, :size + 1, :size + 1],
+                         np.take_along_axis(proj, picked, axis=1))
+        codes[rows[~stalled], picked[~stalled]] = coef[~stalled]
         resid = y - codes @ dict_mat.T
         done = stalled | (_col_norms(resid.T) <= residual_tol)
-        done |= support.shape[1] == k
-        out[lanes[done]] = codes[done]
-        keep = ~done
-        lanes, y, proj, codes, support, inv = (
-            lanes[keep], y[keep], proj[keep], codes[keep], support[keep], inv[keep]
-        )
-        corr = resid[keep] @ dict_mat
+        done |= size + 1 == k
+        if done.any():
+            out[lanes[done]] = codes[done]
+            keep = ~done
+            lanes, y, proj, codes, support, inv, resid = (
+                a[keep] for a in (lanes, y, proj, codes, support, inv, resid))
+        corr = resid @ dict_mat
     return out
 
 

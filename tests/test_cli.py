@@ -109,11 +109,26 @@ class TestBadPenalties:
                                            ("rho3", "inf"), ("rho1", "-inf")])
     def test_fails_before_ksvd(self, train_image, tmp_path, capsys, monkeypatch,
                                key, value):
+        self.check_fails_before_ksvd(train_image, tmp_path, capsys, monkeypatch,
+                                     key, [f"--{key}={value}"])
+
+    # argparse reads "-inf" after a space as an option unless the CLI
+    # joins it to its flag.
+    @pytest.mark.parametrize("key,value", [("rho1", "-inf"), ("rho2", "-inf"),
+                                           ("rho3", "-inf"), ("rho1", "-nan"),
+                                           ("rho2", "-nan"), ("rho3", "-nan")])
+    def test_space_form_fails_before_ksvd(self, train_image, tmp_path, capsys,
+                                          monkeypatch, key, value):
+        self.check_fails_before_ksvd(train_image, tmp_path, capsys, monkeypatch,
+                                     key, [f"--{key}", value])
+
+    @staticmethod
+    def check_fails_before_ksvd(train_image, tmp_path, capsys, monkeypatch, key, flag):
         calls = []
         monkeypatch.setattr(cli, "ksvd_train", lambda *a, **kw: calls.append(a))
         out = tmp_path / "p.pk"
         code = main(["train", str(train_image), "--method", "parseval",
-                     "--out", str(out), *CFG, f"--{key}={value}"])
+                     "--out", str(out), *CFG, *flag])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and key in err

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from texture import texture
 
 from pksvd import ksvd
 from pksvd.frames import Dictionary, dct_dictionary
+from pksvd.imaging import to_blocks
 from pksvd.ksvd import KsvdConfig, ksvd_train
 
 
@@ -13,6 +15,93 @@ def normalized_columns(rng, n, m):
 
 def fit_error(data, d, codes):
     return np.linalg.norm(data - d.mat @ codes) ** 2
+
+
+def reference_update_atoms(dict_mat, data, codes):
+    """The atom pass with a thin SVD of each restricted residual."""
+    dict_mat = dict_mat.copy()
+    codes = codes.copy()
+    resid = data - dict_mat @ codes
+    taken = set()
+    for j in range(dict_mat.shape[1]):
+        used = np.flatnonzero(codes[j, :])
+        if used.size == 0:
+            errs = np.linalg.norm(resid, axis=0)
+            for worst in np.argsort(errs)[::-1]:
+                if int(worst) not in taken:
+                    break
+            taken.add(int(worst))
+            col = data[:, int(worst)]
+            nrm = np.linalg.norm(col)
+            if nrm > 0:
+                dict_mat[:, j] = col / nrm
+            continue
+        restricted = resid[:, used] + np.outer(dict_mat[:, j], codes[j, used])
+        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
+        atom, row = ksvd._canonical_sign(u[:, 0], s[0] * vt[0, :])
+        dict_mat[:, j] = atom
+        codes[j, used] = row
+        resid[:, used] = restricted - np.outer(atom, row)
+    return dict_mat, codes
+
+
+class TestCanonicalSign:
+    def test_lowest_index_of_tied_entries_decides(self):
+        # The two largest magnitudes differ by rounding only.
+        atom = np.array([-0.5, 0.1, 0.5 * (1 + 4e-16), 0.2])
+        flipped, row = ksvd._canonical_sign(atom, np.array([2.0, -3.0]))
+        assert np.array_equal(flipped, -atom)
+        assert np.array_equal(row, [-2.0, 3.0])
+
+    def test_clear_maximum_decides(self):
+        atom = np.array([-0.5, 0.1, 0.5 * (1 + 1e-9), 0.2])
+        kept, row = ksvd._canonical_sign(atom, np.array([2.0]))
+        assert kept is atom and row[0] == 2.0
+
+
+class TestUpdateAtoms:
+    """The eigen route against the thin-SVD reference."""
+
+    @staticmethod
+    def coded_texture(seed, block, m, k):
+        data = to_blocks(texture(seed).astype(float), block, subtract_mean=True).blocks
+        init = dct_dictionary(block * block, m).mat
+        return init, data, ksvd._code_columns(init, data, k, None)
+
+    # At full scale many updated atoms are still DCT-like, with tied
+    # largest magnitudes, so the two routes agree only under the tie rule.
+    @pytest.mark.parametrize("block,m,k,seed,unused", [
+        (4, 32, 4, 0, False), (4, 32, 4, 1, True), (8, 256, 64, 3, False),
+        (8, 256, 64, 4, True),
+    ])
+    def test_matches_svd_reference(self, block, m, k, seed, unused):
+        init, data, codes = self.coded_texture(seed, block, m, k)
+        if unused:
+            codes[5] = 0.0  # replaced by a training column
+        got_dict, got_codes = ksvd._update_atoms(init, data, codes)
+        ref_dict, ref_codes = reference_update_atoms(init, data, codes)
+        assert np.abs(got_dict - ref_dict).max() <= 1e-10
+        assert np.abs(got_codes - ref_codes).max() <= 1e-10 * np.abs(ref_codes).max()
+        assert np.array_equal(got_codes != 0.0, codes != 0.0)
+        if unused:
+            cosines = got_dict[:, 5] @ data / np.linalg.norm(data, axis=0)
+            assert np.isclose(cosines.max(), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_tied_top_singular_values(self):
+        # Atom 0 alone codes every column and its restricted residual E has
+        # singular values (3, 3, 1): any unit vector in the top plane is a
+        # best atom, and the fit must reach ||E||^2 - 9.
+        rng = np.random.default_rng(12)
+        left = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+        data = left @ np.diag([3.0, 3.0, 1.0]) @ right.T
+        init = normalized_columns(rng, 6, 8)
+        codes = np.zeros((8, 5))
+        codes[0] = rng.uniform(0.5, 1.5, 5)
+        new_dict, new_codes = ksvd._update_atoms(init, data, codes)
+        obj = np.linalg.norm(data - new_dict @ new_codes) ** 2
+        assert abs(obj - (np.linalg.norm(data) ** 2 - 9.0)) <= 1e-12
+        assert abs(np.linalg.norm(new_dict[:, 0]) - 1.0) <= 1e-12
 
 
 class TestRefitSupports:

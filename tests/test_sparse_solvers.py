@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,37 @@ class TestOmpColumns:
         data = rng.standard_normal((8, 11))
         data[:, 4] = 0.0
         self.assert_matches_reference(a, data, 4)
+
+    @pytest.mark.parametrize("per_batch", [1, 3, 7])
+    def test_batches_do_not_change_codes(self, per_batch, monkeypatch):
+        # k = n fills every inverse buffer; zero columns never start, and
+        # exact one- and two-atom columns stop while their batch-mates go on.
+        rng = np.random.default_rng(14)
+        n = 6
+        a = rng.standard_normal((n, 14)) * rng.uniform(0.5, 2.0, size=14)
+        data = rng.standard_normal((n, 23))
+        data[:, [0, 9, 17]] = 0.0
+        data[:, [2, 5, 11]] = a[:, [4, 4, 13]] * [1.5, -2.0, 0.25]
+        data[:, [6, 14, 20]] = a[:, [1, 8]] @ rng.standard_normal((2, 3))
+        whole = self.assert_matches_reference(a, data, n, residual_tol=1e-8)
+        assert set((whole != 0.0).sum(axis=0)) == {0, 1, 2, n}
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", per_batch * n ** 2)
+        assert _omp_columns(a, data, n, residual_tol=1e-8).tobytes() == whole.tobytes()
+
+    def test_full_scale_memory(self):
+        a = dct_dictionary(64, 256).mat
+        data = np.random.default_rng(13).standard_normal((64, 256))
+        _omp_columns(a, data, 64)
+        tracemalloc.start()
+        try:
+            _omp_columns(a, data, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The Gram, the projections and the codes take 1.5 MiB and one
+        # batch's inverses 0.5 MiB; growing a fresh inverse array every step
+        # beside the old one peaks at 3.24 MiB.
+        assert peak <= 3 * 2 ** 20
 
     def test_dependent_atom_stops_the_column(self):
         # Three atoms in a plane: once two are in use the residual is at
