@@ -36,7 +36,7 @@ def _canonical_sign(atom, row):
     """Flip so the atom's largest-magnitude entry is positive; of entries
     within a relative 1e-12 of the largest, the lowest-index one decides."""
     mag = np.abs(atom)
-    pivot = atom[np.argmax(mag >= (1.0 - 1e-12) * mag.max())]
+    pivot = atom[(mag >= (1.0 - 1e-12) * mag.max()).argmax()]
     if pivot < 0:
         return -atom, -row
     return atom, row
