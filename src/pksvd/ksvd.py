@@ -52,10 +52,11 @@ def _code_columns(dict_mat, data, k, prev_codes):
     ``_OMP_RESIDUAL_TOL``: below that the two fits are equally exact, and
     rounding alone must not pick between supports.
     """
-    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL)
+    proj = data.T @ dict_mat
+    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj)
     if prev_codes is None:
         return codes
-    refit = _refit_supports(dict_mat, data, prev_codes)
+    refit = _refit_supports(dict_mat, proj.T, prev_codes)
     gain = _fit_errors(dict_mat, data, codes) - _fit_errors(dict_mat, data, refit)
     better = prev_codes.any(axis=0) & (gain > _OMP_RESIDUAL_TOL)
     codes[:, better] = refit[:, better]
@@ -66,8 +67,9 @@ def _fit_errors(dict_mat, data, codes):
     return np.linalg.norm(data - dict_mat @ codes, axis=0)
 
 
-def _refit_supports(dict_mat, data, codes):
-    """Least-squares codes of every column on the support of ``codes``.
+def _refit_supports(dict_mat, proj, codes):
+    """Least-squares codes of every column on the support of ``codes``,
+    given the projections ``proj`` = D^T Y of the columns.
 
     Supports are padded to a common width with identity rows of the
     normal equations, which pins the padding coefficients at zero; the
@@ -79,11 +81,10 @@ def _refit_supports(dict_mat, data, codes):
     # The first sizes[j] entries of column j's order are its support.
     order = np.argsort(~present, axis=0, kind="stable")[:width].T
     gram = dict_mat.T @ dict_mat
-    proj = dict_mat.T @ data
     refit = np.zeros_like(codes)
     batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
-    for start in range(0, data.shape[1], batch):
-        cols = np.arange(start, min(start + batch, data.shape[1]))[:, None]
+    for start in range(0, codes.shape[1], batch):
+        cols = np.arange(start, min(start + batch, codes.shape[1]))[:, None]
         support = order[cols[:, 0]]
         valid = np.arange(width) < sizes[cols]
         system = gram[support[:, :, None], support[:, None, :]]
@@ -98,8 +99,10 @@ def _update_atoms(dict_mat, data, codes):
     """One pass of atom-wise rank-1 updates; unused atoms are replaced by
     the worst-represented training column.
 
-    An atom becomes the top eigenvector u of E E^T, with E its restricted
-    residual, and its code row u^T E. The residual data - dict @ codes is
+    An atom becomes the top left singular vector u of its restricted
+    residual E, and its code row u^T E. u comes from the top eigenvector of
+    the smaller Gram: of E E^T, or, when fewer columns than rows use the
+    atom, of E^T E, mapped through E. The residual data - dict @ codes is
     kept across the pass: each atom update rewrites only the columns that
     use the atom.
     """
@@ -121,7 +124,11 @@ def _update_atoms(dict_mat, data, codes):
                 dict_mat[:, j] = col / nrm
             continue
         restricted = resid[:, used] + np.outer(dict_mat[:, j], codes[j, used])
-        top = np.linalg.eigh(restricted @ restricted.T)[1][:, -1]
+        if used.size < restricted.shape[0]:
+            top = restricted @ np.linalg.eigh(restricted.T @ restricted)[1][:, -1]
+            top /= np.linalg.norm(top)
+        else:
+            top = np.linalg.eigh(restricted @ restricted.T)[1][:, -1]
         atom, row = _canonical_sign(top, top @ restricted)
         dict_mat[:, j] = atom
         codes[j, used] = row

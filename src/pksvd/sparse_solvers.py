@@ -92,7 +92,7 @@ def omp(d: Dictionary, y, k: int, residual_tol: float = 0.0) -> SparseVec:
     return SparseVec(_omp_columns(d.mat, y[:, None], k, residual_tol)[:, 0])
 
 
-def _omp_columns(dict_mat, data, k, residual_tol=0.0):
+def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None):
     """Orthogonal matching pursuit on every column of ``data`` (Batch-OMP).
 
     Per column: add the unused atom most correlated with the residual
@@ -106,14 +106,17 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0):
     rounding level; it keeps its codes and stops. Residuals are explicit,
     Y - D X, and columns go in batches whose inverses hold at most
     ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
-    inverses once, at full size k. Returns the m x N codes.
+    inverses once, at full size k. ``proj``, the N x m projections Y^T D,
+    is formed here once for all batches unless the caller passes it.
+    Returns the m x N codes.
     """
     dict_mat = as_matrix(dict_mat, "dictionary")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != dict_mat.shape[0]:
         raise ValueError(f"data shape {data.shape} does not match {dict_mat.shape}")
     gram = dict_mat.T @ dict_mat
-    proj = data.T @ dict_mat  # once: a one-column batch's product rounds differently
+    if proj is None:  # once: a one-column batch's product rounds differently
+        proj = data.T @ dict_mat
     codes = np.zeros((dict_mat.shape[1], data.shape[1]))
     width = max(1, _OMP_BATCH_ENTRIES // max(k, 1) ** 2)
     for start in range(0, data.shape[1], width):

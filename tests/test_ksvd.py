@@ -76,6 +76,9 @@ class TestUpdateAtoms:
     ])
     def test_matches_svd_reference(self, block, m, k, seed, unused):
         init, data, codes = self.coded_texture(seed, block, m, k)
+        # Atoms used by fewer columns than rows take the E^T E route.
+        used = np.count_nonzero(codes, axis=1)
+        assert 0 < np.count_nonzero(used < block * block) < m
         if unused:
             codes[5] = 0.0  # replaced by a training column
         got_dict, got_codes = ksvd._update_atoms(init, data, codes)
@@ -87,17 +90,19 @@ class TestUpdateAtoms:
             cosines = got_dict[:, 5] @ data / np.linalg.norm(data, axis=0)
             assert np.isclose(cosines.max(), 1.0, rtol=0.0, atol=1e-12)
 
-    def test_tied_top_singular_values(self):
+    @pytest.mark.parametrize("cols", [5, 9])
+    def test_tied_top_singular_values(self, cols):
         # Atom 0 alone codes every column and its restricted residual E has
         # singular values (3, 3, 1): any unit vector in the top plane is a
-        # best atom, and the fit must reach ||E||^2 - 9.
+        # best atom, and the fit must reach ||E||^2 - 9. E is 6 x cols, so
+        # both Gram routes are taken.
         rng = np.random.default_rng(12)
         left = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        right = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((cols, 3)))[0]
         data = left @ np.diag([3.0, 3.0, 1.0]) @ right.T
         init = normalized_columns(rng, 6, 8)
-        codes = np.zeros((8, 5))
-        codes[0] = rng.uniform(0.5, 1.5, 5)
+        codes = np.zeros((8, cols))
+        codes[0] = rng.uniform(0.5, 1.5, cols)
         new_dict, new_codes = ksvd._update_atoms(init, data, codes)
         obj = np.linalg.norm(data - new_dict @ new_codes) ** 2
         assert abs(obj - (np.linalg.norm(data) ** 2 - 9.0)) <= 1e-12
@@ -115,7 +120,7 @@ class TestRefitSupports:
         supports = ([0, 4, 9], [2], [], [1, 3, 5], [7, 8], [6], [0, 9])
         for j, support in enumerate(supports):
             codes[support, j] = 1.0
-        got = ksvd._refit_supports(dict_mat, data, codes)
+        got = ksvd._refit_supports(dict_mat, dict_mat.T @ data, codes)
         for j in range(7):
             support = np.flatnonzero(codes[:, j])
             want = np.zeros(10)
