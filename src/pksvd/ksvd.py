@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import _OMP_BATCH_ENTRIES, _omp_columns
+from .sparse_solvers import _OMP_BATCH_ENTRIES, _TIE_RTOL, _omp_columns
 
 _OMP_RESIDUAL_TOL = 1e-12
 
@@ -34,9 +34,9 @@ class KsvdConfig:
 
 def _canonical_sign(atom, row):
     """Flip so the atom's largest-magnitude entry is positive; of entries
-    within a relative 1e-12 of the largest, the lowest-index one decides."""
+    tied with it (within ``_TIE_RTOL``), the lowest-index one decides."""
     mag = np.abs(atom)
-    pivot = atom[(mag >= (1.0 - 1e-12) * mag.max()).argmax()]
+    pivot = atom[(mag >= (1.0 - _TIE_RTOL) * mag.max()).argmax()]
     if pivot < 0:
         return -atom, -row
     return atom, row

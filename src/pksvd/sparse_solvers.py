@@ -28,9 +28,13 @@ ZERO_THRESHOLD = 1e-6
 
 _ORACLE_MAX_ATOMS = 12
 
-# Entries of the support-Gram inverses (columns x k x k) one Batch-OMP
-# batch may hold: 16 columns at k = 64, 4096 columns at k = 4.
+# Entries of the support Grams' inverse Cholesky factors (columns x k x k)
+# one Batch-OMP batch may hold: 16 columns at k = 64, 4096 at k = 4.
 _OMP_BATCH_ENTRIES = 2 ** 16
+
+# Atom scores within this fraction of the largest count as tied; the
+# lowest index wins (Batch-OMP atoms, K-SVD atom signs).
+_TIE_RTOL = 1e-12
 
 # A candidate atom whose squared distance from the span of the support is
 # at most this fraction of its squared norm counts as dependent on it.
@@ -96,17 +100,18 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None):
     """Orthogonal matching pursuit on every column of ``data`` (Batch-OMP).
 
     Per column: add the unused atom most correlated with the residual
-    (ties go to the lowest index), re-solve least squares on the support,
-    and stop once ``k`` atoms are in use or the residual norm is at most
+    (scores within a relative ``_TIE_RTOL`` of the largest tie, and the
+    lowest index wins), re-solve least squares on the support, and stop
+    once ``k`` atoms are in use or the residual norm is at most
     ``residual_tol``. The least-squares solves use the precomputed Gram
-    matrix D^T D and projections D^T Y: each column keeps the inverse of
-    its support Gram and grows it by the Schur complement of the new atom
-    (Rubinstein, Zibulevsky & Elad 2008). A column whose new atom is
+    matrix D^T D and projections D^T Y: each column keeps the inverse
+    Cholesky factor R = L^-1 of its support Gram L L^T and appends one
+    row per new atom (Rubinstein, Zibulevsky & Elad 2008). A column whose new atom is
     numerically dependent on its support already has a residual at
     rounding level; it keeps its codes and stops. Residuals are explicit,
-    Y - D X, and columns go in batches whose inverses hold at most
+    Y - D X, and columns go in batches whose factors hold at most
     ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
-    inverses once, at full size k. ``proj``, the N x m projections Y^T D,
+    factors once, at full size k. ``proj``, the N x m projections Y^T D,
     is formed here once for all batches unless the caller passes it.
     Returns the m x N codes.
     """
@@ -132,8 +137,11 @@ def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
 
     Every array carries one lane (signal) per row; a lane leaves the batch
     when it stops, so all remaining lanes hold supports of equal size. The
-    supports and inverses are allocated once, at size k, and grow in their
-    leading entries; new coefficients are written into the codes in place.
+    new atom's Gram entries g on the support give w = R g and sigma =
+    G_nn - ||w||^2; R gains the row [-w^T R, 1] / sqrt(sigma), z = R p_S
+    the entry (p_new - w.z) / sqrt(sigma), and the codes are R^T z. The
+    buffers are allocated once, at size k; R is zero-filled, so its
+    leading s x s block is the factor of a support of size s.
     """
     n_atoms = dict_mat.shape[1]
     out = np.zeros((y.shape[0], n_atoms))
@@ -142,39 +150,41 @@ def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
     corr = proj
     codes = np.zeros((lanes.size, n_atoms))
     support = np.empty((lanes.size, k), dtype=np.intp)
-    inv = np.empty((lanes.size, k, k))
+    factor = np.zeros((lanes.size, k, k))
+    z = np.empty((lanes.size, k))
     for size in range(k):
         if not lanes.size:
             break
         rows = np.arange(lanes.size)[:, None]
         score = np.abs(corr)
         score[rows, support[:, :size]] = -1.0
-        new = np.argmax(score, axis=1)
-        cross = gram[support[:, :size], new[:, None]]
-        cur = inv[:, :size, :size]
-        half = np.einsum("lij,lj->li", cur, cross)
-        schur = gram[new, new] - np.einsum("li,li->l", cross, half)
-        stalled = schur <= _SCHUR_FLOOR * gram[new, new]
+        top = score[rows, score.argmax(axis=1)[:, None]]  # max() is slow on short rows
+        new = (score >= (1.0 - _TIE_RTOL) * top).argmax(axis=1)
+        cur = factor[:, :size, :size]
+        # w and z are kept as rows, so every product is one batched matmul.
+        w = gram[support[:, :size], new[:, None]][:, None, :] @ np.swapaxes(cur, 1, 2)
+        diag = gram[new, new]
+        schur = diag - (w @ np.swapaxes(w, 1, 2))[:, 0, 0]
+        stalled = schur <= _SCHUR_FLOOR * diag
         schur[stalled] = 1.0  # keeps the arithmetic finite; the lane stops
-        edge = -half / schur[:, None]
-        # The grown inverse: inv + half half^T / schur, bordered by edge.
-        cur += half[:, :, None] * -edge[:, None, :]
-        inv[:, :size, size] = edge
-        inv[:, size, :size] = edge
-        inv[:, size, size] = 1.0 / schur
+        root = np.sqrt(schur)
+        factor[:, size, :size] = (w @ cur)[:, 0] / -root[:, None]
+        factor[:, size, size] = 1.0 / root
+        z[:, size] = (proj[rows[:, 0], new] - (w @ z[:, :size, None])[:, 0, 0]) / root
         support[:, size] = new
         picked = support[:, :size + 1]
-        coef = np.einsum("lij,lj->li", inv[:, :size + 1, :size + 1],
-                         np.take_along_axis(proj, picked, axis=1))
-        codes[rows[~stalled], picked[~stalled]] = coef[~stalled]
+        coef = (z[:, None, :size + 1] @ factor[:, :size + 1, :size + 1])[:, 0]
+        if stalled.any():  # a stalled lane keeps its codes
+            coef[stalled] = codes[rows[stalled], picked[stalled]]
+        codes[rows, picked] = coef
         resid = y - codes @ dict_mat.T
         done = stalled | (_col_norms(resid.T) <= residual_tol)
         done |= size + 1 == k
         if done.any():
             out[lanes[done]] = codes[done]
             keep = ~done
-            lanes, y, proj, codes, support, inv, resid = (
-                a[keep] for a in (lanes, y, proj, codes, support, inv, resid))
+            lanes, y, proj, codes, support, factor, z, resid = (
+                a[keep] for a in (lanes, y, proj, codes, support, factor, z, resid))
         corr = resid @ dict_mat
     return out
 

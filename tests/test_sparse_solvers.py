@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from texture import texture
 
 from pksvd import sparse_solvers
 from pksvd.errors import SolverDidNotConverge, TooLarge
@@ -24,7 +25,8 @@ def random_frame(rng, n, m):
 
 
 def reference_omp(a, y, k, residual_tol=0.0):
-    """Per-column OMP with a fresh least-squares solve per step."""
+    """Per-column OMP with a fresh least-squares solve per step; scores
+    within a relative 1e-12 of the largest tie, and the lowest index wins."""
     coeffs = np.zeros(a.shape[1])
     support = []
     residual = y.copy()
@@ -32,7 +34,7 @@ def reference_omp(a, y, k, residual_tol=0.0):
     while len(support) < k and np.linalg.norm(residual) > residual_tol:
         corr = np.abs(a.T @ residual)
         corr[~available] = -1.0
-        best = int(np.argmax(corr))
+        best = int(np.argmax(corr >= (1.0 - 1e-12) * corr.max()))
         available[best] = False
         support.append(best)
         sol, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
@@ -184,6 +186,41 @@ class TestOmpColumns:
         assert list(np.flatnonzero(got[:, 0])) == [0, 1]
         assert list(np.flatnonzero(got[:, 1])) == [0, 1]
 
+    def test_rounded_ties_go_to_lowest_index_at_every_step(self):
+        # Transposed DCT atoms correlate equally with transpose-symmetric
+        # integer blocks, but their computed scores differ in the last bits
+        # either way round. The atom added at step s is the difference of
+        # the supports at budgets s and s - 1.
+        a, data = kkt_system(np.random.default_rng(0), "dct-ties")
+        m = a.shape[1]
+        partner = np.arange(36).reshape(6, 6).T.ravel()  # the 6 x 6 DCT grid
+        prev = np.zeros((m, data.shape[1]))
+        rounded_up = 0
+        for size in range(1, 5):
+            got = self.assert_matches_reference(a, data, size)
+            added = (got != 0.0) & (prev == 0.0)
+            assert np.all(added.sum(axis=0) == 1)
+            score = np.abs(a.T @ (data - a @ prev))
+            score[prev != 0.0] = -1.0
+            tied = score >= (1.0 - 1e-12) * score.max(axis=0)
+            lowest = tied.argmax(axis=0)
+            assert np.array_equal(added.argmax(axis=0), lowest)
+            twin = partner[lowest]
+            cols = np.flatnonzero(twin < m)
+            high, low = score[twin[cols], cols], score[lowest[cols], cols]
+            rounded_up += np.count_nonzero(tied[twin[cols], cols] & (high > low))
+            prev = got
+        # A plain argmax takes the higher index at such steps (119 here).
+        assert rounded_up > 0
+
+    def test_full_scale_budget_equals_dimension(self):
+        # 8 x 8 texture blocks against the 4x overcomplete DCT at k = n = 64.
+        a = dct_dictionary(64, 256).mat
+        data = to_blocks(texture(0), 8, subtract_mean=True).blocks[:, :24]
+        got = self.assert_matches_reference(a, data, 64)
+        assert np.all((got != 0.0).sum(axis=0) == 64)
+        assert np.abs(data - a @ got).max() <= 1e-12 * np.abs(data).max()
+
     def test_early_stop_at_residual_tol(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 10)) * rng.uniform(0.5, 2.0, size=10)
@@ -249,12 +286,11 @@ class TestOmpColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Deterministic: 2.33 MiB, of which the batch's inverses and the
-        # rank-1 update's temporary take 0.5 MiB each. Allocating a fresh
-        # (lanes, s+1, s+1) inverse beside the old one and compacting every
-        # lane array on every step peaks at 2.74 MiB. A fresh full-size
-        # inverse filled without the temporary (2.41 MiB) is not caught.
-        assert peak <= 2.5 * 2 ** 20
+        # Deterministic: 1.74 MiB, of which the Gram, the codes and the
+        # batch's inverse Cholesky factors take 0.5 MiB each. Support-Gram
+        # inverses grown in place by a rank-1 update, which needs a
+        # temporary the size of the inverses, peak at 2.33 MiB.
+        assert peak <= 2.0 * 2 ** 20
 
     def test_dependent_atom_stops_the_column(self):
         # Three atoms in a plane: once two are in use the residual is at
