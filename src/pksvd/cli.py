@@ -1,10 +1,10 @@
 """Batch command-line front-end.
 
 Subcommands: train, verify, reconstruct, denoise, inpaint, compress,
-theory. Numeric parameters come from an optional key=value config file;
-flags named after the config keys override file values. All outputs are
-written atomically and identical (config, seed, inputs) produce
-byte-identical files.
+theory. Numeric parameters come from an optional key=value config file,
+which every command accepts and validates whole; a command takes override
+flags only for the keys it reads. All outputs are written atomically and
+identical (config, seed, inputs) produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from .errors import BadShape, ConfigError, PksvdError
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
 
-_INT_KEYS = ("block_size", "n", "m", "k", "max_iters", "x_sweeps", "seed", "ksvd_iters")
+_INT_KEYS = ("block_size", "m", "k", "max_iters", "x_sweeps", "seed", "ksvd_iters")
 _FLOAT_KEYS = ("rho1", "rho2", "rho3")
 KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS
 
 DEFAULTS = {
     "block_size": 8,
-    "n": 64,
     "m": 256,
     "k": 64,
     "rho1": 0.1,
@@ -40,6 +39,7 @@ DEFAULTS = {
 
 DENOISE_EPS_GRID = "2,4,6,8,10,12,14,16,18,20,22,24"
 COMPRESS_STEP_GRID = "0.5,1,2,4,8,16,32,64,128"
+METRIC_COLUMNS = ("image", "sigma_or_fraction", "dictionary", "psnr", "ssim", "eps_used")
 
 
 def _parse_config_file(path):
@@ -70,34 +70,25 @@ def _coerce(key, value):
 def resolve_config(args):
     """Merge defaults, config file, and flags (flags win)."""
     merged = dict(DEFAULTS)
-    explicit = set()
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
             merged[key] = _coerce(key, value)
-            explicit.add(key)
     for key in KNOWN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
-            explicit.add(key)
-    if "n" not in explicit:
-        merged["n"] = merged["block_size"] ** 2
-    if merged["n"] != merged["block_size"] ** 2:
-        raise ConfigError(
-            f"n={merged['n']} must equal block_size^2={merged['block_size'] ** 2}"
-        )
-    for key in ("block_size", "n", "m", "k", "max_iters", "x_sweeps", "ksvd_iters"):
+    for key in ("block_size", "m", "k", "max_iters", "x_sweeps", "ksvd_iters"):
         if merged[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1")
     return merged
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, keys):
+    """Add ``--config`` and one override flag for each key the command reads."""
     parser.add_argument("--config", help="key=value config file")
-    for key in _INT_KEYS:
-        parser.add_argument(f"--{key}", type=int, help=f"override config key {key}")
-    for key in _FLOAT_KEYS:
-        parser.add_argument(f"--{key}", type=float, help=f"override config key {key}")
+    for key in keys:
+        parser.add_argument(f"--{key}", type=int if key in _INT_KEYS else float,
+                            help=f"override config key {key}")
 
 
 def _load_training_blocks(paths, block_size):
@@ -143,7 +134,7 @@ def cmd_train(args):
         raise ConfigError(
             f"{data.shape[1]} training blocks < m={cfg['m']}; provide more data"
         )
-    init = frames.dct_dictionary(cfg["n"], cfg["m"])
+    init = frames.dct_dictionary(cfg["block_size"] ** 2, cfg["m"])
     ksvd_cfg = KsvdConfig(m=cfg["m"], k=cfg["k"], iters=cfg["ksvd_iters"])
     base_dict, base_codes = ksvd_train(data, ksvd_cfg, init)
 
@@ -235,7 +226,7 @@ def cmd_denoise(args):
     out_csv = f"{args.out_prefix}.csv"
     imaging.write_pgm(restored, out_img)
     formats.write_csv(
-        ("image", "sigma_or_fraction", "dictionary", "psnr", "ssim", "eps_used"),
+        METRIC_COLUMNS,
         [(
             os.path.basename(args.image), float(args.sigma),
             os.path.basename(args.dictionary), float(value),
@@ -271,7 +262,7 @@ def cmd_inpaint(args):
     imaging.write_pgm(restored, out_img)
     imaging.write_pgm(corrupted, out_corrupt)
     formats.write_csv(
-        ("image", "sigma_or_fraction", "dictionary", "psnr", "ssim", "eps_used"),
+        METRIC_COLUMNS,
         [(
             os.path.basename(args.image), float(args.fraction),
             os.path.basename(args.dictionary), float(value),
@@ -365,7 +356,8 @@ def build_parser():
     p.add_argument("--out-dual", help="output path for the analysis dual")
     p.add_argument("--out-codes", help="optional output path for the codes")
     p.add_argument("--trace", help="optional convergence trace CSV")
-    _add_config_flags(p)
+    # Every key, seed too, so that one run's flag list can be passed whole.
+    _add_config_flags(p, KNOWN_KEYS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="report frame diagnostics of a dictionary")
@@ -378,7 +370,7 @@ def build_parser():
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--dual")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("block_size",))
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("denoise", help="noise + denoise an image, report metrics")
@@ -389,7 +381,7 @@ def build_parser():
     p.add_argument("--eps", default=DENOISE_EPS_GRID,
                    help="comma-separated candidate ball radii")
     p.add_argument("--out-prefix", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("block_size", "seed"))
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("inpaint", help="drop pixels and recover them")
@@ -399,7 +391,7 @@ def build_parser():
                    help="fraction of pixels removed per block")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out-prefix", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("block_size", "seed"))
     p.set_defaults(func=cmd_inpaint)
 
     p = sub.add_parser("compress", help="rate-distortion sweep")
@@ -408,13 +400,13 @@ def build_parser():
     p.add_argument("--dual")
     p.add_argument("--steps", default=COMPRESS_STEP_GRID)
     p.add_argument("--out-prefix", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("block_size",))
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("theory", help="run the theory-check suites")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", help="optional CSV report path")
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_theory)
 
     return parser
@@ -438,10 +430,7 @@ def main(argv=None):
     args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except PksvdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (PksvdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,20 +103,9 @@ def load_codes(path):
 
 def trace_csv_text(trace):
     """Render a ConvergenceTrace as CSV with the pinned column names."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for i in range(len(trace)):
-        lines.append(
-            ",".join(
-                (
-                    str(i + 1),
-                    repr(trace.log10_identity_residual[i]),
-                    repr(trace.log10_trace_gap[i]),
-                    repr(trace.log10_match_residual[i]),
-                    repr(trace.objective[i]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(range(1, len(trace) + 1), trace.log10_identity_residual,
+               trace.log10_trace_gap, trace.log10_match_residual, trace.objective)
+    return csv_table_text(TRACE_COLUMNS, rows)
 
 
 def write_trace_csv(trace, path):

@@ -91,13 +91,11 @@ def canonical_dual(d: Dictionary) -> Dictionary:
     """Canonical dual: (mat @ mat.T)^{-1} @ mat.
 
     Satisfies mat @ dual.T = I; its kernel dual.T @ mat is the orthogonal
-    projection onto the row space of ``mat``.
+    projection onto the row space of ``mat``. Raises ``RankDeficient``
+    under the same rule as ``frame_bounds``.
     """
-    s = gram_operator(d)
-    eig = np.linalg.eigvalsh(s)
-    if eig[0] <= 1e-12 * eig[-1]:
-        raise RankDeficient("frame operator is numerically singular")
-    return Dictionary(np.linalg.solve(s, d.mat))
+    frame_bounds(d)
+    return Dictionary(np.linalg.solve(gram_operator(d), d.mat))
 
 
 def random_dual(d: Dictionary, seed: int) -> Dictionary:

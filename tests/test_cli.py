@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,11 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from texture import texture
 
 from pksvd import cli
 from pksvd.cli import main, resolve_config
 from pksvd.errors import ConfigError
-from pksvd.formats import load_codes, load_dictionary
+from pksvd.formats import load_codes, load_dictionary, save_dictionary
+from pksvd.frames import canonical_dual, frame_bounds
 from pksvd.imaging import read_pgm, write_pgm
 
 
@@ -32,7 +35,7 @@ class TestConfig:
     def test_defaults(self):
         import argparse
         cfg = resolve_config(argparse.Namespace(config=None))
-        assert cfg["block_size"] == 8 and cfg["n"] == 64
+        assert cfg["block_size"] == 8
         assert cfg["rho2"] == pytest.approx(1e11)
 
     def test_file_and_flag_merge(self, tmp_path):
@@ -42,7 +45,6 @@ class TestConfig:
         args = argparse.Namespace(config=str(cfile), m=24)
         cfg = resolve_config(args)
         assert cfg["block_size"] == 4
-        assert cfg["n"] == 16  # derived from block_size
         assert cfg["m"] == 24  # flag beats file
         assert cfg["seed"] == 7
 
@@ -53,10 +55,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_config(argparse.Namespace(config=str(cfile)))
 
-    def test_inconsistent_n_rejected(self, tmp_path):
+    def test_n_key_rejected(self, tmp_path):
         import argparse
-        with pytest.raises(ConfigError):
-            resolve_config(argparse.Namespace(config=None, block_size=4, n=64))
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("block_size = 4\nn = 16\n")
+        with pytest.raises(ConfigError, match="'n'"):
+            resolve_config(argparse.Namespace(config=str(cfile)))
 
 
 class TestTrain:
@@ -334,6 +338,98 @@ class TestCompress:
         lines = (tmp_path / "rd.csv").read_text().strip().split("\n")
         assert lines[0] == "quant_step,bpp,psnr"
         assert len(lines) == 4
+
+
+class TestKeyFlags:
+    """Each subcommand takes --config plus a flag for each key it reads."""
+
+    TRAIN_KEYS = {"block_size", "m", "k", "rho1", "rho2", "rho3", "max_iters",
+                  "x_sweeps", "seed", "ksvd_iters"}
+    EXPECTED = {
+        "train": TRAIN_KEYS,
+        "verify": set(),
+        "reconstruct": {"block_size"},
+        "denoise": {"block_size", "seed"},
+        "inpaint": {"block_size", "seed"},
+        "compress": {"block_size"},
+        "theory": {"seed"},
+    }
+
+    def test_flag_sets(self):
+        assert set(cli.KNOWN_KEYS) == self.TRAIN_KEYS
+        (subparsers,) = (a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        found = {}
+        for name, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions if a.option_strings}
+            found[name] = dests & (self.TRAIN_KEYS | {"n"})
+            assert ("config" in dests) == bool(self.EXPECTED[name])
+        assert found == self.EXPECTED
+
+    @pytest.mark.parametrize("cmd,flag,value", [("denoise", "--m", "32"),
+                                                ("train", "--n", "16")])
+    def test_unread_key_flag_exits_2(self, trained, tmp_path, capsys, cmd, flag, value):
+        args = (["denoise", str(trained["image"]), "--dict", str(trained["synth"]),
+                 "--sigma", "10", "--out-prefix", str(tmp_path / "dn")]
+                if cmd == "denoise" else
+                ["train", str(trained["image"]), "--method", "ksvd",
+                 "--out", str(tmp_path / "k.pk")])
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--block_size", "4", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_denoise_accepts_a_train_config_file(self, trained, tmp_path):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("block_size = 4\nm = 24\nk = 3\nrho1 = 0.5\n"
+                         "max_iters = 4\nseed = 3\n")
+        common = ["denoise", str(trained["image"]), "--dict", str(trained["synth"]),
+                  "--dual", str(trained["dual"]), "--sigma", "10", "--eps", "8,16"]
+        assert main([*common, "--config", str(cfile),
+                     "--out-prefix", str(tmp_path / "file")]) == 0
+        assert main([*common, "--block_size", "4", "--seed", "3",
+                     "--out-prefix", str(tmp_path / "flags")]) == 0
+        for ext in ("pgm", "csv"):
+            assert ((tmp_path / f"file.{ext}").read_bytes()
+                    == (tmp_path / f"flags.{ext}").read_bytes())
+
+
+class TestCanonicalDualFallback:
+    """Without --dual, reconstruct, denoise and compress use the canonical
+    dual of the dictionary."""
+
+    @pytest.fixture(scope="class")
+    def ksvd_run(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("ksvd")
+        image = base / "texture.pgm"
+        write_pgm(texture(0)[:64, :64].astype(float), image)
+        out = base / "k.pk"
+        assert main(["train", str(image), "--method", "ksvd",
+                     "--out", str(out), *CFG]) == 0
+        dual = base / "k.canonical.pk"
+        save_dictionary(canonical_dual(load_dictionary(out)), dual)
+        return {"image": image, "dict": out, "dual": dual}
+
+    def test_reconstruct_roundtrips(self, ksvd_run, tmp_path, capsys):
+        assert frame_bounds(load_dictionary(ksvd_run["dict"])).ratio > 10.0
+        out = tmp_path / "rec.pgm"
+        assert main(["reconstruct", str(ksvd_run["image"]),
+                     "--dict", str(ksvd_run["dict"]), "--out", str(out),
+                     "--block_size", "4"]) == 0
+        text = capsys.readouterr().out
+        assert float(text.split("relative error")[1].split(")")[0]) <= 1e-10
+        assert out.read_bytes() == ksvd_run["image"].read_bytes()
+
+    def test_denoise_matches_saved_canonical_dual(self, ksvd_run, tmp_path):
+        common = ["denoise", str(ksvd_run["image"]), "--dict", str(ksvd_run["dict"]),
+                  "--sigma", "10", "--eps", "8,16", "--block_size", "4"]
+        assert main([*common, "--out-prefix", str(tmp_path / "implicit")]) == 0
+        assert main([*common, "--dual", str(ksvd_run["dual"]),
+                     "--out-prefix", str(tmp_path / "explicit")]) == 0
+        for ext in ("pgm", "csv"):
+            assert ((tmp_path / f"implicit.{ext}").read_bytes()
+                    == (tmp_path / f"explicit.{ext}").read_bytes())
 
 
 class TestTheory:

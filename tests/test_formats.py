@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pksvd.errors import MalformedFile
 from pksvd.formats import (
     CODES_MAGIC,
     DICT_MAGIC,
+    _decode_matrix,
     load_codes,
     load_dictionary,
     save_codes,
@@ -67,6 +70,40 @@ class TestCodesFormat:
         assert blob.startswith(CODES_MAGIC)
         with pytest.raises(MalformedFile):
             load_dictionary(tmp_path / "c.pkx")
+
+
+@st.composite
+def matrix_blobs(draw, magic):
+    """Byte strings near ``magic + b"rows cols\\n" + payload``, so that valid
+    files, other magics, bad headers and wrong payload sizes all occur."""
+    rows, cols = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    prefix = draw(st.sampled_from([magic] * 6 + [DICT_MAGIC, CODES_MAGIC,
+                                                 magic[:-1], b""]))
+    header = draw(st.one_of(st.just(f"{rows} {cols}"),
+                            st.text("0123456789+-_x. \t", max_size=8)))
+    newline = draw(st.sampled_from([b"\n", b"\n", b"", b"\r\n"]))
+    size = 8 * max(rows * cols, 0) + draw(st.sampled_from([0, 0, -1, 8]))
+    payload = draw(st.one_of(st.just(bytes(max(size, 0))), st.binary(max_size=40)))
+    return prefix + header.encode("ascii") + newline + payload
+
+
+class TestHeaderFuzz:
+    """The decoder behind PKSVD1 and PKSVX1 files fails only with
+    MalformedFile, and always says at which byte."""
+
+    @pytest.mark.parametrize("magic", [DICT_MAGIC, CODES_MAGIC])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_only_malformed_file_with_offset(self, magic, data):
+        blob = data.draw(matrix_blobs(magic))
+        try:
+            mat = _decode_matrix(magic, blob, "fuzz")
+        except MalformedFile as err:
+            assert err.offset is not None and 0 <= err.offset <= len(blob)
+        else:
+            header_end = blob.index(b"\n", len(magic))
+            assert blob.startswith(magic)
+            assert mat.size * 8 == len(blob) - header_end - 1
 
 
 class TestTraceCsv:

@@ -102,6 +102,21 @@ class TestCanonicalDual:
             assert np.linalg.norm(again.mat - d.mat) <= 1e-8
 
 
+class TestNearSingularFrame:
+    """Singular values [1, 1, 1, 1e-8] pass the Dictionary floor (1e-10 of
+    sigma_max), but the frame operator's eigenvalue ratio 1e-16 is below
+    the 1e-12 rank rule."""
+
+    @pytest.mark.parametrize("fn", [frame_bounds, canonical_dual])
+    def test_rank_deficient(self, fn):
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        d = Dictionary(u @ np.diag([1.0, 1.0, 1.0, 1e-8]) @ v.T)
+        with pytest.raises(RankDeficient, match="numerically zero"):
+            fn(d)
+
+
 class TestRandomDual:
     def test_duality(self):
         rng = np.random.default_rng(8)

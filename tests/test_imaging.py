@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pksvd.errors import BadShape, MalformedFile
 from pksvd.imaging import (
@@ -63,6 +65,19 @@ class TestBlocks:
         with pytest.raises(BadShape):
             BlockedImage(16, 16, 4, np.zeros((16, 5)))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5), rows=st.integers(1, 4),
+           cols=st.integers(1, 4), subtract_mean=st.booleans())
+    def test_roundtrip_property(self, seed, b, rows, cols, subtract_mean):
+        img = np.random.default_rng(seed).uniform(0, 255, (rows * b, cols * b))
+        blk = to_blocks(img, b, subtract_mean=subtract_mean)
+        assert blk.blocks.shape == (b * b, rows * cols)
+        back = from_blocks(blk)
+        if subtract_mean:
+            assert np.allclose(back, img, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(back, img)
+
 
 class TestPsnr:
     def test_equal_images_infinite(self):
@@ -119,7 +134,41 @@ class TestSsim:
         assert -1.0 <= ssim(a, b) <= 1.0
 
 
+@st.composite
+def pgm_blobs(draw):
+    """Byte strings near a P5 file, so that valid files, comments, bad or
+    missing tokens, wrong maxvals and wrong raster sizes all occur."""
+    width, height = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    maxval = draw(st.sampled_from([255, 255, 0, 65535]))
+    tokens = [str(v).encode("ascii") for v in (width, height, maxval)]
+    garbage = draw(st.sampled_from([None] * 6 + [b"x", b"2x"]))
+    if garbage is not None:
+        tokens[draw(st.integers(0, 2))] = garbage
+    tokens = tokens[:draw(st.sampled_from([3, 3, 3, 2, 0]))]
+    separators = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b" # x\n"])
+    header = b"".join(draw(separators) + token for token in tokens)
+    header += draw(st.sampled_from([b"\n"] * 4 + [b"", b"#"]))
+    size = max(width * height, 0) + draw(st.sampled_from([0, 0, -1, 1]))
+    raster = draw(st.one_of(st.just(bytes(max(size, 0))), st.binary(max_size=12)))
+    magic = draw(st.sampled_from([b"P5"] * 6 + [b"P2", b""]))
+    return magic + header + raster
+
+
 class TestPgm:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(blob=pgm_blobs())
+    @example(blob=b"P5 1 1 255")  # header ends at maxval, with no whitespace
+    def test_fuzzed_header_fails_only_as_malformed(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        path.write_bytes(blob)
+        try:
+            img = read_pgm(path)
+        except MalformedFile as err:
+            assert err.offset is not None and 0 <= err.offset <= len(blob)
+        else:
+            assert img.ndim == 2 and img.size <= len(blob)
+            assert img.min() >= 0 and img.max() <= 255
+
     def test_roundtrip_integer_image(self, tmp_path):
         rng = np.random.default_rng(6)
         img = np.round(rng.uniform(0, 255, (5, 7)))

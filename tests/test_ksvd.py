@@ -143,6 +143,15 @@ class TestKsvdTrain:
         corr = np.abs(d.mat.T @ init.mat)
         assert np.allclose(corr.max(axis=1), 1.0, atol=1e-8)
 
+    def test_zero_iterations_return_init(self):
+        rng = np.random.default_rng(8)
+        init = Dictionary(normalized_columns(rng, 6, 10))
+        data = rng.standard_normal((6, 40))
+        d, codes = ksvd_train(data, KsvdConfig(m=10, k=2, iters=0), init)
+        assert np.array_equal(d.mat, init.mat)
+        assert np.array_equal(codes, ksvd._code_columns(init.mat, data, 2, None))
+        assert np.all(np.count_nonzero(codes, axis=0) <= 2)
+
     def test_single_column_full_budget(self):
         rng = np.random.default_rng(1)
         init = Dictionary(normalized_columns(rng, 4, 4))
