@@ -237,6 +237,12 @@ def cmd_denoise(args):
     print(f"noisy psnr {imaging.psnr(img, noisy):.2f} dB -> denoised "
           f"{value:.2f} dB (eps {eps_used:g})")
     print(f"wrote {out_img} and {out_csv}")
+    # A best radius on the edge of the grid may have a better one beyond it.
+    low, high = min(eps_grid), max(eps_grid)
+    if low < high and eps_used in (low, high):
+        edge, side = ("largest", "above") if eps_used == high else ("smallest", "below")
+        print(f"warning: eps {eps_used:g} is the {edge} radius of the grid; "
+              f"consider widening --eps {side} it", file=sys.stderr)
     return 0
 
 

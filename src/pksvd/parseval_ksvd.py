@@ -32,9 +32,10 @@ from .sparse_solvers import ZERO_THRESHOLD
 _LOG_FLOOR = 1e-300
 
 # Entries of the per-column support Grams (width x width x columns) one
-# code-refresh batch may hold: 32 columns at width 64, all columns at
-# desk scale.
-_CODE_BATCH_ENTRIES = 2 ** 17
+# code-refresh batch may hold: 64 columns (a 2 MiB buffer) at width 64,
+# all columns at desk scale. A larger budget takes fewer steps but grows
+# the peak memory of a full-scale call past 4 MiB.
+_CODE_BATCH_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,13 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     H = synth^T W synth, column j's steps are Gauss–Seidel on the normal
     equations of its own support S_j, H[S_j, S_j] x = (synth^T W y_j)[S_j],
     so no residual is kept. One step updates the s-th support atom of
-    every column in a batch; a batch's support Grams hold at most
-    ``_CODE_BATCH_ENTRIES`` entries. When ``obj_log`` is given, the
+    every column in a batch, in place, in buffers allocated once per call;
+    a batch's support Grams hold at most ``_CODE_BATCH_ENTRIES`` entries.
+    Each Gram row is laid out (width, columns) with the columns innermost,
+    as the codes are, so each column's sums run in the same order whatever
+    its batch. Past the Grams, the working set is a few (width, N) arrays:
+    the m x N products and sort order are freed once each column's atoms
+    and right-hand side are gathered. When ``obj_log`` is given, the
     objective after each row that had a live entry in the sweep is
     appended, as a row-at-a-time sweep sees it.
     """
@@ -220,15 +226,21 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     kernel = analysis.T @ synth
     hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
     target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
+    del kernel
     denom = np.diag(hess)
     scale = np.divide(1.0, denom, out=np.zeros(m), where=denom > 0.0)
     # slots[s, j] is the s-th support atom of column j, in increasing
     # index order; past the end of a support it names a zero entry.
     present = codes != 0.0
     width = int(present.sum(axis=0).max(initial=0))
-    slots = np.argsort(~present, axis=0, kind="stable")[:width]
+    slots = np.argsort(~present, axis=0, kind="stable")[:width].copy()
+    lanes = np.arange(n_cols)
+    rhs = target[slots, lanes]
+    del target, present
     batch = max(1, min(n_cols, _CODE_BATCH_ENTRIES // max(width, 1) ** 2))
     grams = np.empty((width, width, batch))
+    # The work buffers of one step, allocated once per call.
+    buffers = (*np.empty((3, batch)), np.empty(batch, dtype=bool))
     if obj_log is not None:
         # The codes at the start of each sweep and each entry's objective
         # change, kept per column and summed once at the end, so that the
@@ -238,40 +250,46 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
 
     for lo in range(0, n_cols, batch):
         hi = min(lo + batch, n_cols)
-        lanes = np.arange(lo, hi)
-        atoms = slots[:, lanes]
-        gram = grams[:, :, :lanes.size]
+        size = hi - lo
+        atoms = slots[:, lo:hi]
+        gram = grams[:, :, :size]
         for s in range(width):
             # gram[s, t, j] = hess[atoms[s, j], atoms[t, j]]
             gram[s] = hess[atoms[s], atoms]
-        rhs = target[atoms, lanes]
-        x = codes[atoms, lanes]
+        batch_rhs = rhs[:, lo:hi]
+        x = codes[atoms, lanes[lo:hi]]
         # Zero entries (padding, frozen) and unusable atoms take no step.
         step = np.where(x != 0.0, scale[atoms], 0.0)
+        numer, move, mag, dead = (buf[:size] for buf in buffers)
         for sweep in range(cfg.x_sweeps):
             if obj_log is not None:
                 snaps[sweep, :, lo:hi] = x
             for s in range(width):
-                numer = rhs[s] - np.einsum("tj,tj->j", gram[s], x)
-                old = x[s]
-                new = old + numer * step[s]
-                new[np.abs(new) <= ZERO_THRESHOLD] = 0.0
+                row, row_step = x[s], step[s]
+                np.einsum("tj,tj->j", gram[s], x, out=numer)
+                np.subtract(batch_rhs[s], numer, out=numer)
+                np.multiply(numer, row_step, out=move)
+                if obj_log is not None:
+                    old = row.copy()
+                row += move
+                # An entry that reaches the zero threshold is frozen at zero.
+                np.less_equal(np.abs(row, out=mag), ZERO_THRESHOLD, out=dead)
+                np.putmask(row, dead, 0.0)
+                np.putmask(row_step, dead, 0.0)
                 if obj_log is not None:
                     # Each update changes its column's objective by this much.
-                    delta = new - old
+                    delta = row - old
                     change[sweep, s, lo:hi] = delta * (
                         delta * denom[atoms[s]] - 2.0 * numer
                     )
-                step[s, new == 0.0] = 0.0
-                x[s] = new
-        codes[atoms, lanes] = x
+        codes[atoms, lanes[lo:hi]] = x
 
     if obj_log is not None:
         rows = slots.ravel()
         usable = scale[slots] > 0.0
         for snap, entry_change in zip(snaps, change):
             start = np.zeros_like(codes)
-            start[slots, np.arange(n_cols)] = snap
+            start[slots, lanes] = snap
             start_value = objective_value(data, start, synth, analysis, cfg.rho1)
             per_row = np.bincount(rows, weights=entry_change.ravel(), minlength=m)
             seen = np.zeros(m, dtype=bool)

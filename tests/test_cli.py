@@ -280,6 +280,36 @@ class TestDenoise:
                          + (tmp_path / f"{tag}.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("grid,chosen,warning", [
+        ("8,16,24", "24", "warning: eps 24 is the largest radius of the grid; "
+                          "consider widening --eps above it\n"),
+        ("64,32,200", "32", "warning: eps 32 is the smallest radius of the grid; "
+                            "consider widening --eps below it\n"),
+        ("16,24,32,200", "32", ""),
+    ], ids=["top", "bottom", "interior"])
+    def test_edge_of_grid_flag(self, trained, tmp_path, capsys, grid, chosen, warning):
+        """A best radius on either edge of the grid is flagged on stderr
+        alone: the outputs equal those of a one-radius grid, which is never
+        flagged."""
+        runs = []
+        for tag, eps in (("grid", grid), ("single", chosen)):
+            prefix = tmp_path / tag / "dn"
+            prefix.parent.mkdir()
+            assert main(["denoise", str(trained["image"]),
+                         "--dict", str(trained["synth"]),
+                         "--dual", str(trained["dual"]),
+                         "--sigma", "15", "--eps", eps,
+                         "--out-prefix", str(prefix), "--block_size", "4"]) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out.replace(str(prefix), "dn"), captured.err,
+                         (tmp_path / tag / "dn.pgm").read_bytes(),
+                         (tmp_path / tag / "dn.csv").read_bytes()))
+        (out, err, pgm, csv), single = runs
+        assert f"(eps {chosen})" in out
+        assert err == warning
+        assert single[1] == ""
+        assert (out, pgm, csv) == (single[0], single[2], single[3])
+
 
 class TestInpaint:
     def test_fraction_zero_identity(self, trained, tmp_path):

@@ -472,6 +472,21 @@ class TestUpdateCodes:
         assert one.tobytes() == split.tobytes()
         assert np.array(one_log).tobytes() == np.array(split_log).tobytes()
 
+    def test_batches_do_not_change_results_at_full_width(self, monkeypatch):
+        data, codes, synth, analysis, _, cfg = small_problem(
+            70, n=64, m=256, n_cols=256, k=64
+        )
+        assert (np.count_nonzero(codes, axis=0) == 64).all()
+        assert parseval_ksvd._CODE_BATCH_ENTRIES // 64 ** 2 == 64
+        wide_log, narrow_log = [], []
+        wide = update_codes(data, codes, synth, analysis, cfg, obj_log=wide_log)
+        # 32 columns per batch
+        monkeypatch.setattr(parseval_ksvd, "_CODE_BATCH_ENTRIES", 2 ** 17)
+        narrow = update_codes(data, codes, synth, analysis, cfg, obj_log=narrow_log)
+        assert wide.tobytes() == narrow.tobytes()
+        assert len(wide_log) > 0
+        assert np.array(wide_log).tobytes() == np.array(narrow_log).tobytes()
+
     def test_full_scale_memory(self):
         data, codes, synth, analysis, _, cfg = small_problem(
             70, n=64, m=256, n_cols=256, k=64
