@@ -130,19 +130,23 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
     empty = np.flatnonzero(~masks.any(axis=0))
     if empty.size:
         raise EmptyBlockMask(f"block {int(empty[0])} observes no pixels")
-    # Per-block observed-row restrictions of the dictionary, zero-padded
-    # to a common height (zero rows change nothing), solved as one batch.
-    n_blocks = observed.n_blocks
-    counts = masks.sum(axis=0)
-    q_max = int(counts.max())
-    systems = np.zeros((n_blocks, q_max, synth.m))
-    data = np.zeros((q_max, n_blocks))
-    for j in range(n_blocks):
-        rows = np.flatnonzero(masks[:, j])
-        systems[j, : rows.size] = synth.mat[rows]
-        data[: rows.size, j] = observed.blocks[rows, j]
+    systems, data = _observed_systems(masks, observed.blocks, synth.mat)
     codes = _homotopy_columns(systems, data, [eps])[0]
     return observed.with_blocks(synth.mat @ codes)
+
+
+def _observed_systems(masks, blocks, mat):
+    """Each block's observed rows of ``mat`` and of its column of
+    ``blocks``, in ascending order and zero-padded to a common height q
+    (zero rows change nothing), so that all blocks solve as one batch.
+    Returns the (N, q, m) systems and the q x N data."""
+    counts = masks.sum(axis=0)
+    height = int(counts.max())
+    rows = np.argsort(~masks, axis=0, kind="stable")[:height]
+    real = np.arange(height)[:, None] < counts
+    systems = np.where(real.T[:, :, None], mat[rows.T], 0.0)
+    data = np.where(real, np.take_along_axis(blocks, rows, axis=0), 0.0)
+    return systems, data
 
 
 def _binary_entropy(p):

@@ -52,7 +52,8 @@ _PATH_END_RTOL = 1e-12
 _JOIN_FLOOR = 1e-9
 # Entries of the per-lane support systems one homotopy batch may hold.
 _PATH_BATCH_ENTRIES = 2 ** 20
-# Support Grams are padded to a multiple of this many rows.
+# A homotopy lane's factor products have its system's rank, padded to a
+# multiple of this, as their width.
 _GRAM_PAD = 8
 
 
@@ -238,9 +239,9 @@ def _homotopy_columns(system, data, radii):
 
     Returns the codes as a (K, m, N) array, one m x N block per radius.
     Raises ``ValueError`` for an empty grid or a radius that is NaN,
-    negative or out of order, and ``SolverDidNotConverge`` when a code
-    misses its radius by more than ``_RADIUS_RTOL * ||b||`` or a path
-    takes more than ``_PATH_MAX_STEPS`` steps.
+    negative or out of order, and ``SolverDidNotConverge`` when a code is
+    not finite or misses its radius by more than ``_RADIUS_RTOL * ||b||``,
+    or a path takes more than ``_PATH_MAX_STEPS`` steps.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if radii.size == 0:
@@ -269,18 +270,18 @@ def _homotopy_columns(system, data, radii):
     for start in range(0, data.shape[1], width):
         block = slice(start, start + width)
         codes[:, block] = _homotopy_block(
-            np.swapaxes(mats[block] if stacked else mats, 1, 2), lanes_b[block], radii,
+            np.swapaxes(mats[block], 1, 2) if stacked else system.T, lanes_b[block], radii,
             rank[block] if stacked else rank,
         )
     resid = lanes_b - (mats @ codes[..., None])[..., 0]
     norms = np.sqrt(np.einsum("knp,knp->kn", resid, resid))
     excess = norms - radii[:, None] - _RADIUS_RTOL * _col_norms(data)
     k, j = np.unravel_index(np.argmax(excess), excess.shape)
-    if excess[k, j] > 0:
+    if not excess[k, j] <= 0:  # NaN codes fail too
         raise SolverDidNotConverge(
             f"block {j}: constraint residual {norms[k, j]:.6g} exceeds "
             f"eps {radii[k]:g}",
-            best=SparseVec(codes[k, j]),
+            best=SparseVec(codes[k, j]) if np.isfinite(codes[k, j]).all() else None,
             residual=float(norms[k, j]),
             gap=float(norms[k, j] - radii[k]),
         )
@@ -290,32 +291,43 @@ def _homotopy_columns(system, data, radii):
 def _homotopy_block(atoms, b, radii, rank):
     """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
 
-    ``atoms`` holds the transposed systems, (N, m, p), or (1, m, p) for a
-    shared system, so that the atoms are rows; ``rank`` holds their
-    ranks. Each step solves every lane's support Gram for the direction d
-    (A_S^T A_S d_S = sign(w_S)) and moves w <- w + gamma d and
-    lam <- lam - gamma until the first event: an atom joins (its
-    correlation reaches +-lam; ties go to the lowest index), an atom
-    drops (its code reaches zero), or the path ends (lam = 0). Join steps are clamped at gamma >= 0; an atom dropped on
-    the previous step may not rejoin on the side it left; joins stop once
-    a lane's support reaches the rank of its system. A lane leaves the
-    batch once it has a code for every radius. Returns (K, N, m) codes.
+    ``atoms`` holds the transposed systems, (N, m, p), or one m x p matrix
+    for a shared system, so that the atoms are rows; ``rank`` holds their
+    ranks. Each step moves w <- w + gamma d and lam <- lam - gamma along
+    the direction d_S = G_S^-1 sign(w_S), with G_S = A_S^T A_S the support
+    Gram, until the first event: an atom joins (its correlation reaches
+    +-lam; ties go to the lowest index), an atom drops (its code reaches
+    zero), or the path ends (lam = 0). Join steps are clamped at
+    gamma >= 0; an atom dropped on the previous step may not rejoin on the
+    side it left; joins stop once a lane's support reaches the rank of its
+    system. A lane leaves the batch once it has a code for every radius.
+    The direction comes from factors of G_S that each lane keeps from step
+    to step (``_LaneFactors``). Returns (K, N, m) codes.
     """
     n_lanes, p = b.shape
-    m = atoms.shape[1]
+    m = atoms.shape[-2]
     n_radii = radii.size
     out = np.zeros((n_radii, n_lanes, m))
     eps2 = radii ** 2
     # Radii at or above the data norm keep the zero code.
     nxt = np.count_nonzero(eps2 >= np.einsum("lp,lp->l", b, b)[:, None], axis=1)
     lanes = np.flatnonzero(nxt < n_radii)
-    b, nxt = b[lanes], nxt[lanes]
-    if atoms.shape[0] > 1:
+    shared = atoms.ndim == 2
+    if shared:
+        # Row and column m hold the zero entries of unused support slots.
+        gram = np.zeros((m + 1, m + 1))
+        gram[:m, :m] = atoms @ atoms.T
+    else:
+        # Lanes of one factor width stay next to each other, so that each
+        # width's products run on a slice of the batch.
+        lanes = lanes[np.argsort(rank[lanes], kind="stable")]
         atoms, rank = atoms[lanes], rank[lanes]
+    b, nxt = b[lanes], nxt[lanes]
     atoms = np.ascontiguousarray(atoms)
+    factors = _LaneFactors(np.broadcast_to(rank, lanes.shape), m)
     w = np.zeros((lanes.size, m))
-    sign = np.zeros((lanes.size, m))  # nonzero exactly on the support
-    left = np.zeros_like(sign)  # the side an atom dropped from last step
+    sign = np.zeros_like(w)  # nonzero exactly on the support
+    left = np.zeros_like(w)  # the side an atom dropped from last step
     r = b.copy()
     c = (atoms @ r[:, :, None])[:, :, 0]
     lam = np.abs(c).max(axis=1)
@@ -331,26 +343,8 @@ def _homotopy_block(atoms, b, radii, rank):
             )
         steps += 1
         rows = np.arange(lanes.size)
-        size = np.count_nonzero(sign, axis=1)
-        # Each lane's support Gram is padded with the identity to the next
-        # multiple of _GRAM_PAD rows: the width depends on the lane alone,
-        # so no lane's arithmetic depends on its batch-mates.
-        order = np.argsort(sign == 0, axis=1, kind="stable")
-        width = np.minimum(-(-size // _GRAM_PAD) * _GRAM_PAD, m)
-        d = np.zeros_like(w)
-        u = np.zeros_like(b)
-        for wide in np.unique(width):
-            i = np.flatnonzero(width == wide)
-            slots = order[i, :wide]
-            real = np.arange(wide) < size[i, None]
-            owner = i if atoms.shape[0] > 1 else np.zeros_like(i)
-            sub = atoms[owner[:, None], slots]
-            sub *= real[:, :, None]
-            gram = sub @ np.swapaxes(sub, 1, 2)
-            gram[:, np.arange(wide), np.arange(wide)] += ~real
-            d_s = np.linalg.solve(gram, np.take_along_axis(sign[i], slots, axis=1)[..., None])
-            u[i] = (np.swapaxes(d_s, 1, 2) @ sub)[:, 0, :]
-            d[i[:, None], slots] = d_s[:, :, 0]
+        d = factors.direction()
+        u = (d[:, None, :] @ atoms)[:, 0, :]
         v = (atoms @ u[:, :, None])[:, :, 0]
 
         # Join steps: the correlation c - gamma v reaches +(lam - gamma)
@@ -365,7 +359,7 @@ def _homotopy_block(atoms, b, radii, rank):
         down[left < 0] = np.inf
         join = np.minimum(up, down)
         join[sign != 0] = np.inf
-        join[size >= rank] = np.inf
+        join[factors.size >= rank] = np.inf
         new = np.argmin(join, axis=1)
         g_join = join[rows, new]
         new_sign = np.where(up[rows, new] <= down[rows, new], 1.0, -1.0)
@@ -394,41 +388,179 @@ def _homotopy_block(atoms, b, radii, rank):
         foot = np.divide(ru, uu, out=np.zeros_like(ru), where=uu > 0)
         tail = r - foot[:, None] * u
         dist2 = np.einsum("lp,lp->l", tail, tail)
-        while True:
-            k = np.minimum(nxt, n_radii - 1)
-            inside = end2 <= eps2[k]
-            hit = np.flatnonzero((nxt < n_radii) & (inside | ends))
-            if not hit.size:
-                break
-            over = rr[hit] - eps2[k[hit]]
-            disc = uu[hit] * np.maximum(eps2[k[hit]] - dist2[hit], 0.0)
-            denom = ru[hit] + np.sqrt(disc)
-            root = np.divide(over, denom, out=np.zeros_like(over), where=denom > 0)
-            g = np.where(inside[hit], np.clip(root, 0.0, gamma[hit]), gamma[hit])
-            out[nxt[hit], lanes[hit]] = w[hit] + g[:, None] * d[hit]
-            nxt[hit] += 1
+        # A lane crosses its next radii down to the last one at or above
+        # the segment's end, or all that are left when its path ends.
+        crossed = np.where(ends, n_radii, np.searchsorted(-eps2, -end2, side="right"))
+        crossed = np.maximum(crossed - nxt, 0)
+        hit = np.repeat(rows, crossed)
+        k = np.arange(hit.size) + np.repeat(nxt - np.cumsum(crossed) + crossed, crossed)
+        inside = end2[hit] <= eps2[k]
+        over = rr[hit] - eps2[k]
+        disc = uu[hit] * np.maximum(eps2[k] - dist2[hit], 0.0)
+        denom = ru[hit] + np.sqrt(disc)
+        root = np.divide(over, denom, out=np.zeros_like(over), where=denom > 0)
+        g = np.where(inside, np.clip(root, 0.0, gamma[hit]), gamma[hit])
+        out[k, lanes[hit]] = w[hit] + g[:, None] * d[hit]
+        nxt += crossed
 
         w += gamma[:, None] * d
         lam -= gamma
+        keep = nxt < n_radii
+        if not keep.all():
+            lanes, b, nxt, w, sign, lam, floor = (
+                a[keep] for a in (lanes, b, nxt, w, sign, lam, floor))
+            dropping, joining, old, new, new_sign = (
+                a[keep] for a in (dropping, joining, old, new, new_sign))
+            factors.keep(keep)
+            if not shared:
+                atoms, rank = atoms[keep], rank[keep]
+        i = np.flatnonzero(joining)
+        if i.size:
+            factors.append(gram if shared else atoms, i, new, new_sign)
+            sign[i, new[i]] = new_sign[i]
         i = np.flatnonzero(dropping)
         j = old[i]
-        left = np.zeros_like(sign)
+        left = np.zeros_like(w)
         left[i, j] = sign[i, j]
+        if i.size:
+            factors.remove(i, j)
         w[i, j] = 0.0
         sign[i, j] = 0.0
-        i = np.flatnonzero(joining)
-        sign[i, new[i]] = new_sign[i]
 
-        keep = nxt < n_radii
-        lanes, b, nxt, w, sign, left, lam, floor = (
-            lanes[keep], b[keep], nxt[keep], w[keep], sign[keep], left[keep],
-            lam[keep], floor[keep],
-        )
-        if atoms.shape[0] > 1:
-            atoms, rank = atoms[keep], rank[keep]
         r = b - (w[:, None, :] @ atoms)[:, 0, :]
         c = (atoms @ r[:, :, None])[:, :, 0]
     return out
+
+
+class _LaneFactors:
+    """The homotopy direction of each lane, kept from step to step.
+
+    A lane holds its support S, a factor R of the support Gram G_S with
+    R G_S R^T = I (so G_S^-1 = R^T R), z = R sign_S and the direction
+    d_S = R^T z, all zero-filled beyond the support. While atoms only join,
+    R is the inverse Cholesky factor L^-1 of G_S.
+
+    A join appends one row to R, as in ``_omp_block``: with g the new
+    atom's Gram entries on the support, w = R g and sigma = G_aa - ||w||^2,
+    the row is [-w^T R, 1] / sqrt(sigma), z gains the entry
+    (sign_a - w.z) / sqrt(sigma), and d_S gains that entry times the row.
+    A drop moves the last slot's atom into the dropped slot and re-factors
+    the lane: with c the dropped atom's column of R and R' the other
+    columns, the smaller Gram's inverse is R'^T (I - c c^T / ||c||^2) R'.
+    The Householder reflection H that maps c onto the last slot turns
+    that projector into I - e e^T, so the new R is H R' without its last
+    row, z = H z without its last entry (H c sign_c falls on the last
+    slot), and d_S = R^T z.
+
+    Every product on R has the lane's width, its system's rank padded to
+    a multiple of ``_GRAM_PAD``: the width depends on the lane alone, so
+    its codes do not depend on its batch-mates. Lanes come sorted by rank.
+    """
+
+    def __init__(self, rank, m):
+        n = rank.size
+        width = -(-rank // _GRAM_PAD) * _GRAM_PAD
+        cap = int(width.max()) if n else 0
+        self.m = m
+        self.width = width
+        self.runs = _width_runs(width)
+        self.size = np.zeros(n, dtype=np.intp)
+        # Unused slots hold the index m, past the last atom: Gram entries
+        # read there meet zero columns of R, and d drops what lands there.
+        self.support = np.full((n, cap), m)
+        self.factor = np.zeros((n, cap, cap))
+        self.z = np.zeros((n, cap))
+        self.d_s = np.zeros((n, cap))
+
+    def keep(self, mask):
+        for name in ("width", "size", "support", "factor", "z", "d_s"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.runs = _width_runs(self.width)
+
+    def direction(self):
+        """The m-long direction d of every lane."""
+        n = self.size.size
+        d = np.zeros((n, self.m + 1))
+        d[np.arange(n)[:, None], self.support] = self.d_s
+        return d[:, :self.m]
+
+    def append(self, system, lanes, new, sign):
+        """Append atom ``new[l]`` of sign ``sign[l]`` to each lane l in
+        ``lanes``. ``system`` is the (m+1) x (m+1) Gram of a shared system,
+        padded with zeros, or every lane's own atoms, (N, m, p)."""
+        n = np.arange(self.size.size)
+        if system.ndim == 2:
+            g_s = system.take(self.support * system.shape[1] + new[:, None])
+            diag = system[new, new]
+        else:
+            atom = system[n, new]
+            g_s = (system[n[:, None], np.minimum(self.support, self.m - 1)]
+                   @ atom[:, :, None])[:, :, 0]
+            diag = np.einsum("lp,lp->l", atom, atom)
+        # The products run on every lane; only ``lanes`` are updated.
+        row = np.zeros_like(self.z)
+        ww = np.empty(n.size)
+        wz = np.empty(n.size)
+        for g, wide in self.runs:
+            sub = self.factor[g, :wide, :wide]
+            proj = sub @ g_s[g, :wide, None]  # w = R g
+            row[g, :wide] = (np.swapaxes(proj, 1, 2) @ sub)[:, 0]
+            ww[g] = (np.swapaxes(proj, 1, 2) @ proj)[:, 0, 0]
+            wz[g] = (np.swapaxes(proj, 1, 2) @ self.z[g, :wide, None])[:, 0, 0]
+        part = slice(None) if lanes.size == n.size else lanes
+        at = self.size[part]
+        root = np.sqrt(diag[part] - ww[part])
+        row = row[part]
+        row /= -root[:, None]
+        row[n[:lanes.size], at] = 1.0 / root
+        entry = (sign[part] - wz[part]) / root
+        self.factor[lanes, at] = row
+        self.z[lanes, at] = entry
+        self.d_s[part] += entry[:, None] * row
+        self.support[lanes, at] = new[part]
+        self.size[part] += 1
+
+    def remove(self, lanes, old):
+        """Remove atom ``old[i]`` from lane ``lanes[i]``, for every i."""
+        n = np.arange(lanes.size)
+        last = self.size[lanes] - 1
+        slot = np.argmax(self.support[lanes] == old[:, None], axis=1)
+        self.support[lanes, slot] = self.support[lanes, last]
+        self.support[lanes, last] = self.m
+        factor = self.factor[lanes]
+        col = factor[n, :, slot]
+        factor[n, :, slot] = factor[n, :, last]
+        factor[n, :, last] = 0.0
+        z = self.z[lanes]
+        d_s = np.zeros_like(z)
+        for g, wide in _width_runs(self.width[lanes]):
+            k = n[: g.stop - g.start]
+            end = last[g]
+            c = col[g, :wide]
+            top = c[k, end]
+            c[k, end] = top + np.copysign(np.sqrt(np.einsum("lk,lk->l", c, c)), top)
+            scale = 2.0 / np.einsum("lk,lk->l", c, c)
+            sub = factor[g, :wide, :wide]
+            sub -= (scale[:, None] * c)[:, :, None] * (c[:, None, :] @ sub)
+            sub[k, end] = 0.0
+            z_s = z[g, :wide]
+            z_s -= (scale * np.einsum("lk,lk->l", c, z_s))[:, None] * c
+            z_s[k, end] = 0.0
+            d_s[g, :wide] = (z_s[:, None, :] @ sub)[:, 0]
+        self.factor[lanes] = factor
+        self.z[lanes] = z
+        self.d_s[lanes] = d_s
+        self.size[lanes] = last
+
+
+def _width_runs(width):
+    """(slice, width) for each run of equal nonzero widths in the sorted
+    ``width``."""
+    if width.size and width[0] == width[-1]:
+        return [(slice(0, width.size), int(width[0]))] if width[0] else []
+    starts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()
+    return [(slice(lo, hi), int(width[lo]))
+            for lo, hi in zip(starts, [*starts[1:], width.size]) if width[lo]]
 
 
 def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:

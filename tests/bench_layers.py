@@ -9,6 +9,21 @@ and the pair after one analysis and one synthesis update. Two shapes:
 * ``desk``: the ``train-desk`` shapes, 4x4 blocks of the 64x64 top-left
   crop, m=32, k=4 (256 columns of width 4).
 
+Times the homotopy ``sparse_solvers._homotopy_columns`` alone on the
+systems the recovery pipelines pose for ``texture(3)``, with the
+self-dual Parseval pair built from the DCT dictionary that the
+``recover-desk`` workload uses, and the CLI's seed 0 for the noise and
+the mask. Three cases:
+
+* ``denoise-desk``: the ``recover-desk`` denoise, the n x m system R S of
+  the pair (A^T = QR) on 4x4 blocks of the 64x64 crop, m=32, sigma=20 and
+  the CLI's 12-radius grid (256 paths);
+* ``inpaint-desk``: the ``recover-desk`` inpaint, each block's observed
+  rows of the pair with 50% of the pixels missing, eps=0.01 (256 stacked
+  systems);
+* ``denoise-full``: the denoise at full shape, 8x8 blocks of the whole
+  image, m=256 (256 paths).
+
 The file name does not match ``test_*.py``, so a plain ``pytest`` run
 skips it. Run it by name, with one BLAS thread:
 
@@ -18,7 +33,10 @@ skips it. Run it by name, with one BLAS thread:
 import numpy as np
 import pytest
 from texture import texture
+from workloads import self_dual_pair
 
+from pksvd.applications import _observed_systems, add_gaussian_noise, random_mask
+from pksvd.cli import DENOISE_EPS_GRID
 from pksvd.frames import dct_dictionary
 from pksvd.imaging import to_blocks
 from pksvd.ksvd import KsvdConfig, ksvd_train
@@ -29,6 +47,7 @@ from pksvd.parseval_ksvd import (
     update_codes,
     update_synthesis,
 )
+from pksvd.sparse_solvers import _homotopy_columns
 
 SHAPES = {
     # name: (block size, crop side, m, k)
@@ -55,3 +74,36 @@ def test_update_codes(benchmark, code_refresh_inputs):
     data, codes, synth, analysis, cfg = code_refresh_inputs
     refreshed = benchmark(update_codes, data, codes, synth, analysis, cfg)
     assert refreshed.shape == codes.shape
+
+
+HOMOTOPY_CASES = {
+    # name: (block size, crop side, m, task)
+    "denoise-desk": (4, 64, 32, "denoise"),
+    "inpaint-desk": (4, 64, 32, "inpaint"),
+    "denoise-full": (8, 128, 256, "denoise"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(HOMOTOPY_CASES))
+def homotopy_inputs(request):
+    """(system, data, radii) as ``denoise_sweep`` and ``inpaint`` pose them."""
+    block, side, m, task = HOMOTOPY_CASES[request.param]
+    img = texture(3)[:side, :side].astype(float)
+    pair = self_dual_pair(dct_dictionary(block * block, m).mat)
+    if task == "denoise":
+        noisy = add_gaussian_noise(img, 20.0, 0)
+        blocks = to_blocks(noisy, block, subtract_mean=True, mean_value=float(img.mean())).blocks
+        tri = np.linalg.qr(pair.T, mode="r")
+        grid = sorted((float(tok) for tok in DENOISE_EPS_GRID.split(",")), reverse=True)
+        return tri @ pair, tri @ blocks, grid
+    mask = random_mask(img.shape, 0.5, 0, block)
+    corrupted = np.where(mask.observed, img, 0.0)
+    blocks = to_blocks(corrupted, block, subtract_mean=True, mean_value=float(img.mean())).blocks
+    systems, data = _observed_systems(mask.block_columns(block), blocks, pair)
+    return systems, data, [0.01]
+
+
+def test_homotopy_columns(benchmark, homotopy_inputs):
+    system, data, radii = homotopy_inputs
+    codes = benchmark(_homotopy_columns, system, data, radii)
+    assert codes.shape == (len(radii), system.shape[-1], data.shape[1])

@@ -281,6 +281,25 @@ class TestInpaint:
         out = inpaint(blocked, Mask(observed), d, eps=1e-6)
         assert np.allclose(from_blocks(out), img, atol=1e-4)
 
+    def test_observed_systems_match_block_loop(self):
+        # Blocks observe different numbers of rows; the padding is +0.0.
+        rng = np.random.default_rng(12)
+        masks = rng.random((16, 40)) < 0.5
+        masks[rng.integers(0, 16, 40), np.arange(40)] = True
+        blocks = rng.standard_normal((16, 40))
+        mat = rng.standard_normal((16, 24))
+        height = int(masks.sum(axis=0).max())
+        systems = np.zeros((40, height, 24))
+        data = np.zeros((height, 40))
+        for j in range(40):
+            rows = np.flatnonzero(masks[:, j])
+            systems[j, : rows.size] = mat[rows]
+            data[: rows.size, j] = blocks[rows, j]
+        got_systems, got_data = applications._observed_systems(masks, blocks, mat)
+        assert got_systems.shape == systems.shape and got_data.shape == data.shape
+        assert got_systems.tobytes() == systems.tobytes()
+        assert got_data.tobytes() == data.tobytes()
+
     def test_empty_block_mask_rejected(self):
         rng = np.random.default_rng(11)
         img = rng.uniform(0, 255, (4, 4))

@@ -528,6 +528,68 @@ class TestBpdnColumns:
             assert np.all(np.abs(resid[~inside] - eps) <= 1e-9 * np.linalg.norm(b, axis=0)[~inside])
             assert not block[:, inside].any()
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_path_that_drops_an_atom(self, stacked):
+        # On this instance atom 6 joins the path and later leaves it: it
+        # is active at a larger radius and inactive at a smaller one.
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((4, 8))
+        b = rng.standard_normal((4, 1))
+        norm_b = np.linalg.norm(b)
+        radii = norm_b * np.linspace(1.0, 0.0, 41)
+        codes = _homotopy_columns(a[None] if stacked else a, b, radii)[:, :, 0]
+        active = codes[:, 6] != 0
+        assert active.any() and not active[np.argmax(active):].all()
+        oracle = bp_bruteforce_oracle(Dictionary(a), b[:, 0])
+        assert abs(np.abs(codes[-1]).sum() - oracle.l1) <= 1e-9 * oracle.l1
+        assert np.linalg.norm(a @ codes[-1] - b[:, 0]) <= 1e-9 * norm_b
+        for eps, w in zip(radii[:-1], codes[:-1]):
+            r = b[:, 0] - a @ w
+            assert abs(np.linalg.norm(r) - eps) <= 1e-9 * norm_b
+            g = a.T @ r
+            g /= np.abs(g).max()
+            on = w != 0
+            if on.any():
+                assert np.abs(g[on] - np.sign(w[on])).max() <= 1e-9
+            assert np.abs(g[~on]).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_lane_factors_invert_the_support_gram(self, stacked):
+        # After joins and drops from the first, a middle and the last slot,
+        # each lane's R whitens its support Gram and d_S = G_S^-1 sign_S.
+        rng = np.random.default_rng(25)
+        m = 10
+        atoms = rng.standard_normal((3, m, 6))
+        if not stacked:
+            atoms[:] = atoms[0]
+        gram = np.zeros((m + 1, m + 1))
+        gram[:m, :m] = atoms[0] @ atoms[0].T
+        signs = rng.choice([-1.0, 1.0], (3, m))
+        factors = sparse_solvers._LaneFactors(np.full(3, 6), m)
+
+        def append(lanes, new):
+            new = np.asarray(new)
+            factors.append(atoms if stacked else gram, np.asarray(lanes), new,
+                           signs[np.arange(3), new])
+
+        for new in ([0, 1, 2], [3, 4, 5], [6, 7, 8]):
+            append([0, 1, 2], new)
+        factors.remove(np.array([0, 2]), np.array([0, 8]))
+        append([0, 1, 2], [9, 9, 9])
+        factors.remove(np.array([1]), np.array([4]))
+        assert sorted(factors.support[1, : factors.size[1]]) == [1, 7, 9]
+        for lane in range(3):
+            size = factors.size[lane]
+            slots = factors.support[lane, :size]
+            support_gram = atoms[lane, slots] @ atoms[lane, slots].T
+            fac = factors.factor[lane]
+            assert np.abs(fac[:size, :size] @ support_gram @ fac[:size, :size].T
+                          - np.eye(size)).max() <= 1e-12
+            expect = np.linalg.solve(support_gram, signs[lane, slots])
+            assert np.abs(factors.d_s[lane, :size] - expect).max() <= 1e-12 * np.abs(expect).max()
+            assert not fac[size:].any() and not fac[:, size:].any()
+            assert not factors.z[lane, size:].any() and not factors.d_s[lane, size:].any()
+
     def test_ties_go_to_lowest_index(self):
         # Atoms 1 and 2 are equal, so they tie at every step; the code
         # goes to atom 1 alone.
@@ -557,6 +619,14 @@ class TestBpdnColumns:
         a, b = recovery_system(np.random.default_rng(23), "stacked", 5)
         with pytest.raises(SolverDidNotConverge, match="within 2 steps"):
             _homotopy_columns(a, b, [0.0])
+
+    def test_nan_codes_fail_the_radius_check(self, monkeypatch):
+        def nan_block(atoms, b, radii, rank):
+            return np.full((radii.size, b.shape[0], atoms.shape[-2]), np.nan)
+
+        monkeypatch.setattr(sparse_solvers, "_homotopy_block", nan_block)
+        with pytest.raises(SolverDidNotConverge, match="exceeds eps"):
+            _homotopy_columns(np.eye(2), np.ones((2, 1)), [0.5])
 
     @pytest.mark.parametrize("radii", [[], [float("nan")], [-1.0], [1.0, 2.0]])
     def test_rejects_bad_grid(self, radii):
