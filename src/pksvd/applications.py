@@ -55,8 +55,8 @@ class Mask:
 def add_gaussian_noise(img, sigma, seed):
     """Add i.i.d. zero-mean Gaussian noise with standard deviation sigma."""
     img = as_image(img)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     return img + rng.normal(0.0, sigma, size=img.shape)
 
@@ -72,13 +72,12 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     b = block_size
     n_missing = int(round(missing_fraction * b * b))
     rng = np.random.default_rng(seed)
+    # One draw per block, row of blocks by row of blocks, then one scatter.
+    bi, bj = np.divmod(np.arange((h // b) * (w // b)), w // b)
+    flat = np.array([rng.choice(b * b, size=n_missing, replace=False) for _ in bi],
+                    dtype=np.intp)
     observed = np.ones((h, w), dtype=bool)
-    for bi in range(h // b):
-        for bj in range(w // b):
-            flat = rng.choice(b * b, size=n_missing, replace=False)
-            block = np.ones(b * b, dtype=bool)
-            block[flat] = False
-            observed[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] = block.reshape(b, b)
+    observed[(bi * b)[:, None] + flat // b, (bj * b)[:, None] + flat % b] = False
     return Mask(observed)
 
 
@@ -183,8 +182,10 @@ def compress_rd(blocked: BlockedImage, synth: Dictionary, analysis: Dictionary,
     image is recorded.
     """
     steps = [float(s) for s in steps]
-    if any(s <= 0 for s in steps):
-        raise ValueError("quantizer steps must be positive")
+    if not steps:
+        raise ValueError("the quantizer step list is empty")
+    if not all(np.isfinite(s) and s > 0 for s in steps):
+        raise ValueError(f"quantizer steps must be finite and positive, got {steps}")
     if synth.mat.shape != analysis.mat.shape or synth.n != blocked.n:
         raise BadShape("dictionary shapes do not match the blocked image")
     original = from_blocks(blocked)
@@ -202,6 +203,9 @@ def compress_rd(blocked: BlockedImage, synth: Dictionary, analysis: Dictionary,
 def reconstruct_roundtrip(img, synth: Dictionary, analysis: Dictionary,
                           block_size=8):
     """Decompose-then-reconstruct flow; returns (image, PSNR vs input)."""
+    if synth.n != block_size ** 2:
+        raise BadShape(f"dictionary rows {synth.n} do not match block size "
+                       f"{block_size} ({block_size ** 2} pixels per block)")
     blocked = to_blocks(img, block_size, subtract_mean=True)
     recon_blocks = synth.mat @ (analysis.mat.T @ blocked.blocks)
     recon = from_blocks(blocked.with_blocks(recon_blocks))

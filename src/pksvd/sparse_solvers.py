@@ -55,6 +55,10 @@ _PATH_BATCH_ENTRIES = 2 ** 20
 # A homotopy lane's factor products have its system's rank, padded to a
 # multiple of this, as their width.
 _GRAM_PAD = 8
+# A homotopy system whose row Gram stays positive definite when its
+# diagonal is lowered by this fraction of its trace has independent
+# nonzero rows.
+_RANK_CONFIRM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,7 @@ def _homotopy_columns(system, data, radii):
     # so a lane's arithmetic does not depend on its batch-mates.
     mats = system if stacked else system[None]
     lanes_b = data.T
-    rank = np.linalg.matrix_rank(mats)
+    rank = _system_ranks(mats)
     cap = int(rank.max())
     p, m = system.shape[-2:]
     codes = np.zeros((radii.size, data.shape[1], m))
@@ -286,6 +290,37 @@ def _homotopy_columns(system, data, radii):
             gap=float(norms[k, j] - radii[k]),
         )
     return codes.transpose(0, 2, 1)
+
+
+def _system_ranks(mats):
+    """The rank of each matrix of the stack ``mats``, (N, p, m).
+
+    A matrix whose nonzero rows are independent has their count as its
+    rank. One batched Cholesky confirms that for the whole stack: each
+    row Gram A A^T, its diagonal lowered by ``_RANK_CONFIRM_RTOL`` times
+    its trace on the nonzero rows and set to 1 on the zero rows, must stay
+    positive definite. Then every lane has sigma_min of about 1e-5
+    sigma_max or more, far above the tolerance of
+    ``np.linalg.matrix_rank``, which gives the same ranks. The p-row
+    subsets of a frame with bounds A <= B, the inpainting systems, pass
+    whenever B/A < 1e10 / p: by interlacing, a row subset's Gram has every
+    eigenvalue at least A. A stack that does not pass gets
+    ``np.linalg.matrix_rank``.
+    """
+    live = mats.any(axis=2)
+    gram = mats @ np.swapaxes(mats, 1, 2)
+    diag = np.einsum("lii->li", gram)  # a view: the writes below land in gram
+    shift = _RANK_CONFIRM_RTOL * diag.sum(axis=1)
+    if np.isfinite(shift).all():
+        diag -= shift[:, None]
+        diag[~live] = 1.0
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.count_nonzero(live, axis=1)
+    return np.linalg.matrix_rank(mats)
 
 
 def _homotopy_block(atoms, b, radii, rank):
@@ -350,23 +385,28 @@ def _homotopy_block(atoms, b, radii, rank):
         # Join steps: the correlation c - gamma v reaches +(lam - gamma)
         # or -(lam - gamma).
         lam_col = lam[:, None]
+        up, up_rate = lam_col - c, 1.0 - v
+        down, down_rate = lam_col + c, 1.0 + v
+        np.maximum(up, 0.0, out=up)
+        np.maximum(down, 0.0, out=down)
         with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(1.0 - v > _JOIN_FLOOR,
-                          np.maximum(lam_col - c, 0.0) / (1.0 - v), np.inf)
-            down = np.where(1.0 + v > _JOIN_FLOOR,
-                            np.maximum(lam_col + c, 0.0) / (1.0 + v), np.inf)
-        up[left > 0] = np.inf
-        down[left < 0] = np.inf
+            up /= up_rate
+            down /= down_rate
+        np.putmask(up, ~(up_rate > _JOIN_FLOOR) | (left > 0), np.inf)
+        np.putmask(down, ~(down_rate > _JOIN_FLOOR) | (left < 0), np.inf)
         join = np.minimum(up, down)
-        join[sign != 0] = np.inf
-        join[factors.size >= rank] = np.inf
+        np.putmask(join, (sign != 0) | (factors.size >= rank)[:, None], np.inf)
         new = np.argmin(join, axis=1)
         g_join = join[rows, new]
         new_sign = np.where(up[rows, new] <= down[rows, new], 1.0, -1.0)
         # Drop steps: an active code moving against its sign reaches 0.
-        closing = sign * d < 0
-        drop = np.full_like(w, np.inf)
-        drop[closing] = np.maximum(sign * w, 0.0)[closing] / -(sign * d)[closing]
+        # They reuse the buffers of the join steps.
+        rate = np.multiply(sign, d, out=up_rate)
+        np.negative(rate, out=rate)
+        gap = np.multiply(sign, w, out=down_rate)
+        np.maximum(gap, 0.0, out=gap)
+        up.fill(np.inf)
+        drop = np.divide(gap, rate, out=up, where=rate > 0)
         old = np.argmin(drop, axis=1)
         g_drop = drop[rows, old]
         gamma = np.minimum(np.minimum(g_join, g_drop), lam)
@@ -375,33 +415,35 @@ def _homotopy_block(atoms, b, radii, rank):
         dropping = ~ends & (g_drop <= g_join)
         joining = ~ends & ~dropping
 
-        # Radii crossed on this segment: ||r - gamma u||^2 falls from rr
-        # to end2. The roots of ||r - gamma u||^2 = eps^2 are
-        # (ru -+ sqrt(uu (eps^2 - dist2))) / uu, with dist the distance
-        # from r to the line through u; dist2 is formed from vectors, so a
-        # radius near the segment's closest point keeps its accuracy.
-        rr = np.einsum("lp,lp->l", r, r)
-        ru = np.einsum("lp,lp->l", r, u)
-        uu = np.einsum("lp,lp->l", u, u)
+        # Radii crossed on this segment, where ||r - gamma u||^2 falls to
+        # end2: a lane crosses its next radii down to the last one at or
+        # above end2, or all that are left when its path ends.
         tail = r - gamma[:, None] * u
         end2 = np.einsum("lp,lp->l", tail, tail)
-        foot = np.divide(ru, uu, out=np.zeros_like(ru), where=uu > 0)
-        tail = r - foot[:, None] * u
-        dist2 = np.einsum("lp,lp->l", tail, tail)
-        # A lane crosses its next radii down to the last one at or above
-        # the segment's end, or all that are left when its path ends.
         crossed = np.where(ends, n_radii, np.searchsorted(-eps2, -end2, side="right"))
         crossed = np.maximum(crossed - nxt, 0)
-        hit = np.repeat(rows, crossed)
-        k = np.arange(hit.size) + np.repeat(nxt - np.cumsum(crossed) + crossed, crossed)
-        inside = end2[hit] <= eps2[k]
-        over = rr[hit] - eps2[k]
-        disc = uu[hit] * np.maximum(eps2[k] - dist2[hit], 0.0)
-        denom = ru[hit] + np.sqrt(disc)
-        root = np.divide(over, denom, out=np.zeros_like(over), where=denom > 0)
-        g = np.where(inside, np.clip(root, 0.0, gamma[hit]), gamma[hit])
-        out[k, lanes[hit]] = w[hit] + g[:, None] * d[hit]
-        nxt += crossed
+        if crossed.any():
+            # The roots of ||r - gamma u||^2 = eps^2 are
+            # (ru -+ sqrt(uu (eps^2 - dist2))) / uu, with dist the distance
+            # from r to the line through u; dist2 is formed from vectors,
+            # so a radius near the segment's closest point keeps its
+            # accuracy.
+            rr = np.einsum("lp,lp->l", r, r)
+            ru = np.einsum("lp,lp->l", r, u)
+            uu = np.einsum("lp,lp->l", u, u)
+            foot = np.divide(ru, uu, out=np.zeros_like(ru), where=uu > 0)
+            tail = r - foot[:, None] * u
+            dist2 = np.einsum("lp,lp->l", tail, tail)
+            hit = np.repeat(rows, crossed)
+            k = np.arange(hit.size) + np.repeat(nxt - np.cumsum(crossed) + crossed, crossed)
+            inside = end2[hit] <= eps2[k]
+            over = rr[hit] - eps2[k]
+            disc = uu[hit] * np.maximum(eps2[k] - dist2[hit], 0.0)
+            denom = ru[hit] + np.sqrt(disc)
+            root = np.divide(over, denom, out=np.zeros_like(over), where=denom > 0)
+            g = np.where(inside, np.clip(root, 0.0, gamma[hit]), gamma[hit])
+            out[k, lanes[hit]] = w[hit] + g[:, None] * d[hit]
+            nxt += crossed
 
         w += gamma[:, None] * d
         lam -= gamma

@@ -13,7 +13,7 @@ Times the homotopy ``sparse_solvers._homotopy_columns`` alone on the
 systems the recovery pipelines pose for ``texture(3)``, with the
 self-dual Parseval pair built from the DCT dictionary that the
 ``recover-desk`` workload uses, and the CLI's seed 0 for the noise and
-the mask. Three cases:
+the mask. Four cases:
 
 * ``denoise-desk``: the ``recover-desk`` denoise, the n x m system R S of
   the pair (A^T = QR) on 4x4 blocks of the 64x64 crop, m=32, sigma=20 and
@@ -22,7 +22,13 @@ the mask. Three cases:
   rows of the pair with 50% of the pixels missing, eps=0.01 (256 stacked
   systems);
 * ``denoise-full``: the denoise at full shape, 8x8 blocks of the whole
-  image, m=256 (256 paths).
+  image, m=256 (256 paths);
+* ``inpaint-full``: the inpaint at full shape, 8x8 blocks of the whole
+  image, m=256, 50% missing (256 stacked systems of 32 rows).
+
+Times ``applications.random_mask`` alone at the same two shapes as the
+inpaint cases: 50% of the pixels of the 64x64 crop in 4x4 blocks
+(``desk``) and of the 128x128 image in 8x8 blocks (``full``), seed 0.
 
 The file name does not match ``test_*.py``, so a plain ``pytest`` run
 skips it. Run it by name, with one BLAS thread:
@@ -81,6 +87,7 @@ HOMOTOPY_CASES = {
     "denoise-desk": (4, 64, 32, "denoise"),
     "inpaint-desk": (4, 64, 32, "inpaint"),
     "denoise-full": (8, 128, 256, "denoise"),
+    "inpaint-full": (8, 128, 256, "inpaint"),
 }
 
 
@@ -107,3 +114,17 @@ def test_homotopy_columns(benchmark, homotopy_inputs):
     system, data, radii = homotopy_inputs
     codes = benchmark(_homotopy_columns, system, data, radii)
     assert codes.shape == (len(radii), system.shape[-1], data.shape[1])
+
+
+MASK_SHAPES = {
+    # name: (block size, image side)
+    "desk": (4, 64),
+    "full": (8, 128),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MASK_SHAPES))
+def test_random_mask(benchmark, shape):
+    block, side = MASK_SHAPES[shape]
+    mask = benchmark(random_mask, (side, side), 0.5, 0, block)
+    assert np.all((~mask.block_columns(block)).sum(axis=0) == block * block // 2)

@@ -51,8 +51,44 @@ class TestNoise:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            add_gaussian_noise(np.zeros((4, 4)), sigma, seed=0)
+
+
+def block_loop_mask(dims, missing_fraction, seed, block_size):
+    """``random_mask`` built one block at a time: one draw and one slice
+    assignment per block."""
+    h, w = dims
+    b = block_size
+    n_missing = int(round(missing_fraction * b * b))
+    rng = np.random.default_rng(seed)
+    observed = np.ones((h, w), dtype=bool)
+    for bi in range(h // b):
+        for bj in range(w // b):
+            flat = rng.choice(b * b, size=n_missing, replace=False)
+            block = np.ones(b * b, dtype=bool)
+            block[flat] = False
+            observed[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] = block.reshape(b, b)
+    return observed
+
 
 class TestRandomMask:
+    @pytest.mark.parametrize("block_size", [2, 4, 8])
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 0.5, 0.99])
+    def test_matches_block_loop(self, fraction, block_size):
+        # Non-square dims, so that the order of the blocks shows. At 0.99
+        # blocks of 2x2 and 4x4 lose every pixel, which Mask rejects.
+        for seed in range(6):
+            loop = block_loop_mask((16, 24), fraction, seed, block_size)
+            if not loop.any():
+                with pytest.raises(BadShape, match="no pixels"):
+                    random_mask((16, 24), fraction, seed, block_size)
+                continue
+            mask = random_mask((16, 24), fraction, seed, block_size)
+            assert mask.observed.tobytes() == loop.tobytes()
+
     def test_fraction_zero_all_observed(self):
         mask = random_mask((16, 16), 0.0, seed=0, block_size=4)
         assert mask.observed.all()
@@ -340,6 +376,13 @@ class TestCompressRd:
         with pytest.raises(ValueError):
             compress_rd(blocked, identity_dict(4), identity_dict(4), [0.0])
 
+    @pytest.mark.parametrize("steps", [[], [float("nan")], [1.0, float("inf")]],
+                             ids=["empty", "nan", "inf"])
+    def test_rejects_empty_or_non_finite_steps(self, steps):
+        blocked = to_blocks(np.zeros((4, 4)), 2)
+        with pytest.raises(ValueError, match="quantizer step"):
+            compress_rd(blocked, identity_dict(4), identity_dict(4), steps)
+
 
 class TestReconstructRoundtrip:
     def test_exact_dual_pair(self):
@@ -372,3 +415,8 @@ class TestReconstructRoundtrip:
         a, _ = reconstruct_roundtrip(img, d, dual, 2)
         b, _ = reconstruct_roundtrip(img, d, dual, 2)
         assert np.array_equal(a, b)
+
+    def test_rejects_block_size_mismatch(self):
+        d = identity_dict(16)
+        with pytest.raises(BadShape, match="block size 8"):
+            reconstruct_roundtrip(np.zeros((16, 16)), d, d, 8)

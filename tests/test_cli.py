@@ -235,6 +235,18 @@ class TestReconstruct:
         assert psnr_value > 80.0
         assert out.exists()
 
+    def test_block_size_mismatch_fails(self, trained, tmp_path, capsys):
+        # The pair has 16 rows, so 8x8 blocks do not fit it.
+        out = tmp_path / "rec.pgm"
+        code = main(["reconstruct", str(trained["image"]),
+                     "--dict", str(trained["synth"]),
+                     "--dual", str(trained["dual"]),
+                     "--out", str(out), "--block_size", "8"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: dictionary rows 16 do not match block size 8")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDenoise:
     def test_sigma_zero_tiny_eps(self, trained, tmp_path, capsys):
@@ -249,6 +261,18 @@ class TestDenoise:
         csv_lines = (tmp_path / "dn.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "image,sigma_or_fraction,dictionary,psnr,ssim,eps_used"
         assert len(csv_lines) == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_fails(self, trained, tmp_path, capsys, sigma):
+        code = main(["denoise", str(trained["image"]),
+                     "--dict", str(trained["synth"]),
+                     "--dual", str(trained["dual"]),
+                     "--sigma", sigma,
+                     "--out-prefix", str(tmp_path / "dn"), "--block_size", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: sigma must be finite and nonnegative, got {sigma}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_denoise_improves_noisy_image(self, trained, tmp_path):
         prefix = tmp_path / "dn2"
@@ -368,6 +392,21 @@ class TestCompress:
         lines = (tmp_path / "rd.csv").read_text().strip().split("\n")
         assert lines[0] == "quant_step,bpp,psnr"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("steps,message", [
+        ("nan", "quantizer steps must be finite and positive"),
+        ("1,inf", "quantizer steps must be finite and positive"),
+        (",", "the quantizer step list is empty"),
+    ], ids=["nan", "inf", "empty"])
+    def test_bad_steps_fail(self, trained, tmp_path, capsys, steps, message):
+        code = main(["compress", str(trained["image"]),
+                     "--dict", str(trained["synth"]),
+                     "--dual", str(trained["dual"]),
+                     f"--steps={steps}",
+                     "--out-prefix", str(tmp_path / "rd"), "--block_size", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKeyFlags:

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from texture import texture
+from workloads import self_dual_pair
 
 from pksvd import sparse_solvers
+from pksvd.applications import Mask, _observed_systems, random_mask
 from pksvd.errors import SolverDidNotConverge, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
@@ -96,6 +98,35 @@ def kkt_system(rng, kind):
     analysis = canonical_dual(Dictionary(synth)).mat if kind == "canonical" else nonunit_frame(rng)
     tri = np.linalg.qr(analysis.T, mode="r")
     return tri @ synth, tri @ (rng.standard_normal((16, 40)) * 20.0)
+
+
+def assert_kkt_certificate(a, b):
+    """Solve on a grid of radii down to 0 and check each code offline: it
+    lies on its radius, and g = A^T r / ||A^T r||_inf equals sign(w) on
+    the support and stays within [-1, 1] off it. Below 1e-3 of the data
+    scale r is too small to form g beyond rounding, so only the radius is
+    checked there. Returns the codes."""
+    scale = np.linalg.norm(b, axis=0).max()
+    radii = scale * np.array(
+        [1.1, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.001, 1e-9, 0.0])
+    codes = _homotopy_columns(a, b, radii)
+    for eps, block in zip(radii, codes):
+        for j in range(b.shape[1]):
+            mat = a[j] if a.ndim == 3 else a
+            w = block[:, j]
+            if np.linalg.norm(b[:, j]) <= eps:
+                assert not w.any()
+                continue
+            r = b[:, j] - mat @ w
+            assert abs(np.linalg.norm(r) - eps) <= 1e-9 * np.linalg.norm(b[:, j])
+            if eps < 1e-3 * scale:
+                continue
+            g = mat.T @ r
+            g /= np.abs(g).max()
+            on = w != 0
+            assert np.abs(g[on] - np.sign(w[on])).max() <= 1e-9
+            assert np.abs(g[~on]).max() <= 1.0 + 1e-9
+    return codes
 
 
 class TestSparseVec:
@@ -426,32 +457,9 @@ class TestBpdn:
 
     @pytest.mark.parametrize("kind", ["canonical", "non-dual", "stacked", "dct-ties"])
     def test_kkt_certificate(self, kind):
-        # An offline optimality certificate at every radius of a grid: the
-        # code lies on its radius, and g = A^T r / ||A^T r||_inf equals
-        # sign(w) on the support and stays within [-1, 1] off it. Below
-        # 1e-3 of the data scale r is too small to form g beyond rounding,
-        # so only the radius is checked there.
+        # An offline optimality certificate at every radius of a grid.
         a, b = kkt_system(np.random.default_rng(30), kind)
-        scale = np.linalg.norm(b, axis=0).max()
-        radii = scale * np.array(
-            [1.1, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.001, 1e-9, 0.0])
-        codes = _homotopy_columns(a, b, radii)
-        for eps, block in zip(radii, codes):
-            for j in range(b.shape[1]):
-                mat = a[j] if a.ndim == 3 else a
-                w = block[:, j]
-                if np.linalg.norm(b[:, j]) <= eps:
-                    assert not w.any()
-                    continue
-                r = b[:, j] - mat @ w
-                assert abs(np.linalg.norm(r) - eps) <= 1e-9 * np.linalg.norm(b[:, j])
-                if eps < 1e-3 * scale:
-                    continue
-                g = mat.T @ r
-                g /= np.abs(g).max()
-                on = w != 0
-                assert np.abs(g[on] - np.sign(w[on])).max() <= 1e-9
-                assert np.abs(g[~on]).max() <= 1.0 + 1e-9
+        assert_kkt_certificate(a, b)
 
     def test_rejects_bad_radius(self):
         a, b = np.eye(2), np.ones(2)
@@ -589,6 +597,54 @@ class TestBpdnColumns:
             assert np.abs(factors.d_s[lane, :size] - expect).max() <= 1e-12 * np.abs(expect).max()
             assert not fac[size:].any() and not fac[:, size:].any()
             assert not factors.z[lane, size:].any() and not factors.d_s[lane, size:].any()
+
+    @pytest.mark.parametrize("mask_kind", ["random_mask", "bernoulli"])
+    @pytest.mark.parametrize("pair", [False, True], ids=["dct", "self-dual"])
+    @pytest.mark.parametrize("block,m", [(4, 32), (8, 256)], ids=["desk", "full"])
+    def test_inpaint_ranks_are_observed_row_counts(self, block, m, pair, mask_kind,
+                                                   monkeypatch):
+        # Row subsets of a frame have full row rank, so each inpaint system's
+        # rank is its count of observed rows; no SVD is taken for them.
+        # ``random_mask`` observes as many pixels in every block; a Bernoulli
+        # mask does not, so its systems carry zero rows.
+        side = 16 * block
+        img = texture(3)[:side, :side].astype(float)
+        if mask_kind == "random_mask":
+            observed = random_mask(img.shape, 0.5, 0, block).observed
+        else:
+            observed = np.random.default_rng(0).random(img.shape) < 0.5
+            observed[::block, ::block] = True
+        masks = Mask(observed).block_columns(block)
+        blocks = to_blocks(np.where(observed, img, 0.0), block, subtract_mean=True).blocks
+        mat = dct_dictionary(block * block, m).mat
+        systems, _ = _observed_systems(masks, blocks, self_dual_pair(mat) if pair else mat)
+        expect = np.linalg.matrix_rank(systems)
+        assert np.array_equal(expect, masks.sum(axis=0))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        assert np.array_equal(sparse_solvers._system_ranks(systems), expect)
+
+    def test_dependent_rows_keep_their_rank(self):
+        # Lanes 0-5 have a nonzero row that is the sum of two others, and
+        # lanes 0, 2 and 4 also one that doubles another, so their ranks are
+        # below their counts of nonzero rows. Alone or stacked, their ranks
+        # are the SVD's, even where rounding leaves the unshifted Gram a
+        # Cholesky factor, and no support grows past them.
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((8, 5, 10))
+        a[:, 4] = 0.0
+        a[:6, 3] = a[:6, 0] + a[:6, 1]
+        a[:6:2, 2] = 2.0 * a[:6:2, 1]
+        expect = [2, 3, 2, 3, 2, 3, 4, 4]
+        assert np.linalg.matrix_rank(a).tolist() == expect
+        assert [int(sparse_solvers._system_ranks(a[j : j + 1])[0]) for j in range(8)] == expect
+        assert sparse_solvers._system_ranks(a).tolist() == expect
+        b = (a @ rng.standard_normal((8, 10, 1)))[:, :, 0].T * 5.0
+        codes = assert_kkt_certificate(a, b)
+        assert (np.count_nonzero(codes, axis=1) <= expect).all()
 
     def test_ties_go_to_lowest_index(self):
         # Atoms 1 and 2 are equal, so they tie at every step; the code
