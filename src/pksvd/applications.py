@@ -161,14 +161,14 @@ def _bitplane_rate_bits(quantized):
     coefficients; the sign plane covers every coefficient as well.
     """
     count = quantized.size
-    magnitudes = np.abs(quantized).astype(np.int64)
     total = count * _binary_entropy(float(np.mean(quantized < 0)))
-    max_mag = int(magnitudes.max()) if count else 0
-    plane = 0
-    while (max_mag >> plane) > 0:
-        bits = (magnitudes >> plane) & 1
-        total += count * _binary_entropy(float(bits.mean()))
-        plane += 1
+    # Every plane's count of ones from one histogram of the magnitudes: the
+    # plane bits of each distinct magnitude times its count. np.unique, not
+    # np.bincount, so that a fine step's large magnitudes cost no memory.
+    values, counts = np.unique(np.abs(quantized).astype(np.int64), return_counts=True)
+    planes = int(values[-1]).bit_length() if count else 0
+    for ones in ((values >> np.arange(planes)[:, None]) & 1) @ counts:
+        total += count * _binary_entropy(int(ones) / count)
     return total
 
 

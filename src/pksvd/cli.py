@@ -183,7 +183,9 @@ def cmd_verify(args):
 
 def _load_pair(args):
     synth = formats.load_dictionary(args.dictionary)
-    if args.dual:
+    if args.dual and os.path.realpath(args.dual) == os.path.realpath(args.dictionary):
+        analysis = synth  # a self-dual pair, read and checked once
+    elif args.dual:
         analysis = formats.load_dictionary(args.dual)
         if analysis.mat.shape != synth.mat.shape:
             raise BadShape("dual dictionary shape mismatch")
@@ -348,14 +350,7 @@ def cmd_theory(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pksvd",
-        description="Frame-based sparse representation toolbox",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="learn a dictionary from PGM images")
+def _add_train_args(p):
     p.add_argument("images", nargs="+", help="training images (PGM)")
     p.add_argument("--method", choices=("ksvd", "parseval"), required=True)
     p.add_argument("--out", required=True, help="output dictionary path")
@@ -364,22 +359,22 @@ def build_parser():
     p.add_argument("--trace", help="optional convergence trace CSV")
     # Every key, seed too, so that one run's flag list can be passed whole.
     _add_config_flags(p, KNOWN_KEYS)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("verify", help="report frame diagnostics of a dictionary")
+
+def _add_verify_args(p):
     p.add_argument("dictionary")
     p.add_argument("dual", nargs="?", help="optional analysis dual")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reconstruct", help="decompose and reconstruct an image")
+
+def _add_reconstruct_args(p):
     p.add_argument("image")
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--dual")
     p.add_argument("--out", required=True)
     _add_config_flags(p, ("block_size",))
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("denoise", help="noise + denoise an image, report metrics")
+
+def _add_denoise_args(p):
     p.add_argument("image")
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--dual")
@@ -388,9 +383,9 @@ def build_parser():
                    help="comma-separated candidate ball radii")
     p.add_argument("--out-prefix", required=True)
     _add_config_flags(p, ("block_size", "seed"))
-    p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("inpaint", help="drop pixels and recover them")
+
+def _add_inpaint_args(p):
     p.add_argument("image")
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--fraction", type=float, required=True,
@@ -398,23 +393,61 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out-prefix", required=True)
     _add_config_flags(p, ("block_size", "seed"))
-    p.set_defaults(func=cmd_inpaint)
 
-    p = sub.add_parser("compress", help="rate-distortion sweep")
+
+def _add_compress_args(p):
     p.add_argument("image")
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--dual")
     p.add_argument("--steps", default=COMPRESS_STEP_GRID)
     p.add_argument("--out-prefix", required=True)
     _add_config_flags(p, ("block_size",))
-    p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("theory", help="run the theory-check suites")
+
+def _add_theory_args(p):
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", help="optional CSV report path")
     _add_config_flags(p, ("seed",))
-    p.set_defaults(func=cmd_theory)
 
+
+# (name, help, argument adder) of every command, in the order usage lists
+# them. The handler of a command is ``cmd_<name>``, looked up when the
+# parser is built, so that a wrapper set on the module attribute (a
+# profiler's, a test's) is the one that runs.
+_COMMANDS = (
+    ("train", "learn a dictionary from PGM images", _add_train_args),
+    ("verify", "report frame diagnostics of a dictionary", _add_verify_args),
+    ("reconstruct", "decompose and reconstruct an image", _add_reconstruct_args),
+    ("denoise", "noise + denoise an image, report metrics", _add_denoise_args),
+    ("inpaint", "drop pixels and recover them", _add_inpaint_args),
+    ("compress", "rate-distortion sweep", _add_compress_args),
+    ("theory", "run the theory-check suites", _add_theory_args),
+)
+COMMAND_NAMES = tuple(name for name, _, _ in _COMMANDS)
+
+
+def build_parser(command=None):
+    """The ``pksvd`` parser with the subparser of every command, or of
+    ``command`` alone. ``main`` builds only the command it runs: building
+    all seven costs several times what parsing does."""
+    if command is not None and command not in COMMAND_NAMES:
+        raise ValueError(f"unknown command {command!r}")
+    parser = argparse.ArgumentParser(
+        prog="pksvd",
+        description="Frame-based sparse representation toolbox",
+    )
+    # The usage line lists every command: the full build from its choices,
+    # a one-command build from the metavar. The full build takes none, as
+    # argparse would name the action by it in its required and
+    # invalid-choice errors, in place of "command".
+    every = "{" + ",".join(COMMAND_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else every)
+    for name, help_text, add_arguments in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -432,8 +465,11 @@ def _join_float_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
+    # No arguments, -h or an unknown command get the full parser, whose
+    # help and errors list every command.
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (PksvdError, OSError, ValueError) as exc:

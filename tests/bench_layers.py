@@ -30,6 +30,15 @@ Times ``applications.random_mask`` alone at the same two shapes as the
 inpaint cases: 50% of the pixels of the 64x64 crop in 4x4 blocks
 (``desk``) and of the 128x128 image in 8x8 blocks (``full``), seed 0.
 
+Times ``cli.build_parser`` for one command (``denoise``, as ``main``
+builds it to run that command) and for all of them (``all``, as ``main``
+builds it for ``-h`` or an unknown command): the fixed cost of a command
+before any data is read.
+
+Times ``applications.compress_rd`` alone on the ``recover-desk`` compress:
+4x4 blocks of the 64x64 crop, the self-dual pair, and the CLI's 9-step
+quantizer grid.
+
 The file name does not match ``test_*.py``, so a plain ``pytest`` run
 skips it. Run it by name, with one BLAS thread:
 
@@ -41,9 +50,14 @@ import pytest
 from texture import texture
 from workloads import self_dual_pair
 
-from pksvd.applications import _observed_systems, add_gaussian_noise, random_mask
-from pksvd.cli import DENOISE_EPS_GRID
-from pksvd.frames import dct_dictionary
+from pksvd.applications import (
+    _observed_systems,
+    add_gaussian_noise,
+    compress_rd,
+    random_mask,
+)
+from pksvd.cli import COMPRESS_STEP_GRID, DENOISE_EPS_GRID, build_parser
+from pksvd.frames import Dictionary, dct_dictionary
 from pksvd.imaging import to_blocks
 from pksvd.ksvd import KsvdConfig, ksvd_train
 from pksvd.parseval_ksvd import (
@@ -128,3 +142,18 @@ def test_random_mask(benchmark, shape):
     block, side = MASK_SHAPES[shape]
     mask = benchmark(random_mask, (side, side), 0.5, 0, block)
     assert np.all((~mask.block_columns(block)).sum(axis=0) == block * block // 2)
+
+
+@pytest.mark.parametrize("command", ["denoise", "all"])
+def test_build_parser(benchmark, command):
+    parser = benchmark(build_parser, None if command == "all" else command)
+    assert parser.prog == "pksvd"
+
+
+def test_compress_rd(benchmark):
+    img = texture(3)[:64, :64].astype(float)
+    pair = Dictionary(self_dual_pair(dct_dictionary(16, 32).mat))
+    blocked = to_blocks(img, 4, subtract_mean=True)
+    steps = [float(tok) for tok in COMPRESS_STEP_GRID.split(",")]
+    points = benchmark(compress_rd, blocked, pair, pair, steps)
+    assert len(points) == len(steps)

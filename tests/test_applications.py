@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pksvd import applications
 from pksvd.applications import (
@@ -382,6 +385,37 @@ class TestCompressRd:
         blocked = to_blocks(np.zeros((4, 4)), 2)
         with pytest.raises(ValueError, match="quantizer step"):
             compress_rd(blocked, identity_dict(4), identity_dict(4), steps)
+
+
+def plane_by_plane_rate_bits(quantized):
+    """The bit-plane code length priced one plane at a time."""
+    count = quantized.size
+    magnitudes = np.abs(quantized).astype(np.int64)
+    total = count * applications._binary_entropy(float(np.mean(quantized < 0)))
+    max_mag = int(magnitudes.max())
+    plane = 0
+    while (max_mag >> plane) > 0:
+        bits = (magnitudes >> plane) & 1
+        total += count * applications._binary_entropy(float(bits.mean()))
+        plane += 1
+    return total
+
+
+class TestBitplaneRate:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                      elements=st.integers(-(2 ** 20), 2 ** 20)
+                      | st.sampled_from([0, 0, 1, -1])))
+    def test_matches_plane_by_plane(self, quantized):
+        quantized = quantized.astype(float)
+        assert (applications._bitplane_rate_bits(quantized)
+                == plane_by_plane_rate_bits(quantized))
+
+    @pytest.mark.parametrize("fill", [0.0, -3.0, 2.0 ** 20])
+    def test_constant_arrays(self, fill):
+        quantized = np.full((5, 7), fill)
+        assert (applications._bitplane_rate_bits(quantized)
+                == plane_by_plane_rate_bits(quantized))
 
 
 class TestReconstructRoundtrip:

@@ -12,7 +12,7 @@ from pksvd import cli
 from pksvd.cli import main, resolve_config
 from pksvd.errors import ConfigError
 from pksvd.formats import load_codes, load_dictionary, save_dictionary
-from pksvd.frames import canonical_dual, frame_bounds
+from pksvd.frames import Dictionary, canonical_dual, frame_bounds
 from pksvd.imaging import read_pgm, write_pgm
 
 
@@ -462,6 +462,71 @@ class TestKeyFlags:
         for ext in ("pgm", "csv"):
             assert ((tmp_path / f"file.{ext}").read_bytes()
                     == (tmp_path / f"flags.{ext}").read_bytes())
+
+
+class TestOneCommandParser:
+    """``main`` builds the subparser of the command it runs, and nothing in
+    its help or error text tells that parser from the full one."""
+
+    @staticmethod
+    def commands(parser):
+        (subparsers,) = (a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        return tuple(subparsers.choices)
+
+    def test_builds_only_the_named_command(self):
+        assert self.commands(cli.build_parser("denoise")) == ("denoise",)
+        assert self.commands(cli.build_parser()) == (
+            "train", "verify", "reconstruct", "denoise", "inpaint", "compress",
+            "theory")
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown command 'denoize'"):
+            cli.build_parser("denoize")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["denoise", "-h"], ["theory", "--help"],
+        ["denoise", "in.pgm", "--dict", "d.pk", "--sigma", "10",
+         "--out-prefix", "dn", "--m", "32"],
+        ["inpaint", "in.pgm", "--dict", "d.pk", "--out-prefix", "ip"],
+        ["denoize", "in.pgm"],
+    ], ids=["bare", "help", "denoise-help", "theory-help", "unrecognized-flag",
+            "missing-flag", "unknown-command"])
+    def test_text_matches_full_parser(self, capsys, argv):
+        outcomes = []
+        for run in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                run(list(argv))
+            outcomes.append((*capsys.readouterr(), exc.value.code))
+        assert outcomes[0] == outcomes[1]
+        assert "usage: pksvd" in outcomes[0][0] + outcomes[0][1]
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["denoize"], "argument command: invalid choice: 'denoize' (choose from "
+                      "'train', 'verify', 'reconstruct', 'denoise', 'inpaint', "
+                      "'compress', 'theory')"),
+    ], ids=["bare", "unknown-command"])
+    def test_errors_name_the_command_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"pksvd: error: {message}\n")
+
+
+class TestSelfDualPair:
+    def test_pair_loaded_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "pair.pk"
+        save_dictionary(Dictionary(np.eye(4)), path)
+        loads = []
+        load = cli.formats.load_dictionary
+        monkeypatch.setattr(cli.formats, "load_dictionary",
+                            lambda p: loads.append(p) or load(p))
+        args = argparse.Namespace(dictionary=str(path),
+                                  dual=os.path.join(str(tmp_path), ".", "pair.pk"))
+        synth, analysis = cli._load_pair(args)
+        assert analysis is synth
+        assert loads == [str(path)]
 
 
 class TestCanonicalDualFallback:
