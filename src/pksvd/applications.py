@@ -129,8 +129,8 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
     empty = np.flatnonzero(~masks.any(axis=0))
     if empty.size:
         raise EmptyBlockMask(f"block {int(empty[0])} observes no pixels")
-    systems, data = _observed_systems(masks, observed.blocks, synth.mat)
-    codes = _homotopy_columns(systems, data, [eps])[0]
+    systems, data, counts = _observed_systems(masks, observed.blocks, synth.mat)
+    codes = _homotopy_columns(systems, data, [eps], counts)[0]
     return observed.with_blocks(synth.mat @ codes)
 
 
@@ -138,14 +138,21 @@ def _observed_systems(masks, blocks, mat):
     """Each block's observed rows of ``mat`` and of its column of
     ``blocks``, in ascending order and zero-padded to a common height q
     (zero rows change nothing), so that all blocks solve as one batch.
-    Returns the (N, q, m) systems and the q x N data."""
+    Returns the (N, q, m) systems, the q x N data and each block's count
+    of observed rows. For a ``Dictionary`` D each count is the rank that
+    ``np.linalg.matrix_rank`` gives: by interlacing, a row subset's
+    singular values lie within D's, whose sigma_min ``Dictionary`` keeps
+    above 1e-10 sigma_max, while ``matrix_rank`` drops only singular
+    values at or below m * 2.2e-16 sigma_max, less than 1e-10 sigma_max
+    for any m below about 4e5.
+    """
     counts = masks.sum(axis=0)
     height = int(counts.max())
     rows = np.argsort(~masks, axis=0, kind="stable")[:height]
     real = np.arange(height)[:, None] < counts
     systems = np.where(real.T[:, :, None], mat[rows.T], 0.0)
     data = np.where(real, np.take_along_axis(blocks, rows, axis=0), 0.0)
-    return systems, data
+    return systems, data, counts
 
 
 def _binary_entropy(p):
@@ -190,6 +197,11 @@ def compress_rd(blocked: BlockedImage, synth: Dictionary, analysis: Dictionary,
         raise BadShape("dictionary shapes do not match the blocked image")
     original = from_blocks(blocked)
     coeffs = analysis.mat.T @ blocked.blocks
+    peak = np.abs(coeffs).max()  # the bit-plane counts cast magnitudes to int64
+    for step in steps:
+        if peak / step >= 2.0 ** 63:
+            raise BadShape(f"quantizer step {step:g} is too fine: the largest "
+                           f"coefficient, {peak:.6g}, spans 2^63 steps or more")
     total_pixels = blocked.height * blocked.width
     points = []
     for step in steps:

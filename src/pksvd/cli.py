@@ -77,9 +77,10 @@ def resolve_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
-    for key in ("block_size", "m", "k", "max_iters", "x_sweeps", "ksvd_iters"):
-        if merged[key] < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1")
+    for key in _INT_KEYS:
+        low = 0 if key == "seed" else 1
+        if merged[key] < low:
+            raise ConfigError(f"config key {key!r} must be >= {low}")
     return merged
 
 
@@ -306,6 +307,8 @@ def cmd_compress(args):
 
 def cmd_theory(args):
     cfg = resolve_config(args)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = cfg["seed"]
     rng = np.random.default_rng(seed)
     rows = []

@@ -55,10 +55,6 @@ _PATH_BATCH_ENTRIES = 2 ** 20
 # A homotopy lane's factor products have its system's rank, padded to a
 # multiple of this, as their width.
 _GRAM_PAD = 8
-# A homotopy system whose row Gram stays positive definite when its
-# diagonal is lowered by this fraction of its trace has independent
-# nonzero rows.
-_RANK_CONFIRM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,11 @@ def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
     are the rows of ``y`` and ``proj``.
 
     Every array carries one lane (signal) per row; a lane leaves the batch
-    when it stops, so all remaining lanes hold supports of equal size. The
-    new atom's Gram entries g on the support give w = R g and sigma =
-    G_nn - ||w||^2; R gains the row [-w^T R, 1] / sqrt(sigma), z = R p_S
-    the entry (p_new - w.z) / sqrt(sigma), and the codes are R^T z. The
-    buffers are allocated once, at size k; R is zero-filled, so its
-    leading s x s block is the factor of a support of size s.
+    when it stops, so all remaining lanes hold supports of equal size. Each
+    step appends a row to R and an entry to z = R p_S (``_row_update``); the
+    codes are R^T z. The buffers are allocated once, at size k; R is
+    zero-filled, so its leading s x s block is the factor of a support of
+    size s.
     """
     n_atoms = dict_mat.shape[1]
     out = np.zeros((y.shape[0], n_atoms))
@@ -165,17 +160,16 @@ def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
         score[rows, support[:, :size]] = -1.0
         top = score[rows, score.argmax(axis=1)[:, None]]  # max() is slow on short rows
         new = (score >= (1.0 - _TIE_RTOL) * top).argmax(axis=1)
-        cur = factor[:, :size, :size]
-        # w and z are kept as rows, so every product is one batched matmul.
-        w = gram[support[:, :size], new[:, None]][:, None, :] @ np.swapaxes(cur, 1, 2)
+        w_r, ww, wz = _row_update(factor[:, :size, :size],
+                                  gram[support[:, :size], new[:, None]], z[:, :size])
         diag = gram[new, new]
-        schur = diag - (w @ np.swapaxes(w, 1, 2))[:, 0, 0]
+        schur = diag - ww
         stalled = schur <= _SCHUR_FLOOR * diag
         schur[stalled] = 1.0  # keeps the arithmetic finite; the lane stops
         root = np.sqrt(schur)
-        factor[:, size, :size] = (w @ cur)[:, 0] / -root[:, None]
+        factor[:, size, :size] = w_r / -root[:, None]
         factor[:, size, size] = 1.0 / root
-        z[:, size] = (proj[rows[:, 0], new] - (w @ z[:, :size, None])[:, 0, 0]) / root
+        z[:, size] = (proj[rows[:, 0], new] - wz) / root
         support[:, size] = new
         picked = support[:, :size + 1]
         coef = (z[:, None, :size + 1] @ factor[:, :size + 1, :size + 1])[:, 0]
@@ -192,6 +186,20 @@ def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
                 a[keep] for a in (lanes, y, proj, codes, support, factor, z, resid))
         corr = resid @ dict_mat
     return out
+
+
+def _row_update(factor, g, z):
+    """The products of one row append to factors R (L x s x s) with
+    R G_S R^T = I, for Batch-OMP and the homotopy alike (Rubinstein,
+    Zibulevsky & Elad 2008). With g the new atom a's Gram entries on the
+    support S, w = R g and sigma = G_aa - ||w||^2, R gains the row
+    [-w^T R, 1] / sqrt(sigma) and z = R p_S the entry (p_a - w.z) /
+    sqrt(sigma). Returns w^T R, ||w||^2 and w.z. w is kept as a row, so
+    every product is one batched matmul.
+    """
+    w = g[:, None, :] @ np.swapaxes(factor, 1, 2)
+    return ((w @ factor)[:, 0], (w @ np.swapaxes(w, 1, 2))[:, 0, 0],
+            (w @ z[:, :, None])[:, 0, 0])
 
 
 def _col_norms(v):
@@ -224,14 +232,16 @@ def basis_pursuit(d: Dictionary, x) -> SparseVec:
     return SparseVec(_homotopy_columns(d.mat, x[:, None], [0.0])[0, :, 0])
 
 
-def _homotopy_columns(system, data, radii):
+def _homotopy_columns(system, data, radii, rank=None):
     """min ||w||_1 s.t. ||b - A w||_2 <= eps for every column b of ``data``
     and every radius eps of the descending grid ``radii``.
 
     The LASSO homotopy, LARS with drops (Osborne, Presnell & Turlach
     2000; Efron et al. 2004). ``system`` is one shared p x m matrix A or
     a stack of N per-column matrices shaped (N, p, m); zero rows pad
-    per-column systems to a common height. Each column follows the path
+    per-column systems to a common height. ``rank`` holds the systems'
+    ranks when the caller knows them (``inpaint``); by default
+    ``np.linalg.matrix_rank`` gives them. Each column follows the path
     of argmin 1/2 ||b - A w||^2 + lam ||w||_1 from lam = ||A^T b||_inf
     down to 0. The path is piecewise linear and its residual norm falls
     monotonically, so one path crosses every radius in turn: on the
@@ -266,7 +276,7 @@ def _homotopy_columns(system, data, radii):
     # so a lane's arithmetic does not depend on its batch-mates.
     mats = system if stacked else system[None]
     lanes_b = data.T
-    rank = _system_ranks(mats)
+    rank = np.linalg.matrix_rank(mats) if rank is None else np.asarray(rank)
     cap = int(rank.max())
     p, m = system.shape[-2:]
     codes = np.zeros((radii.size, data.shape[1], m))
@@ -292,37 +302,6 @@ def _homotopy_columns(system, data, radii):
     return codes.transpose(0, 2, 1)
 
 
-def _system_ranks(mats):
-    """The rank of each matrix of the stack ``mats``, (N, p, m).
-
-    A matrix whose nonzero rows are independent has their count as its
-    rank. One batched Cholesky confirms that for the whole stack: each
-    row Gram A A^T, its diagonal lowered by ``_RANK_CONFIRM_RTOL`` times
-    its trace on the nonzero rows and set to 1 on the zero rows, must stay
-    positive definite. Then every lane has sigma_min of about 1e-5
-    sigma_max or more, far above the tolerance of
-    ``np.linalg.matrix_rank``, which gives the same ranks. The p-row
-    subsets of a frame with bounds A <= B, the inpainting systems, pass
-    whenever B/A < 1e10 / p: by interlacing, a row subset's Gram has every
-    eigenvalue at least A. A stack that does not pass gets
-    ``np.linalg.matrix_rank``.
-    """
-    live = mats.any(axis=2)
-    gram = mats @ np.swapaxes(mats, 1, 2)
-    diag = np.einsum("lii->li", gram)  # a view: the writes below land in gram
-    shift = _RANK_CONFIRM_RTOL * diag.sum(axis=1)
-    if np.isfinite(shift).all():
-        diag -= shift[:, None]
-        diag[~live] = 1.0
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return np.count_nonzero(live, axis=1)
-    return np.linalg.matrix_rank(mats)
-
-
 def _homotopy_block(atoms, b, radii, rank):
     """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
 
@@ -343,7 +322,8 @@ def _homotopy_block(atoms, b, radii, rank):
     m = atoms.shape[-2]
     n_radii = radii.size
     out = np.zeros((n_radii, n_lanes, m))
-    eps2 = radii ** 2
+    with np.errstate(over="ignore"):  # an inf square keeps the zero code too
+        eps2 = radii ** 2
     # Radii at or above the data norm keep the zero code.
     nxt = np.count_nonzero(eps2 >= np.einsum("lp,lp->l", b, b)[:, None], axis=1)
     lanes = np.flatnonzero(nxt < n_radii)
@@ -482,10 +462,8 @@ class _LaneFactors:
     d_S = R^T z, all zero-filled beyond the support. While atoms only join,
     R is the inverse Cholesky factor L^-1 of G_S.
 
-    A join appends one row to R, as in ``_omp_block``: with g the new
-    atom's Gram entries on the support, w = R g and sigma = G_aa - ||w||^2,
-    the row is [-w^T R, 1] / sqrt(sigma), z gains the entry
-    (sign_a - w.z) / sqrt(sigma), and d_S gains that entry times the row.
+    A join appends a row to R and an entry to z (``_row_update``, with
+    p = sign), and d_S gains that entry times the row.
     A drop moves the last slot's atom into the dropped slot and re-factors
     the lane: with c the dropped atom's column of R and R' the other
     columns, the smaller Gram's inverse is R'^T (I - c c^T / ||c||^2) R'.
@@ -544,11 +522,8 @@ class _LaneFactors:
         ww = np.empty(n.size)
         wz = np.empty(n.size)
         for g, wide in self.runs:
-            sub = self.factor[g, :wide, :wide]
-            proj = sub @ g_s[g, :wide, None]  # w = R g
-            row[g, :wide] = (np.swapaxes(proj, 1, 2) @ sub)[:, 0]
-            ww[g] = (np.swapaxes(proj, 1, 2) @ proj)[:, 0, 0]
-            wz[g] = (np.swapaxes(proj, 1, 2) @ self.z[g, :wide, None])[:, 0, 0]
+            row[g, :wide], ww[g], wz[g] = _row_update(
+                self.factor[g, :wide, :wide], g_s[g, :wide], self.z[g, :wide])
         part = slice(None) if lanes.size == n.size else lanes
         at = self.size[part]
         root = np.sqrt(diag[part] - ww[part])

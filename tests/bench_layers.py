@@ -9,6 +9,10 @@ and the pair after one analysis and one synthesis update. Two shapes:
 * ``desk``: the ``train-desk`` shapes, 4x4 blocks of the 64x64 top-left
   crop, m=32, k=4 (256 columns of width 4).
 
+Times Batch-OMP, ``sparse_solvers._omp_columns``, alone at the same two
+shapes on the inputs of the first OMP pass of that K-SVD train: the
+blocks against the overcomplete DCT dictionary with budget k.
+
 Times the homotopy ``sparse_solvers._homotopy_columns`` alone on the
 systems the recovery pipelines pose for ``texture(3)``, with the
 self-dual Parseval pair built from the DCT dictionary that the
@@ -20,7 +24,7 @@ the mask. Four cases:
   the CLI's 12-radius grid (256 paths);
 * ``inpaint-desk``: the ``recover-desk`` inpaint, each block's observed
   rows of the pair with 50% of the pixels missing, eps=0.01 (256 stacked
-  systems);
+  systems, whose ranks ``inpaint`` passes as their observed-row counts);
 * ``denoise-full``: the denoise at full shape, 8x8 blocks of the whole
   image, m=256 (256 paths);
 * ``inpaint-full``: the inpaint at full shape, 8x8 blocks of the whole
@@ -67,7 +71,7 @@ from pksvd.parseval_ksvd import (
     update_codes,
     update_synthesis,
 )
-from pksvd.sparse_solvers import _homotopy_columns
+from pksvd.sparse_solvers import _homotopy_columns, _omp_columns
 
 SHAPES = {
     # name: (block size, crop side, m, k)
@@ -96,6 +100,15 @@ def test_update_codes(benchmark, code_refresh_inputs):
     assert refreshed.shape == codes.shape
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_omp_columns(benchmark, shape):
+    block, side, m, k = SHAPES[shape]
+    data = to_blocks(texture(3)[:side, :side].astype(float), block, subtract_mean=True).blocks
+    init = dct_dictionary(block * block, m).mat
+    codes = benchmark(_omp_columns, init, data, k)
+    assert (np.count_nonzero(codes, axis=0) <= k).all()
+
+
 HOMOTOPY_CASES = {
     # name: (block size, crop side, m, task)
     "denoise-desk": (4, 64, 32, "denoise"),
@@ -107,7 +120,8 @@ HOMOTOPY_CASES = {
 
 @pytest.fixture(scope="module", params=sorted(HOMOTOPY_CASES))
 def homotopy_inputs(request):
-    """(system, data, radii) as ``denoise_sweep`` and ``inpaint`` pose them."""
+    """(system, data, radii, rank) as ``denoise_sweep`` and ``inpaint`` pose
+    them."""
     block, side, m, task = HOMOTOPY_CASES[request.param]
     img = texture(3)[:side, :side].astype(float)
     pair = self_dual_pair(dct_dictionary(block * block, m).mat)
@@ -116,17 +130,17 @@ def homotopy_inputs(request):
         blocks = to_blocks(noisy, block, subtract_mean=True, mean_value=float(img.mean())).blocks
         tri = np.linalg.qr(pair.T, mode="r")
         grid = sorted((float(tok) for tok in DENOISE_EPS_GRID.split(",")), reverse=True)
-        return tri @ pair, tri @ blocks, grid
+        return tri @ pair, tri @ blocks, grid, None
     mask = random_mask(img.shape, 0.5, 0, block)
     corrupted = np.where(mask.observed, img, 0.0)
     blocks = to_blocks(corrupted, block, subtract_mean=True, mean_value=float(img.mean())).blocks
-    systems, data = _observed_systems(mask.block_columns(block), blocks, pair)
-    return systems, data, [0.01]
+    systems, data, counts = _observed_systems(mask.block_columns(block), blocks, pair)
+    return systems, data, [0.01], counts
 
 
 def test_homotopy_columns(benchmark, homotopy_inputs):
-    system, data, radii = homotopy_inputs
-    codes = benchmark(_homotopy_columns, system, data, radii)
+    system, data, radii, rank = homotopy_inputs
+    codes = benchmark(_homotopy_columns, system, data, radii, rank)
     assert codes.shape == (len(radii), system.shape[-1], data.shape[1])
 
 

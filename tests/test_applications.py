@@ -334,10 +334,11 @@ class TestInpaint:
             rows = np.flatnonzero(masks[:, j])
             systems[j, : rows.size] = mat[rows]
             data[: rows.size, j] = blocks[rows, j]
-        got_systems, got_data = applications._observed_systems(masks, blocks, mat)
+        got_systems, got_data, counts = applications._observed_systems(masks, blocks, mat)
         assert got_systems.shape == systems.shape and got_data.shape == data.shape
         assert got_systems.tobytes() == systems.tobytes()
         assert got_data.tobytes() == data.tobytes()
+        assert counts.tolist() == masks.sum(axis=0).tolist()
 
     def test_empty_block_mask_rejected(self):
         rng = np.random.default_rng(11)
@@ -385,6 +386,22 @@ class TestCompressRd:
         blocked = to_blocks(np.zeros((4, 4)), 2)
         with pytest.raises(ValueError, match="quantizer step"):
             compress_rd(blocked, identity_dict(4), identity_dict(4), steps)
+
+    def test_rejects_steps_past_the_int64_range(self):
+        # The bit-plane counts cast the quantized magnitudes to int64; a
+        # step that puts the largest coefficient 2^63 or more steps out
+        # would wrap there and give wrong rates.
+        img = np.random.default_rng(16).integers(0, 256, (8, 8)).astype(float)
+        blocked = to_blocks(img, 2, subtract_mean=True)
+        peak = np.abs(blocked.blocks).max()
+        for step in (1e-18, peak / 2.0 ** 63):
+            with pytest.raises(BadShape, match=f"quantizer step {step:g} is too fine"):
+                compress_rd(blocked, identity_dict(4), identity_dict(4), [1.0, step])
+        # The next step up keeps every magnitude below 2^63.
+        step = np.nextafter(peak / 2.0 ** 63, np.inf)
+        (point,) = compress_rd(blocked, identity_dict(4), identity_dict(4), [step])
+        quantized = np.round(blocked.blocks / step)
+        assert point.bits_per_pixel * 64 == plane_by_plane_rate_bits(quantized)
 
 
 def plane_by_plane_rate_bits(quantized):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -576,6 +577,55 @@ class TestTheory:
         assert "optimal proxy" in text
         assert "ruled out" in text
         assert out.exists()
+
+
+class TestInputLimits:
+    """Inputs at the edges of their range: a seed below 0, no trials, a
+    step so fine that the quantized magnitudes leave int64, and a radius
+    whose square overflows. A failure exits 1 naming the input and writes
+    nothing; a success prints no warning."""
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        image, eye = inputs / "img.pgm", inputs / "eye.pk"
+        write_pgm(np.random.default_rng(0).integers(0, 256, (8, 8)).astype(float), image)
+        save_dictionary(Dictionary(np.eye(4)), eye)
+        out = tmp_path / "out"
+        out.mkdir()
+        return str(image), str(eye), out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compress", "{image}", "--dict", "{eye}", "--dual", "{eye}", "--steps=1e-18",
+          "--block_size", "2", "--out-prefix", "{out}/rd"],
+         "quantizer step 1e-18 is too fine"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "5", "--seed", "-1",
+          "--block_size", "2", "--out-prefix", "{out}/dn"],
+         "config key 'seed' must be >= 0"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk", "--seed", "-3",
+          "--block_size", "2", "--m", "4", "--k", "1"],
+         "config key 'seed' must be >= 0"),
+        (["theory", "--trials", "0", "--out", "{out}/t.csv"],
+         "--trials must be >= 1, got 0"),
+    ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials"])
+    def test_fails_naming_the_input(self, small, capsys, argv, message):
+        image, eye, out = small
+        argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(out.iterdir()) == []
+
+    def test_huge_radius_keeps_the_zero_code(self, small, capsys):
+        image, eye, out = small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["denoise", image, "--dict", eye, "--sigma", "5", "--eps", "1e308",
+                         "--block_size", "2", "--out-prefix", str(out / "dn")])
+        assert code == 0
+        assert "eps 1e+308" in capsys.readouterr().out
+        restored = read_pgm(out / "dn.pgm")
+        assert (restored == restored.flat[0]).all()  # every block at the image mean
 
 
 class TestScipyStaysUnloaded:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from texture import texture
 from workloads import self_dual_pair
 
 from pksvd import sparse_solvers
-from pksvd.applications import Mask, _observed_systems, random_mask
+from pksvd.applications import Mask, _observed_systems, inpaint, random_mask
 from pksvd.errors import SolverDidNotConverge, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
@@ -471,6 +472,19 @@ class TestBpdn:
         w = bpdn(np.eye(2), np.array([3.0, -4.0]), eps=float("inf"))
         assert np.array_equal(w.entries, np.zeros(2))
 
+    @pytest.mark.parametrize("kind", ["canonical", "stacked"])
+    def test_huge_radius_is_an_infinite_one(self, kind):
+        # 1e308 squares to inf, which like any radius above the data norm
+        # keeps the zero code; the overflow raises no warning, and the
+        # other radii's codes do not move.
+        a, b = recovery_system(np.random.default_rng(27), kind, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = _homotopy_columns(a, b, [1e308, 10.0, 0.0])
+            inf = _homotopy_columns(a, b, [np.inf, 10.0, 0.0])
+        assert huge.tobytes() == inf.tobytes()
+        assert not huge[0].any() and huge[1:].any()
+
     def test_agrees_with_basis_pursuit_on_twenty_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -604,35 +618,37 @@ class TestBpdnColumns:
     def test_inpaint_ranks_are_observed_row_counts(self, block, m, pair, mask_kind,
                                                    monkeypatch):
         # Row subsets of a frame have full row rank, so each inpaint system's
-        # rank is its count of observed rows; no SVD is taken for them.
+        # rank is its count of observed rows. ``inpaint`` passes the counts:
+        # it takes no SVD, and its codes are the SVD route's byte for byte.
         # ``random_mask`` observes as many pixels in every block; a Bernoulli
         # mask does not, so its systems carry zero rows.
         side = 16 * block
         img = texture(3)[:side, :side].astype(float)
         if mask_kind == "random_mask":
-            observed = random_mask(img.shape, 0.5, 0, block).observed
+            mask = random_mask(img.shape, 0.5, 0, block)
         else:
             observed = np.random.default_rng(0).random(img.shape) < 0.5
             observed[::block, ::block] = True
-        masks = Mask(observed).block_columns(block)
-        blocks = to_blocks(np.where(observed, img, 0.0), block, subtract_mean=True).blocks
+            mask = Mask(observed)
+        blocked = to_blocks(np.where(mask.observed, img, 0.0), block, subtract_mean=True)
         mat = dct_dictionary(block * block, m).mat
-        systems, _ = _observed_systems(masks, blocks, self_dual_pair(mat) if pair else mat)
-        expect = np.linalg.matrix_rank(systems)
-        assert np.array_equal(expect, masks.sum(axis=0))
+        synth = Dictionary(self_dual_pair(mat)) if pair else Dictionary(mat)
+        systems, data, counts = _observed_systems(mask.block_columns(block), blocked.blocks,
+                                                  synth.mat)
+        assert np.array_equal(np.linalg.matrix_rank(systems), counts)
+        expect = synth.mat @ _homotopy_columns(systems, data, [0.01])[0]
 
         def no_svd(*args, **kwargs):
             raise AssertionError("matrix_rank called")
 
         monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
-        assert np.array_equal(sparse_solvers._system_ranks(systems), expect)
+        assert inpaint(blocked, mask, synth, 0.01).blocks.tobytes() == expect.tobytes()
 
-    def test_dependent_rows_keep_their_rank(self):
+    def test_dependent_rows_keep_their_rank(self, monkeypatch):
         # Lanes 0-5 have a nonzero row that is the sum of two others, and
         # lanes 0, 2 and 4 also one that doubles another, so their ranks are
-        # below their counts of nonzero rows. Alone or stacked, their ranks
-        # are the SVD's, even where rounding leaves the unshifted Gram a
-        # Cholesky factor, and no support grows past them.
+        # below their counts of nonzero rows. Alone or stacked, their paths
+        # run with the SVD's ranks, and no support grows past them.
         rng = np.random.default_rng(26)
         a = rng.standard_normal((8, 5, 10))
         a[:, 4] = 0.0
@@ -640,10 +656,21 @@ class TestBpdnColumns:
         a[:6:2, 2] = 2.0 * a[:6:2, 1]
         expect = [2, 3, 2, 3, 2, 3, 4, 4]
         assert np.linalg.matrix_rank(a).tolist() == expect
-        assert [int(sparse_solvers._system_ranks(a[j : j + 1])[0]) for j in range(8)] == expect
-        assert sparse_solvers._system_ranks(a).tolist() == expect
         b = (a @ rng.standard_normal((8, 10, 1)))[:, :, 0].T * 5.0
+        ranks = []
+        block = sparse_solvers._homotopy_block
+
+        def spy(atoms, data, radii, rank):
+            ranks.append(np.broadcast_to(rank, data.shape[:1]).tolist())
+            return block(atoms, data, radii, rank)
+
+        monkeypatch.setattr(sparse_solvers, "_homotopy_block", spy)
+        for j in range(8):
+            alone = _homotopy_columns(a[j : j + 1], b[:, j : j + 1], [0.0])[0]
+            assert np.count_nonzero(alone) <= expect[j]
+        assert ranks == [[rank] for rank in expect]
         codes = assert_kkt_certificate(a, b)
+        assert ranks[-1] == expect
         assert (np.count_nonzero(codes, axis=1) <= expect).all()
 
     def test_ties_go_to_lowest_index(self):
