@@ -84,6 +84,14 @@ def resolve_config(args):
     return merged
 
 
+def _float_list(flag, text):
+    """The numbers in ``flag``'s comma-separated ``text``; empty entries are skipped."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _add_config_flags(parser, keys):
     """Add ``--config`` and one override flag for each key the command reads."""
     parser.add_argument("--config", help="key=value config file")
@@ -124,6 +132,9 @@ def _print_dictionary_summary(label, dictionary, codes=None):
 
 def cmd_train(args):
     cfg = resolve_config(args)
+    for path in (args.out, args.out_dual, args.out_codes, args.trace):
+        if path:  # fail before the run, not after it
+            formats.check_output_dir(path)
     if args.method == "parseval":
         # Built before any data is read, so that bad penalties fail at once.
         pkv_cfg = PkvConfig(
@@ -211,13 +222,13 @@ def cmd_reconstruct(args):
 
 def cmd_denoise(args):
     cfg = resolve_config(args)
+    eps_grid = _float_list("--eps", args.eps)
     synth, analysis = _load_pair(args)
     img = imaging.read_pgm(args.image)
     noisy = applications.add_gaussian_noise(img, args.sigma, cfg["seed"])
     blocked = imaging.to_blocks(
         noisy, cfg["block_size"], subtract_mean=True, mean_value=float(img.mean())
     )
-    eps_grid = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     restorations = [
         imaging.from_blocks(out)
         for out in applications.denoise_sweep(blocked, synth, analysis, eps_grid)
@@ -287,10 +298,10 @@ def cmd_inpaint(args):
 
 def cmd_compress(args):
     cfg = resolve_config(args)
+    steps = _float_list("--steps", args.steps)
     synth, analysis = _load_pair(args)
     img = imaging.read_pgm(args.image)
     blocked = imaging.to_blocks(img, cfg["block_size"], subtract_mean=True)
-    steps = [float(tok) for tok in args.steps.split(",") if tok.strip()]
     points = applications.compress_rd(blocked, synth, analysis, steps)
     out_csv = f"{args.out_prefix}.csv"
     formats.write_csv(

@@ -9,6 +9,7 @@ rename so a failed command leaves no partial output.
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 
@@ -29,10 +30,21 @@ TRACE_COLUMNS = (
 )
 
 
+def check_output_dir(path):
+    """Raise ``FileNotFoundError`` naming ``path`` if its directory is missing."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def atomic_write_bytes(path, payload: bytes):
-    """Write ``payload`` to ``path`` via a same-directory temp file."""
+    """Write ``payload`` to ``path`` via a same-directory temp file. A
+    directory that is missing or not writable raises an ``OSError`` that
+    names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pksvd-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pksvd-tmp-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)

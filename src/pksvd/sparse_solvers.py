@@ -241,7 +241,9 @@ def _homotopy_columns(system, data, radii, rank=None):
     a stack of N per-column matrices shaped (N, p, m); zero rows pad
     per-column systems to a common height. ``rank`` holds the systems'
     ranks when the caller knows them (``inpaint``); by default
-    ``np.linalg.matrix_rank`` gives them. Each column follows the path
+    ``np.linalg.matrix_rank`` gives them. A column's factor width is its
+    rank padded to a multiple of ``_GRAM_PAD``; the columns run width by
+    width, in batches of one width. Each column follows the path
     of argmin 1/2 ||b - A w||^2 + lam ||w||_1 from lam = ||A^T b||_inf
     down to 0. The path is piecewise linear and its residual norm falls
     monotonically, so one path crosses every radius in turn: on the
@@ -277,16 +279,19 @@ def _homotopy_columns(system, data, radii, rank=None):
     mats = system if stacked else system[None]
     lanes_b = data.T
     rank = np.linalg.matrix_rank(mats) if rank is None else np.asarray(rank)
-    cap = int(rank.max())
+    width = -(-rank // _GRAM_PAD) * _GRAM_PAD
+    atoms = np.swapaxes(mats, 1, 2)  # np.take of a batch is one C-order copy
     p, m = system.shape[-2:]
     codes = np.zeros((radii.size, data.shape[1], m))
-    width = max(1, _PATH_BATCH_ENTRIES // (cap * (p + cap) + 4 * m))
-    for start in range(0, data.shape[1], width):
-        block = slice(start, start + width)
-        codes[:, block] = _homotopy_block(
-            np.swapaxes(mats[block], 1, 2) if stacked else system.T, lanes_b[block], radii,
-            rank[block] if stacked else rank,
-        )
+    for wide in sorted(set(width.tolist())):  # np.unique would load numpy.ma
+        cols = np.flatnonzero(width == wide) if stacked else np.arange(data.shape[1])
+        per = max(1, _PATH_BATCH_ENTRIES // (wide * (p + wide) + 4 * m))
+        for start in range(0, cols.size, per):
+            block = cols[start:start + per]
+            codes[:, block] = _homotopy_block(
+                np.take(atoms, block, axis=0) if stacked else system.T,
+                lanes_b[block], radii, rank[block] if stacked else rank, wide,
+            )
     resid = lanes_b - (mats @ codes[..., None])[..., 0]
     norms = np.sqrt(np.einsum("knp,knp->kn", resid, resid))
     excess = norms - radii[:, None] - _RADIUS_RTOL * _col_norms(data)
@@ -302,21 +307,23 @@ def _homotopy_columns(system, data, radii, rank=None):
     return codes.transpose(0, 2, 1)
 
 
-def _homotopy_block(atoms, b, radii, rank):
+def _homotopy_block(atoms, b, radii, rank, width):
     """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
 
     ``atoms`` holds the transposed systems, (N, m, p), or one m x p matrix
     for a shared system, so that the atoms are rows; ``rank`` holds their
-    ranks. Each step moves w <- w + gamma d and lam <- lam - gamma along
-    the direction d_S = G_S^-1 sign(w_S), with G_S = A_S^T A_S the support
-    Gram, until the first event: an atom joins (its correlation reaches
-    +-lam; ties go to the lowest index), an atom drops (its code reaches
-    zero), or the path ends (lam = 0). Join steps are clamped at
-    gamma >= 0; an atom dropped on the previous step may not rejoin on the
-    side it left; joins stop once a lane's support reaches the rank of its
-    system. A lane leaves the batch once it has a code for every radius.
-    The direction comes from factors of G_S that each lane keeps from step
-    to step (``_LaneFactors``). Returns (K, N, m) codes.
+    ranks, and ``width``, every lane's rank padded to a multiple of
+    ``_GRAM_PAD``, the width of the lanes' factors. Each step moves
+    w <- w + gamma d and lam <- lam - gamma along the direction
+    d_S = G_S^-1 sign(w_S), with G_S = A_S^T A_S the support Gram, until
+    the first event: an atom joins (its correlation reaches +-lam; ties go
+    to the lowest index), an atom drops (its code reaches zero), or the
+    path ends (lam = 0). Join steps are clamped at gamma >= 0; an atom
+    dropped on the previous step may not rejoin on the side it left; joins
+    stop once a lane's support reaches the rank of its system. A lane
+    leaves the batch once it has a code for every radius. The direction
+    comes from factors of G_S that each lane keeps from step to step
+    (``_LaneFactors``). Returns (K, N, m) codes.
     """
     n_lanes, p = b.shape
     m = atoms.shape[-2]
@@ -332,14 +339,11 @@ def _homotopy_block(atoms, b, radii, rank):
         # Row and column m hold the zero entries of unused support slots.
         gram = np.zeros((m + 1, m + 1))
         gram[:m, :m] = atoms @ atoms.T
-    else:
-        # Lanes of one factor width stay next to each other, so that each
-        # width's products run on a slice of the batch.
-        lanes = lanes[np.argsort(rank[lanes], kind="stable")]
+    elif lanes.size < n_lanes:  # the caller's stack is already a copy
         atoms, rank = atoms[lanes], rank[lanes]
     b, nxt = b[lanes], nxt[lanes]
     atoms = np.ascontiguousarray(atoms)
-    factors = _LaneFactors(np.broadcast_to(rank, lanes.shape), m)
+    factors = _LaneFactors(lanes.size, width, m)
     w = np.zeros((lanes.size, m))
     sign = np.zeros_like(w)  # nonzero exactly on the support
     left = np.zeros_like(w)  # the side an atom dropped from last step
@@ -472,30 +476,25 @@ class _LaneFactors:
     row, z = H z without its last entry (H c sign_c falls on the last
     slot), and d_S = R^T z.
 
-    Every product on R has the lane's width, its system's rank padded to
-    a multiple of ``_GRAM_PAD``: the width depends on the lane alone, so
-    its codes do not depend on its batch-mates. Lanes come sorted by rank.
+    Every product on R has the batch's width: its lanes' ranks padded to a
+    multiple of ``_GRAM_PAD``, which ``_homotopy_columns`` makes equal for
+    every lane of a batch. The width depends on the lane alone, so its
+    codes do not depend on its batch-mates.
     """
 
-    def __init__(self, rank, m):
-        n = rank.size
-        width = -(-rank // _GRAM_PAD) * _GRAM_PAD
-        cap = int(width.max()) if n else 0
+    def __init__(self, n, width, m):
         self.m = m
-        self.width = width
-        self.runs = _width_runs(width)
         self.size = np.zeros(n, dtype=np.intp)
         # Unused slots hold the index m, past the last atom: Gram entries
         # read there meet zero columns of R, and d drops what lands there.
-        self.support = np.full((n, cap), m)
-        self.factor = np.zeros((n, cap, cap))
-        self.z = np.zeros((n, cap))
-        self.d_s = np.zeros((n, cap))
+        self.support = np.full((n, width), m)
+        self.factor = np.zeros((n, width, width))
+        self.z = np.zeros((n, width))
+        self.d_s = np.zeros((n, width))
 
     def keep(self, mask):
-        for name in ("width", "size", "support", "factor", "z", "d_s"):
+        for name in ("size", "support", "factor", "z", "d_s"):
             setattr(self, name, getattr(self, name)[mask])
-        self.runs = _width_runs(self.width)
 
     def direction(self):
         """The m-long direction d of every lane."""
@@ -518,12 +517,7 @@ class _LaneFactors:
                    @ atom[:, :, None])[:, :, 0]
             diag = np.einsum("lp,lp->l", atom, atom)
         # The products run on every lane; only ``lanes`` are updated.
-        row = np.zeros_like(self.z)
-        ww = np.empty(n.size)
-        wz = np.empty(n.size)
-        for g, wide in self.runs:
-            row[g, :wide], ww[g], wz[g] = _row_update(
-                self.factor[g, :wide, :wide], g_s[g, :wide], self.z[g, :wide])
+        row, ww, wz = _row_update(self.factor, g_s, self.z)
         part = slice(None) if lanes.size == n.size else lanes
         at = self.size[part]
         root = np.sqrt(diag[part] - ww[part])
@@ -545,39 +539,21 @@ class _LaneFactors:
         self.support[lanes, slot] = self.support[lanes, last]
         self.support[lanes, last] = self.m
         factor = self.factor[lanes]
-        col = factor[n, :, slot]
+        c = factor[n, :, slot]
         factor[n, :, slot] = factor[n, :, last]
         factor[n, :, last] = 0.0
+        top = c[n, last]
+        c[n, last] = top + np.copysign(np.sqrt(np.einsum("lk,lk->l", c, c)), top)
+        scale = 2.0 / np.einsum("lk,lk->l", c, c)
+        factor -= (scale[:, None] * c)[:, :, None] * (c[:, None, :] @ factor)
+        factor[n, last] = 0.0
         z = self.z[lanes]
-        d_s = np.zeros_like(z)
-        for g, wide in _width_runs(self.width[lanes]):
-            k = n[: g.stop - g.start]
-            end = last[g]
-            c = col[g, :wide]
-            top = c[k, end]
-            c[k, end] = top + np.copysign(np.sqrt(np.einsum("lk,lk->l", c, c)), top)
-            scale = 2.0 / np.einsum("lk,lk->l", c, c)
-            sub = factor[g, :wide, :wide]
-            sub -= (scale[:, None] * c)[:, :, None] * (c[:, None, :] @ sub)
-            sub[k, end] = 0.0
-            z_s = z[g, :wide]
-            z_s -= (scale * np.einsum("lk,lk->l", c, z_s))[:, None] * c
-            z_s[k, end] = 0.0
-            d_s[g, :wide] = (z_s[:, None, :] @ sub)[:, 0]
+        z -= (scale * np.einsum("lk,lk->l", c, z))[:, None] * c
+        z[n, last] = 0.0
         self.factor[lanes] = factor
         self.z[lanes] = z
-        self.d_s[lanes] = d_s
+        self.d_s[lanes] = (z[:, None, :] @ factor)[:, 0]
         self.size[lanes] = last
-
-
-def _width_runs(width):
-    """(slice, width) for each run of equal nonzero widths in the sorted
-    ``width``."""
-    if width.size and width[0] == width[-1]:
-        return [(slice(0, width.size), int(width[0]))] if width[0] else []
-    starts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()
-    return [(slice(lo, hi), int(width[lo]))
-            for lo, hi in zip(starts, [*starts[1:], width.size]) if width[lo]]
 
 
 def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:

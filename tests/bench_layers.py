@@ -17,7 +17,7 @@ Times the homotopy ``sparse_solvers._homotopy_columns`` alone on the
 systems the recovery pipelines pose for ``texture(3)``, with the
 self-dual Parseval pair built from the DCT dictionary that the
 ``recover-desk`` workload uses, and the CLI's seed 0 for the noise and
-the mask. Four cases:
+the mask. Five cases:
 
 * ``denoise-desk``: the ``recover-desk`` denoise, the n x m system R S of
   the pair (A^T = QR) on 4x4 blocks of the 64x64 crop, m=32, sigma=20 and
@@ -28,7 +28,10 @@ the mask. Four cases:
 * ``denoise-full``: the denoise at full shape, 8x8 blocks of the whole
   image, m=256 (256 paths);
 * ``inpaint-full``: the inpaint at full shape, 8x8 blocks of the whole
-  image, m=256, 50% missing (256 stacked systems of 32 rows).
+  image, m=256, 50% missing (256 stacked systems of 32 rows);
+* ``inpaint-full-bernoulli``: the same with a Bernoulli mask that keeps
+  each pixel with probability 1/2 (seed 0), so the blocks observe
+  different counts of rows and their paths run at factor widths 24 to 48.
 
 Times ``applications.random_mask`` alone at the same two shapes as the
 inpaint cases: 50% of the pixels of the 64x64 crop in 4x4 blocks
@@ -55,6 +58,7 @@ from texture import texture
 from workloads import self_dual_pair
 
 from pksvd.applications import (
+    Mask,
     _observed_systems,
     add_gaussian_noise,
     compress_rd,
@@ -115,6 +119,7 @@ HOMOTOPY_CASES = {
     "inpaint-desk": (4, 64, 32, "inpaint"),
     "denoise-full": (8, 128, 256, "denoise"),
     "inpaint-full": (8, 128, 256, "inpaint"),
+    "inpaint-full-bernoulli": (8, 128, 256, "bernoulli"),
 }
 
 
@@ -131,7 +136,10 @@ def homotopy_inputs(request):
         tri = np.linalg.qr(pair.T, mode="r")
         grid = sorted((float(tok) for tok in DENOISE_EPS_GRID.split(",")), reverse=True)
         return tri @ pair, tri @ blocks, grid, None
-    mask = random_mask(img.shape, 0.5, 0, block)
+    if task == "bernoulli":
+        mask = Mask(np.random.default_rng(0).random(img.shape) < 0.5)
+    else:
+        mask = random_mask(img.shape, 0.5, 0, block)
     corrupted = np.where(mask.observed, img, 0.0)
     blocks = to_blocks(corrupted, block, subtract_mean=True, mean_value=float(img.mean())).blocks
     systems, data, counts = _observed_systems(mask.block_columns(block), blocks, pair)

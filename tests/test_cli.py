@@ -608,12 +608,30 @@ class TestInputLimits:
          "config key 'seed' must be >= 0"),
         (["theory", "--trials", "0", "--out", "{out}/t.csv"],
          "--trials must be >= 1, got 0"),
-    ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials"])
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "5", "--block_size", "2",
+          "--out-prefix", "{out}/nodir/dn"],
+         "[Errno 2] No such file or directory: '{out}/nodir/dn.pgm'"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/nodir/d.pk",
+          "--block_size", "2", "--m", "4", "--k", "1"],
+         "[Errno 2] No such file or directory: '{out}/nodir/d.pk'"),
+        (["train", "{image}", "--method", "parseval", "--out", "{out}/d.pk",
+          "--trace", "{out}/nodir/t.csv", "--block_size", "2", "--m", "4", "--k", "1",
+          "--ksvd_iters", "1", "--max_iters", "1"],
+         "[Errno 2] No such file or directory: '{out}/nodir/t.csv'"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "5", "--eps", "1,x",
+          "--block_size", "2", "--out-prefix", "{out}/dn"],
+         "--eps must be comma-separated numbers, got '1,x'"),
+        (["compress", "{image}", "--dict", "{eye}", "--dual", "{eye}", "--steps", "1,x",
+          "--block_size", "2", "--out-prefix", "{out}/rd"],
+         "--steps must be comma-separated numbers, got '1,x'"),
+    ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
+            "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
+            "compress-steps-list"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {message.format(out=out)}")
         assert list(out.iterdir()) == []
 
     def test_huge_radius_keeps_the_zero_code(self, small, capsys):
@@ -629,8 +647,9 @@ class TestInputLimits:
 
 
 class TestScipyStaysUnloaded:
-    """Loading pksvd and a Parseval train run on numpy alone; only the
-    Schur route of ``solve_sylvester`` loads scipy."""
+    """Loading pksvd, a Parseval train and a desk denoise and inpaint run
+    on numpy alone, without ``numpy.ma`` (whose import costs memory and
+    time); only the Schur route of ``solve_sylvester`` loads scipy."""
 
     SCRIPT = textwrap.dedent("""
         import sys
@@ -650,7 +669,14 @@ class TestScipyStaysUnloaded:
                                "--ksvd_iters", "1", "--max_iters", "1",
                                "--out", out + "/dict.pk"])
         assert code == 0
+        for argv in (["denoise", "--dual", out + "/dict.dual.pk", "--sigma", "20",
+                      "--out-prefix", out + "/dn"],
+                     ["inpaint", "--fraction", "0.5", "--out-prefix", out + "/ip"]):
+            code = pksvd.cli.main([argv[0], out + "/img.pgm", "--dict", out + "/dict.pk",
+                                   "--block_size", "4", *argv[1:]])
+            assert code == 0
         assert not scipy_modules(), scipy_modules()
+        assert "numpy.ma" not in sys.modules
         from pksvd.matrix_core import solve_sylvester
         beta = solve_sylvester(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
                                np.ones((2, 2)), "schur")
@@ -669,3 +695,4 @@ class TestScipyStaysUnloaded:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "ok"
         assert (tmp_path / "dict.pk").exists()
+        assert (tmp_path / "dn.pgm").exists() and (tmp_path / "ip.pgm").exists()

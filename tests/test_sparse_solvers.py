@@ -521,6 +521,30 @@ class TestBpdnColumns:
                                     b[:, j : j + 1], radii)
             assert got[:, :, j].tobytes() == one[:, :, 0].tobytes()
 
+    def test_batches_hold_one_factor_width(self, monkeypatch):
+        # The stacked systems observe different counts of rows, so their
+        # ranks pad to factor widths 8 and 16. Every column runs once, in a
+        # batch whose lanes all have the batch's width.
+        a, b = recovery_system(np.random.default_rng(20), "stacked", 40)
+        ranks = np.linalg.matrix_rank(a)
+        widths = -(-ranks // sparse_solvers._GRAM_PAD) * sparse_solvers._GRAM_PAD
+        assert sorted(set(widths.tolist())) == [8, 16]
+        calls = []
+        block = sparse_solvers._homotopy_block
+
+        def spy(atoms, data, radii, rank, width):
+            cols = [int(np.flatnonzero((b.T == row).all(axis=1))[0]) for row in data]
+            calls.append((cols, rank.tolist(), width))
+            return block(atoms, data, radii, rank, width)
+
+        monkeypatch.setattr(sparse_solvers, "_homotopy_block", spy)
+        _homotopy_columns(a, b, [10.0, 2.0, 0.1])
+        assert sorted(width for _, _, width in calls) == [8, 16]
+        for cols, rank, width in calls:
+            assert rank == ranks[cols].tolist()
+            assert (widths[cols] == width).all()
+        assert sorted(j for cols, _, _ in calls for j in cols) == list(range(40))
+
     def test_eps_zero_matches_oracle(self):
         rng = np.random.default_rng(21)
         a = nonunit_frame(rng, 4, 8)
@@ -587,7 +611,7 @@ class TestBpdnColumns:
         gram = np.zeros((m + 1, m + 1))
         gram[:m, :m] = atoms[0] @ atoms[0].T
         signs = rng.choice([-1.0, 1.0], (3, m))
-        factors = sparse_solvers._LaneFactors(np.full(3, 6), m)
+        factors = sparse_solvers._LaneFactors(3, 8, m)
 
         def append(lanes, new):
             new = np.asarray(new)
@@ -660,9 +684,9 @@ class TestBpdnColumns:
         ranks = []
         block = sparse_solvers._homotopy_block
 
-        def spy(atoms, data, radii, rank):
+        def spy(atoms, data, radii, rank, width):
             ranks.append(np.broadcast_to(rank, data.shape[:1]).tolist())
-            return block(atoms, data, radii, rank)
+            return block(atoms, data, radii, rank, width)
 
         monkeypatch.setattr(sparse_solvers, "_homotopy_block", spy)
         for j in range(8):
@@ -704,7 +728,7 @@ class TestBpdnColumns:
             _homotopy_columns(a, b, [0.0])
 
     def test_nan_codes_fail_the_radius_check(self, monkeypatch):
-        def nan_block(atoms, b, radii, rank):
+        def nan_block(atoms, b, radii, rank, width):
             return np.full((radii.size, b.shape[0], atoms.shape[-2]), np.nan)
 
         monkeypatch.setattr(sparse_solvers, "_homotopy_block", nan_block)
