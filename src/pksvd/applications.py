@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadShape, EmptyBlockMask
 from .frames import Dictionary
 from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
-from .sparse_solvers import _homotopy_columns
+from .sparse_solvers import _homotopy_columns, _support_slots
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _observed_systems(masks, blocks, mat):
     """
     counts = masks.sum(axis=0)
     height = int(counts.max())
-    rows = np.argsort(~masks, axis=0, kind="stable")[:height]
+    rows = _support_slots(masks, height)
     real = np.arange(height)[:, None] < counts
     systems = np.where(real.T[:, :, None], mat[rows.T], 0.0)
     data = np.where(real, np.take_along_axis(blocks, rows, axis=0), 0.0)

@@ -132,6 +132,10 @@ def _print_dictionary_summary(label, dictionary, codes=None):
 
 def cmd_train(args):
     cfg = resolve_config(args)
+    if args.method == "ksvd":
+        for flag, path in (("--out-dual", args.out_dual), ("--trace", args.trace)):
+            if path:  # only a Parseval train writes these
+                raise ConfigError(f"{flag} needs --method parseval")
     for path in (args.out, args.out_dual, args.out_codes, args.trace):
         if path:  # fail before the run, not after it
             formats.check_output_dir(path)
@@ -229,6 +233,11 @@ def cmd_denoise(args):
     blocked = imaging.to_blocks(
         noisy, cfg["block_size"], subtract_mean=True, mean_value=float(img.mean())
     )
+    with np.errstate(over="ignore"):
+        energy = np.einsum("ij,ij->", blocked.blocks, blocked.blocks)
+    if not np.isfinite(energy):  # no radius or residual norm would be finite
+        raise ConfigError(f"--sigma {args.sigma:g} is too large: the noisy blocks' "
+                          f"sum of squares overflows")
     restorations = [
         imaging.from_blocks(out)
         for out in applications.denoise_sweep(blocked, synth, analysis, eps_grid)
@@ -368,9 +377,9 @@ def _add_train_args(p):
     p.add_argument("images", nargs="+", help="training images (PGM)")
     p.add_argument("--method", choices=("ksvd", "parseval"), required=True)
     p.add_argument("--out", required=True, help="output dictionary path")
-    p.add_argument("--out-dual", help="output path for the analysis dual")
+    p.add_argument("--out-dual", help="output path for the analysis dual (parseval only)")
     p.add_argument("--out-codes", help="optional output path for the codes")
-    p.add_argument("--trace", help="optional convergence trace CSV")
+    p.add_argument("--trace", help="optional convergence trace CSV (parseval only)")
     # Every key, seed too, so that one run's flag list can be passed whole.
     _add_config_flags(p, KNOWN_KEYS)
 

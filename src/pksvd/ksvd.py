@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import _OMP_BATCH_ENTRIES, _TIE_RTOL, _omp_columns
+from .sparse_solvers import _OMP_BATCH_ENTRIES, _TIE_RTOL, _omp_columns, _support_slots
 
 _OMP_RESIDUAL_TOL = 1e-12
 
@@ -79,7 +79,7 @@ def _refit_supports(dict_mat, proj, codes):
     sizes = present.sum(axis=0)
     width = int(sizes.max(initial=0))
     # The first sizes[j] entries of column j's order are its support.
-    order = np.argsort(~present, axis=0, kind="stable")[:width].T
+    order = _support_slots(present, width).T
     gram = dict_mat.T @ dict_mat
     refit = np.zeros_like(codes)
     batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)

@@ -27,7 +27,7 @@ from .matrix_core import (
     generalized_eigh,
     solve_sylvester_eig,
 )
-from .sparse_solvers import ZERO_THRESHOLD
+from .sparse_solvers import ZERO_THRESHOLD, _support_slots
 
 _LOG_FLOOR = 1e-300
 
@@ -192,6 +192,13 @@ def update_multipliers(synth, analysis, state, cfg):
     )
 
 
+def _count_above(x):
+    """The number of entries of ``x`` above the zero threshold in absolute
+    value. NaN entries are not counted, so a sweep that makes one is
+    replayed too."""
+    return np.count_nonzero(np.abs(x) > ZERO_THRESHOLD)
+
+
 def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     """Support-preserving code refresh in row order.
 
@@ -212,11 +219,21 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     a batch's support Grams hold at most ``_CODE_BATCH_ENTRIES`` entries.
     Each Gram row is laid out (width, columns) with the columns innermost,
     as the codes are, so each column's sums run in the same order whatever
-    its batch. Past the Grams, the working set is a few (width, N) arrays:
-    the m x N products and sort order are freed once each column's atoms
-    and right-hand side are gathered. When ``obj_log`` is given, the
-    objective after each row that had a live entry in the sweep is
-    appended, as a row-at-a-time sweep sees it.
+    its batch. The buffers are at least two columns wide, and a batch of
+    one column runs as two identical lanes: ``einsum`` sums a one-column
+    product in another order. Past the Grams, the working set is a few
+    (width, N) arrays: the m x N products and sort order are freed once
+    each column's atoms and right-hand side are gathered.
+
+    A sweep's steps do not apply the zero threshold. Each entry is written
+    once per sweep, at its own step, so the sweep's result shows every
+    entry that its step took to the threshold: when fewer entries lie
+    above the threshold than before the sweep, the batch's codes are
+    restored from a copy taken before it and the sweep is run again with
+    the freeze applied at every step. Both give the same bits whenever no
+    entry is frozen. When ``obj_log`` is given, every sweep runs with the
+    freeze, and the objective after each row that had a live entry in the
+    sweep is appended, as a row-at-a-time sweep sees it.
     """
     codes = codes.copy()
     # Entries at or below the zero threshold count as zero support-wise;
@@ -233,14 +250,17 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     # index order; past the end of a support it names a zero entry.
     present = codes != 0.0
     width = int(present.sum(axis=0).max(initial=0))
-    slots = np.argsort(~present, axis=0, kind="stable")[:width].copy()
+    slots = _support_slots(present, width)
     lanes = np.arange(n_cols)
     rhs = target[slots, lanes]
     del target, present
     batch = max(1, min(n_cols, _CODE_BATCH_ENTRIES // max(width, 1) ** 2))
-    grams = np.empty((width, width, batch))
-    # The work buffers of one step, allocated once per call.
-    buffers = (*np.empty((3, batch)), np.empty(batch, dtype=bool))
+    buffer_cols = max(batch, 2)
+    grams = np.empty((width, width, buffer_cols))
+    # The work buffers of one step and the codes before a sweep, allocated
+    # once per call.
+    buffers = (*np.empty((3, buffer_cols)), np.empty(buffer_cols, dtype=bool))
+    before_sweep = np.empty((width, buffer_cols))
     if obj_log is not None:
         # The codes at the start of each sweep and each entry's objective
         # change, kept per column and summed once at the end, so that the
@@ -250,24 +270,38 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
 
     for lo in range(0, n_cols, batch):
         hi = min(lo + batch, n_cols)
-        size = hi - lo
-        atoms = slots[:, lo:hi]
+        cols = slice(lo, hi) if hi - lo > 1 else [lo, lo]  # two lanes at least
+        atoms = slots[:, cols]
+        size = atoms.shape[1]
         gram = grams[:, :, :size]
         for s in range(width):
             # gram[s, t, j] = hess[atoms[s, j], atoms[t, j]]
             gram[s] = hess[atoms[s], atoms]
-        batch_rhs = rhs[:, lo:hi]
-        x = codes[atoms, lanes[lo:hi]]
+        x = codes[atoms, lanes[cols]]
         # Zero entries (padding, frozen) and unusable atoms take no step.
         step = np.where(x != 0.0, scale[atoms], 0.0)
+        # Step s reads slot s's Gram row and right-hand side and writes
+        # slot s's codes.
+        slot_views = tuple(zip(gram, rhs[:, cols], x, step))
         numer, move, mag, dead = (buf[:size] for buf in buffers)
+        before = before_sweep[:, :size]
+        above = _count_above(x)
         for sweep in range(cfg.x_sweeps):
-            if obj_log is not None:
-                snaps[sweep, :, lo:hi] = x
-            for s in range(width):
-                row, row_step = x[s], step[s]
-                np.einsum("tj,tj->j", gram[s], x, out=numer)
-                np.subtract(batch_rhs[s], numer, out=numer)
+            if obj_log is None:
+                np.copyto(before, x)
+                for gram_row, rhs_row, row, row_step in slot_views:
+                    np.einsum("tj,tj->j", gram_row, x, out=numer)
+                    np.subtract(rhs_row, numer, out=numer)
+                    np.multiply(numer, row_step, out=move)
+                    row += move
+                if _count_above(x) == above:
+                    continue
+                np.copyto(x, before)  # some entry reached the threshold
+            else:
+                snaps[sweep, :, lo:hi] = x[:, :hi - lo]
+            for s, (gram_row, rhs_row, row, row_step) in enumerate(slot_views):
+                np.einsum("tj,tj->j", gram_row, x, out=numer)
+                np.subtract(rhs_row, numer, out=numer)
                 np.multiply(numer, row_step, out=move)
                 if obj_log is not None:
                     old = row.copy()
@@ -279,10 +313,11 @@ def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
                 if obj_log is not None:
                     # Each update changes its column's objective by this much.
                     delta = row - old
-                    change[sweep, s, lo:hi] = delta * (
-                        delta * denom[atoms[s]] - 2.0 * numer
-                    )
-        codes[atoms, lanes[lo:hi]] = x
+                    change[sweep, s, lo:hi] = (
+                        delta * (delta * denom[atoms[s]] - 2.0 * numer)
+                    )[:hi - lo]
+            above = _count_above(x)
+        codes[atoms, lanes[cols]] = x
 
     if obj_log is not None:
         rows = slots.ravel()

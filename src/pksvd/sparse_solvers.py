@@ -206,6 +206,24 @@ def _col_norms(v):
     return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
+def _support_slots(mask, count):
+    """The first ``count`` rows of each column of the m x N boolean
+    ``mask``, as a (count, N) index array: the column's True rows in
+    increasing order, then its False rows in increasing order.
+
+    Equals ``np.argsort(~mask, axis=0, kind="stable")[:count]``, but sorts
+    distinct int32 keys along contiguous rows: a True row i is keyed
+    i - m and a False row i, so every True row sorts first.
+    """
+    m = mask.shape[0]
+    keys = np.multiply(mask.T, np.int32(-m), dtype=np.int32, order="C")
+    keys += np.arange(m, dtype=np.int32)
+    keys.sort(axis=1)
+    top = keys[:, :count]
+    top[top < 0] += m
+    return np.ascontiguousarray(top.T, dtype=np.intp)
+
+
 def bpdn(a, b, eps: float) -> SparseVec:
     """min ||w||_1  s.t.  ||b - A w||_2 <= eps, solved exactly.
 

@@ -1,13 +1,22 @@
 """Layer timings with pytest-benchmark; not part of the test suite.
 
 Times ``parseval_ksvd.update_codes`` alone on the inputs of its first call
-in a Parseval K-SVD train of ``texture(3)``: the codes of one K-SVD pass,
-and the pair after one analysis and one synthesis update. Two shapes:
+in a Parseval K-SVD train: the codes of one K-SVD pass, and the pair after
+one analysis and one synthesis update. Three shapes:
 
 * ``full``: the ``train-full`` benchmark workload's shapes, 8x8 blocks of
-  the whole 128x128 image, m=256, k=64 (256 columns of width 64);
+  the whole 128x128 ``texture(3)``, m=256, k=64 (256 columns of width 64);
 * ``desk``: the ``train-desk`` shapes, 4x4 blocks of the 64x64 top-left
-  crop, m=32, k=4 (256 columns of width 4).
+  crop of ``texture(3)``, m=32, k=4 (256 columns of width 4);
+* ``probe``: the ``recover-desk`` probe train, the desk shapes on the
+  32x32 top-left crop of its probe image ``texture(0)`` (64 columns of
+  width 4).
+
+Times ``sparse_solvers._support_slots``, which lists each column's support
+rows first, on three masks: the supports of the first Batch-OMP pass at
+the ``desk`` and ``full`` shapes (``support-desk``, 32 x 256, and
+``support-full``, 256 x 256), and the ``inpaint-desk`` mask of observed
+pixels (16 x 256).
 
 Times Batch-OMP, ``sparse_solvers._omp_columns``, alone at the same two
 shapes on the inputs of the first OMP pass of that K-SVD train: the
@@ -55,7 +64,7 @@ skips it. Run it by name, with one BLAS thread:
 import numpy as np
 import pytest
 from texture import texture
-from workloads import self_dual_pair
+from workloads import PROBE_SEED, self_dual_pair
 
 from pksvd.applications import (
     Mask,
@@ -75,19 +84,22 @@ from pksvd.parseval_ksvd import (
     update_codes,
     update_synthesis,
 )
-from pksvd.sparse_solvers import _homotopy_columns, _omp_columns
+from pksvd.sparse_solvers import _homotopy_columns, _omp_columns, _support_slots
 
 SHAPES = {
     # name: (block size, crop side, m, k)
     "full": (8, 128, 256, 64),
     "desk": (4, 64, 32, 4),
 }
+# The recover-desk probe train: the desk shapes on a crop of the probe image.
+CODE_REFRESH_SHAPES = {**SHAPES, "probe": (4, 32, 32, 4)}
 
 
-@pytest.fixture(scope="module", params=sorted(SHAPES))
+@pytest.fixture(scope="module", params=sorted(CODE_REFRESH_SHAPES))
 def code_refresh_inputs(request):
-    block, side, m, k = SHAPES[request.param]
-    img = texture(3)[:side, :side].astype(float)
+    block, side, m, k = CODE_REFRESH_SHAPES[request.param]
+    seed = PROBE_SEED if request.param == "probe" else 3
+    img = texture(seed)[:side, :side].astype(float)
     data = to_blocks(img, block, subtract_mean=True).blocks
     n = block * block
     base, codes = ksvd_train(data, KsvdConfig(m=m, k=k, iters=1), dct_dictionary(n, m))
@@ -111,6 +123,20 @@ def test_omp_columns(benchmark, shape):
     init = dct_dictionary(block * block, m).mat
     codes = benchmark(_omp_columns, init, data, k)
     assert (np.count_nonzero(codes, axis=0) <= k).all()
+
+
+@pytest.mark.parametrize("case", ["inpaint-desk", "support-desk", "support-full"])
+def test_support_slots(benchmark, case):
+    if case == "inpaint-desk":
+        mask = random_mask((64, 64), 0.5, 0, 4).block_columns(4)
+    else:
+        block, side, m, k = SHAPES[case.split("-")[1]]
+        data = to_blocks(texture(3)[:side, :side].astype(float), block,
+                         subtract_mean=True).blocks
+        mask = _omp_columns(dct_dictionary(block * block, m).mat, data, k) != 0.0
+    count = int(mask.sum(axis=0).max())
+    slots = benchmark(_support_slots, mask, count)
+    assert slots.shape == (count, mask.shape[1])
 
 
 HOMOTOPY_CASES = {

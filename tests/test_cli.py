@@ -581,9 +581,11 @@ class TestTheory:
 
 class TestInputLimits:
     """Inputs at the edges of their range: a seed below 0, no trials, a
-    step so fine that the quantized magnitudes leave int64, and a radius
-    whose square overflows. A failure exits 1 naming the input and writes
-    nothing; a success prints no warning."""
+    step so fine that the quantized magnitudes leave int64, a radius
+    whose square overflows, a noise level whose blocks' sum of squares
+    overflows, and Parseval-only outputs asked of a K-SVD train. A failure
+    exits 1 naming the input, prints no warning and writes nothing; a
+    success prints no warning."""
 
     @pytest.fixture
     def small(self, tmp_path):
@@ -624,13 +626,24 @@ class TestInputLimits:
         (["compress", "{image}", "--dict", "{eye}", "--dual", "{eye}", "--steps", "1,x",
           "--block_size", "2", "--out-prefix", "{out}/rd"],
          "--steps must be comma-separated numbers, got '1,x'"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--trace", "{out}/t.csv", "--block_size", "2", "--m", "4", "--k", "1"],
+         "--trace needs --method parseval"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--out-dual", "{out}/a.pk", "--block_size", "2", "--m", "4", "--k", "1"],
+         "--out-dual needs --method parseval"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "1e300",
+          "--block_size", "2", "--out-prefix", "{out}/dn"],
+         "--sigma 1e+300 is too large"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
-            "compress-steps-list"])
+            "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {message.format(out=out)}")
         assert list(out.iterdir()) == []
 

@@ -77,6 +77,90 @@ def reference_update_codes(data, codes, synth, analysis, cfg, obj_log=None):
     return codes
 
 
+def stepwise_update_codes(data, codes, synth, analysis, cfg, obj_log=None):
+    """``update_codes`` as it stood with the zero threshold applied at
+    every step, kept verbatim as the byte-identity reference."""
+    codes = codes.copy()
+    # Entries at or below the zero threshold count as zero support-wise;
+    # clamping them up front keeps supports monotone under that rule.
+    codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
+    m, n_cols = codes.shape
+    kernel = analysis.T @ synth
+    hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
+    target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
+    del kernel
+    denom = np.diag(hess)
+    scale = np.divide(1.0, denom, out=np.zeros(m), where=denom > 0.0)
+    # slots[s, j] is the s-th support atom of column j, in increasing
+    # index order; past the end of a support it names a zero entry.
+    present = codes != 0.0
+    width = int(present.sum(axis=0).max(initial=0))
+    slots = np.argsort(~present, axis=0, kind="stable")[:width].copy()
+    lanes = np.arange(n_cols)
+    rhs = target[slots, lanes]
+    del target, present
+    batch = max(1, min(n_cols, parseval_ksvd._CODE_BATCH_ENTRIES
+                       // max(width, 1) ** 2))
+    grams = np.empty((width, width, batch))
+    # The work buffers of one step, allocated once per call.
+    buffers = (*np.empty((3, batch)), np.empty(batch, dtype=bool))
+    if obj_log is not None:
+        # The codes at the start of each sweep and each entry's objective
+        # change, kept per column and summed once at the end, so that the
+        # log does not depend on how the columns were batched.
+        snaps = np.zeros((cfg.x_sweeps, width, n_cols))
+        change = np.zeros((cfg.x_sweeps, width, n_cols))
+
+    for lo in range(0, n_cols, batch):
+        hi = min(lo + batch, n_cols)
+        size = hi - lo
+        atoms = slots[:, lo:hi]
+        gram = grams[:, :, :size]
+        for s in range(width):
+            # gram[s, t, j] = hess[atoms[s, j], atoms[t, j]]
+            gram[s] = hess[atoms[s], atoms]
+        batch_rhs = rhs[:, lo:hi]
+        x = codes[atoms, lanes[lo:hi]]
+        # Zero entries (padding, frozen) and unusable atoms take no step.
+        step = np.where(x != 0.0, scale[atoms], 0.0)
+        numer, move, mag, dead = (buf[:size] for buf in buffers)
+        for sweep in range(cfg.x_sweeps):
+            if obj_log is not None:
+                snaps[sweep, :, lo:hi] = x
+            for s in range(width):
+                row, row_step = x[s], step[s]
+                np.einsum("tj,tj->j", gram[s], x, out=numer)
+                np.subtract(batch_rhs[s], numer, out=numer)
+                np.multiply(numer, row_step, out=move)
+                if obj_log is not None:
+                    old = row.copy()
+                row += move
+                # An entry that reaches the zero threshold is frozen at zero.
+                np.less_equal(np.abs(row, out=mag), ZERO_THRESHOLD, out=dead)
+                np.putmask(row, dead, 0.0)
+                np.putmask(row_step, dead, 0.0)
+                if obj_log is not None:
+                    # Each update changes its column's objective by this much.
+                    delta = row - old
+                    change[sweep, s, lo:hi] = delta * (
+                        delta * denom[atoms[s]] - 2.0 * numer
+                    )
+        codes[atoms, lanes[lo:hi]] = x
+
+    if obj_log is not None:
+        rows = slots.ravel()
+        usable = scale[slots] > 0.0
+        for snap, entry_change in zip(snaps, change):
+            start = np.zeros_like(codes)
+            start[slots, lanes] = snap
+            start_value = objective_value(data, start, synth, analysis, cfg.rho1)
+            per_row = np.bincount(rows, weights=entry_change.ravel(), minlength=m)
+            seen = np.zeros(m, dtype=bool)
+            seen[slots[(snap != 0.0) & usable]] = True
+            obj_log.extend((start_value + np.cumsum(per_row)[seen]).tolist())
+    return codes
+
+
 def lagrangian(data, codes, synth, analysis, state, cfg):
     n = synth.shape[0]
     resid = data - synth @ codes
@@ -403,8 +487,8 @@ class TestUpdateCodes:
         for a, b in zip(seq, seq[1:]):
             assert b <= a + 1e-9 * max(1.0, a)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_row_order_reference(self, seed):
+    @staticmethod
+    def row_order_problem(seed):
         data, codes, synth, analysis, _, cfg = small_problem(
             20 + seed, n=5, m=9, n_cols=30, k=3
         )
@@ -416,6 +500,11 @@ class TestUpdateCodes:
         analysis[:, 6] = 0.0
         # tiny data drive some entries through the threshold mid-sweep
         data[:, 20:] *= 1e-7
+        return data, codes, synth, analysis, cfg
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_row_order_reference(self, seed):
+        data, codes, synth, analysis, cfg = self.row_order_problem(seed)
         got_log, ref_log = [], []
         got = update_codes(data, codes, synth, analysis, cfg, obj_log=got_log)
         ref = reference_update_codes(data, codes, synth, analysis, cfg, obj_log=ref_log)
@@ -461,7 +550,7 @@ class TestUpdateCodes:
         assert len(got_log) == len(ref_log) > 0
         assert np.allclose(got_log, ref_log, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("per_batch", [2, 7, 13])
+    @pytest.mark.parametrize("per_batch", [1, 2, 7, 13])
     def test_batches_do_not_change_results(self, per_batch, monkeypatch):
         data, codes, synth, analysis, cfg = self.wide_problem(63)
         one_log, split_log = [], []
@@ -486,6 +575,59 @@ class TestUpdateCodes:
         assert wide.tobytes() == narrow.tobytes()
         assert len(wide_log) > 0
         assert np.array(wide_log).tobytes() == np.array(narrow_log).tobytes()
+
+    @staticmethod
+    def assert_matches_stepwise(data, codes, synth, analysis, cfg):
+        got_log, ref_log = [], []
+        got = update_codes(data, codes, synth, analysis, cfg, obj_log=got_log)
+        ref = stepwise_update_codes(data, codes, synth, analysis, cfg, obj_log=ref_log)
+        assert got.tobytes() == ref.tobytes()
+        assert len(got_log) > 0
+        assert np.array(got_log).tobytes() == np.array(ref_log).tobytes()
+        # without a log, sweeps run unfrozen and are replayed on a freeze
+        assert update_codes(data, codes, synth, analysis, cfg).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(60, 64))
+    def test_wide_problems_match_stepwise(self, seed):
+        self.assert_matches_stepwise(*self.wide_problem(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_order_problems_match_stepwise(self, seed):
+        self.assert_matches_stepwise(*self.row_order_problem(seed))
+
+    def test_full_width_matches_stepwise(self):
+        data, codes, synth, analysis, _, cfg = small_problem(
+            70, n=64, m=256, n_cols=256, k=64
+        )
+        self.assert_matches_stepwise(data, codes, synth, analysis, cfg)
+
+    def test_replay_freezes_an_entry_that_would_climb_back(self):
+        """Column 0's first entry reaches the zero threshold in the first
+        sweep and, left free, climbs back above it in the next ones; the
+        sweep is replayed with the freeze, which keeps it at zero."""
+        rng = np.random.default_rng(5)
+        synth = np.array([[1.0, 0.6], [0.0, 0.8]])
+        cfg = PkvConfig(k=2, rho1=0.1, x_sweeps=4)
+        # with analysis = synth, the Hessian and the map from data to targets
+        hess = cfg.rho1 * synth.T @ synth + (synth.T @ synth) @ (synth.T @ synth)
+        weight = cfg.rho1 * synth + synth @ synth.T @ synth
+        codes = rng.uniform(1.0, 2.0, size=(2, 6))
+        codes[:, 0] = [1.0, 2.0]
+        data = rng.standard_normal((2, 6))
+        # the first step of column 0 lands on zero, the second on 1.0
+        target = np.array([hess[0, 1] * 2.0, hess[1, 1]])
+        data[:, 0] = np.linalg.solve(weight.T, target)
+        free, path = codes[:, 0].copy(), []
+        for _ in range(cfg.x_sweeps):
+            for s in range(2):
+                free[s] += (target[s] - hess[s] @ free) / hess[s, s]
+            path.append(free[0])
+        assert abs(path[0]) <= ZERO_THRESHOLD < abs(path[-1])
+        got = update_codes(data, codes, synth, synth, cfg)
+        assert got[0, 0] == 0.0 and abs(got[1, 0]) > ZERO_THRESHOLD
+        assert np.count_nonzero(got[:, 1:]) == codes[:, 1:].size
+        ref = stepwise_update_codes(data, codes, synth, synth, cfg)
+        assert got.tobytes() == ref.tobytes()
 
     def test_full_scale_memory(self):
         data, codes, synth, analysis, _, cfg = small_problem(

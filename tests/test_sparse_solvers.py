@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from texture import texture
 from workloads import self_dual_pair
 
@@ -16,6 +19,7 @@ from pksvd.sparse_solvers import (
     SparseVec,
     _homotopy_columns,
     _omp_columns,
+    _support_slots,
     basis_pursuit,
     bp_bruteforce_oracle,
     bpdn,
@@ -341,6 +345,21 @@ class TestOmpColumns:
         y = rng.standard_normal(5)
         u = omp(d, y, 3)
         assert np.array_equal(u.entries, _omp_columns(d.mat, y[:, None], 3)[:, 0])
+
+
+class TestSupportSlots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_stable_argsort(self, data):
+        mask = data.draw(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                           min_side=0, max_side=40)))
+        if mask.shape[1]:
+            mask[:, data.draw(st.integers(0, mask.shape[1] - 1))] = False
+        count = data.draw(st.integers(0, mask.shape[0]))
+        got = _support_slots(mask, count)
+        want = np.argsort(~mask, axis=0, kind="stable")[:count]
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class TestBruteforceOracle:
