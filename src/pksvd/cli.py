@@ -39,6 +39,10 @@ DEFAULTS = {
 
 DENOISE_EPS_GRID = "2,4,6,8,10,12,14,16,18,20,22,24"
 COMPRESS_STEP_GRID = "0.5,1,2,4,8,16,32,64,128"
+# A noise level whose noisy blocks' sum of squares exceeds this is
+# rejected: SSIM forms fourth powers of the restored pixels, whose sum of
+# squares is about as large, and 1e150 squared stays 1e8 below overflow.
+NOISY_ENERGY_MAX = 1e150
 METRIC_COLUMNS = ("image", "sigma_or_fraction", "dictionary", "psnr", "ssim", "eps_used")
 
 
@@ -235,9 +239,9 @@ def cmd_denoise(args):
     )
     with np.errstate(over="ignore"):
         energy = np.einsum("ij,ij->", blocked.blocks, blocked.blocks)
-    if not np.isfinite(energy):  # no radius or residual norm would be finite
+    if not energy <= NOISY_ENERGY_MAX:
         raise ConfigError(f"--sigma {args.sigma:g} is too large: the noisy blocks' "
-                          f"sum of squares overflows")
+                          f"sum of squares exceeds {NOISY_ENERGY_MAX:g}")
     restorations = [
         imaging.from_blocks(out)
         for out in applications.denoise_sweep(blocked, synth, analysis, eps_grid)

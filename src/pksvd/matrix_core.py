@@ -3,16 +3,15 @@
 Factorization-backed pseudo-inverse, a hand-rolled Kronecker product, the
 eigenpairs of a symmetric-definite pencil, a symmetric Sylvester solver
 working from eigenpairs (the Parseval dictionary updates run on it), and
-a general Sylvester solver with a Schur-reduction method and a
-vec/Kronecker least-squares method that cross-check each other and the
-eigen route. Only ``solve_sylvester(method="schur")`` loads scipy.
+a general Sylvester solver by vec/Kronecker least squares, the reference
+the eigen route is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadShape, NearSingularSylvester
+from .errors import BadShape, NearSingularSylvester, TooLarge
 
 # Singular values below RCOND * sigma_max are treated as zero.
 RCOND = 1e-12
@@ -22,6 +21,10 @@ SYLVESTER_RESIDUAL_TOL = 1e-9
 
 # Condition estimate above which the Sylvester operator counts as singular.
 SYLVESTER_COND_LIMIT = 1e12
+
+# Unknowns n*m above which ``solve_sylvester`` raises ``TooLarge``: its
+# vec form is an (n*m) x (n*m) operator, 8 MiB at this limit.
+SYLVESTER_MAX_UNKNOWNS = 1024
 
 
 def as_matrix(a, name="matrix"):
@@ -84,12 +87,23 @@ def _check_condition(cond):
         )
 
 
+def _frobenius(x):
+    """Frobenius norm of ``x``, scaled by its largest entry so that the
+    squares cannot overflow; inf or NaN when ``x`` holds one."""
+    scale = np.abs(x).max()
+    if not 0.0 < scale < np.inf:
+        return scale
+    return scale * np.linalg.norm(x / scale)
+
+
 def check_sylvester_residual(residual, c):
     """Raise ``NearSingularSylvester`` unless ``residual``, the matrix
-    A @ beta + beta @ B - C of a solve of A @ beta + beta @ B = C, has
-    Frobenius norm at most ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
-    residual = np.linalg.norm(residual)
-    if residual > SYLVESTER_RESIDUAL_TOL * max(1.0, np.linalg.norm(c)):
+    A @ beta + beta @ B - C of a solve of A @ beta + beta @ B = C, is
+    finite with Frobenius norm at most
+    ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
+    residual = _frobenius(residual)
+    bound = SYLVESTER_RESIDUAL_TOL * max(1.0, _frobenius(c))
+    if not (np.isfinite(residual) and residual <= bound):
         raise NearSingularSylvester(
             f"solution residual {residual:.3e} exceeds tolerance; "
             "spectra of A and -B likely overlap"
@@ -130,14 +144,14 @@ def solve_sylvester_eig(a_eig, b_eig, k):
     return u @ ((u.T @ k @ v) / (sigma[:, None] + lam[None, :])) @ v.T
 
 
-def solve_sylvester(a, b, c, method="schur"):
+def solve_sylvester(a, b, c):
     """Solve A @ beta + beta @ B = C for beta.
 
-    ``method="schur"`` uses real Schur reduction (Bartels-Stewart);
-    ``method="kron"`` assembles (I (x) A + B^T (x) I) vec(beta) = vec(C)
-    and solves it by least squares. Both raise ``NearSingularSylvester``
-    when the operator's condition estimate exceeds 1e12 or the residual
-    check fails afterwards.
+    Assembles (I (x) A + B^T (x) I) vec(beta) = vec(C) and solves it by
+    least squares. Raises ``TooLarge`` when n*m exceeds
+    ``SYLVESTER_MAX_UNKNOWNS``, before forming anything, and
+    ``NearSingularSylvester`` when the operator's condition estimate
+    exceeds ``SYLVESTER_COND_LIMIT`` or the residual check fails.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -148,21 +162,13 @@ def solve_sylvester(a, b, c, method="schur"):
         raise BadShape("A and B must be square")
     if c.shape != (n, m):
         raise BadShape(f"C must be {n}x{m}, got {c.shape}")
+    if n * m > SYLVESTER_MAX_UNKNOWNS:
+        raise TooLarge(f"Sylvester solve limited to n*m <= {SYLVESTER_MAX_UNKNOWNS}, "
+                       f"got {n}*{m}")
 
     _check_condition(_sylvester_condition_estimate(a, b))
-
-    if method == "schur":
-        # Imported here so that loading pksvd, or any command, never loads scipy.
-        import scipy.linalg
-
-        beta = scipy.linalg.solve_sylvester(a, b, c)
-    elif method == "kron":
-        op = kron(np.eye(m), a) + kron(b.T, np.eye(n))
-        vec_c = c.reshape(-1, order="F")
-        sol, *_ = np.linalg.lstsq(op, vec_c, rcond=None)
-        beta = sol.reshape((n, m), order="F")
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'schur' or 'kron'")
-
+    op = kron(np.eye(m), a) + kron(b.T, np.eye(n))
+    sol, *_ = np.linalg.lstsq(op, c.reshape(-1, order="F"), rcond=None)
+    beta = sol.reshape((n, m), order="F")
     check_sylvester_residual(a @ beta + beta @ b - c, c)
     return beta

@@ -37,6 +37,11 @@ _LOG_FLOOR = 1e-300
 # the peak memory of a full-scale call past 4 MiB.
 _CODE_BATCH_ENTRIES = 2 ** 18
 
+# Penalties above this are rejected: under it 2 rho1 G, rho2 S + rho3 S
+# and their kin stay finite while the code Gram G and the dictionaries
+# hold entries below about 9e57.
+PENALTY_MAX = 1e250
+
 
 @dataclass(frozen=True)
 class PkvConfig:
@@ -52,10 +57,9 @@ class PkvConfig:
     def __post_init__(self):
         for name in ("rho1", "rho2", "rho3"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"penalty {name} must be finite and positive, got {value}"
-                )
+            if not 0 < value <= PENALTY_MAX:  # NaN fails too
+                raise ValueError(f"penalty {name} must be finite and positive, "
+                                 f"at most {PENALTY_MAX:g}, got {value}")
         if self.max_iters < 1 or self.x_sweeps < 1:
             raise ValueError("max_iters and x_sweeps must be >= 1")
         if self.k < 1:

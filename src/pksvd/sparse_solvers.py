@@ -32,8 +32,9 @@ _ORACLE_MAX_ATOMS = 12
 # one Batch-OMP batch may hold: 16 columns at k = 64, 4096 at k = 4.
 _OMP_BATCH_ENTRIES = 2 ** 16
 
-# Atom scores within this fraction of the largest count as tied; the
-# lowest index wins (Batch-OMP atoms, K-SVD atom signs).
+# Atom scores within this fraction of the largest, or homotopy event
+# times within it of the smallest, count as tied; the lowest index wins
+# (Batch-OMP atoms, K-SVD atom signs, homotopy joins and drops).
 _TIE_RTOL = 1e-12
 
 # A candidate atom whose squared distance from the span of the support is
@@ -325,6 +326,13 @@ def _homotopy_columns(system, data, radii, rank=None):
     return codes.transpose(0, 2, 1)
 
 
+def _first_tied_min(times, rows):
+    """Per row of ``times``, the lowest index whose time is within a
+    relative ``_TIE_RTOL`` of the row's smallest."""
+    top = times[rows, times.argmin(axis=1)]
+    return (times <= (1.0 + _TIE_RTOL) * top[:, None]).argmax(axis=1)
+
+
 def _homotopy_block(atoms, b, radii, rank, width):
     """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
 
@@ -334,14 +342,15 @@ def _homotopy_block(atoms, b, radii, rank, width):
     ``_GRAM_PAD``, the width of the lanes' factors. Each step moves
     w <- w + gamma d and lam <- lam - gamma along the direction
     d_S = G_S^-1 sign(w_S), with G_S = A_S^T A_S the support Gram, until
-    the first event: an atom joins (its correlation reaches +-lam; ties go
-    to the lowest index), an atom drops (its code reaches zero), or the
-    path ends (lam = 0). Join steps are clamped at gamma >= 0; an atom
-    dropped on the previous step may not rejoin on the side it left; joins
-    stop once a lane's support reaches the rank of its system. A lane
-    leaves the batch once it has a code for every radius. The direction
-    comes from factors of G_S that each lane keeps from step to step
-    (``_LaneFactors``). Returns (K, N, m) codes.
+    the first event: an atom joins (its correlation reaches +-lam), an
+    atom drops (its code reaches zero), or the path ends (lam = 0). Join
+    times, and drop times, within a relative ``_TIE_RTOL`` of the smallest
+    count as tied, and the lowest index wins. Join steps are clamped at
+    gamma >= 0; an atom dropped on the previous step may not rejoin on the
+    side it left; joins stop once a lane's support reaches the rank of its
+    system. A lane leaves the batch once it has a code for every radius.
+    The direction comes from factors of G_S that each lane keeps from step
+    to step (``_LaneFactors``). Returns (K, N, m) codes.
     """
     n_lanes, p = b.shape
     m = atoms.shape[-2]
@@ -398,7 +407,7 @@ def _homotopy_block(atoms, b, radii, rank, width):
         np.putmask(down, ~(down_rate > _JOIN_FLOOR) | (left < 0), np.inf)
         join = np.minimum(up, down)
         np.putmask(join, (sign != 0) | (factors.size >= rank)[:, None], np.inf)
-        new = np.argmin(join, axis=1)
+        new = _first_tied_min(join, rows)
         g_join = join[rows, new]
         new_sign = np.where(up[rows, new] <= down[rows, new], 1.0, -1.0)
         # Drop steps: an active code moving against its sign reaches 0.
@@ -409,7 +418,7 @@ def _homotopy_block(atoms, b, radii, rank, width):
         np.maximum(gap, 0.0, out=gap)
         up.fill(np.inf)
         drop = np.divide(gap, rate, out=up, where=rate > 0)
-        old = np.argmin(drop, axis=1)
+        old = _first_tied_min(drop, rows)
         g_drop = drop[rows, old]
         gamma = np.minimum(np.minimum(g_join, g_drop), lam)
         ends = lam - gamma <= floor

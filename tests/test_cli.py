@@ -582,10 +582,11 @@ class TestTheory:
 class TestInputLimits:
     """Inputs at the edges of their range: a seed below 0, no trials, a
     step so fine that the quantized magnitudes leave int64, a radius
-    whose square overflows, a noise level whose blocks' sum of squares
-    overflows, and Parseval-only outputs asked of a K-SVD train. A failure
-    exits 1 naming the input, prints no warning and writes nothing; a
-    success prints no warning."""
+    whose square overflows, a noise level whose restoration's SSIM terms
+    would overflow, a penalty above the cap, huge penalties under it, and
+    Parseval-only outputs asked of a K-SVD train. A failure exits 1 naming
+    the input, prints no warning and writes nothing; a success prints no
+    warning and writes finite outputs."""
 
     @pytest.fixture
     def small(self, tmp_path):
@@ -635,9 +636,16 @@ class TestInputLimits:
         (["denoise", "{image}", "--dict", "{eye}", "--sigma", "1e300",
           "--block_size", "2", "--out-prefix", "{out}/dn"],
          "--sigma 1e+300 is too large"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "1e100",
+          "--block_size", "2", "--out-prefix", "{out}/dn"],
+         "--sigma 1e+100 is too large"),
+        (["train", "{image}", "--method", "parseval", "--out", "{out}/d.pk",
+          "--rho1", "1e308", "--block_size", "2", "--m", "4", "--k", "1"],
+         "penalty rho1 must be finite and positive, at most 1e+250, got 1e+308"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
-            "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge"])
+            "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
+            "denoise-sigma-ssim", "train-rho1-huge"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
@@ -658,44 +666,79 @@ class TestInputLimits:
         restored = read_pgm(out / "dn.pgm")
         assert (restored == restored.flat[0]).all()  # every block at the image mean
 
+    def test_large_sigma_denoises_cleanly(self, small):
+        image, eye, out = small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["denoise", image, "--dict", eye, "--sigma", "1e60",
+                         "--block_size", "2", "--out-prefix", str(out / "dn")])
+        assert code == 0
+        row = (out / "dn.csv").read_text().strip().split("\n")[1].split(",")
+        assert np.isfinite([float(v) for v in row[1:2] + row[3:]]).all()
+
+    @pytest.mark.parametrize("flag,value", [("--rho1", "1e160"), ("--rho3", "1e200")])
+    def test_huge_penalty_trains_cleanly(self, tmp_path, flag, value):
+        # The Sylvester residual check's norms overflowed here, and it
+        # passed without checking.
+        image = tmp_path / "img.pgm"
+        write_pgm(np.random.default_rng(0).integers(0, 256, (32, 32)).astype(float), image)
+        out = tmp_path / "d.pk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", str(image), "--method", "parseval", "--block_size", "4",
+                         "--m", "32", "--k", "4", "--ksvd_iters", "1", "--max_iters", "2",
+                         flag, value, "--out", str(out), "--trace", str(tmp_path / "t.csv")])
+        assert code == 0
+        for path in (out, tmp_path / "d.dual.pk"):
+            assert np.isfinite(load_dictionary(path).mat).all()
+        trace = (tmp_path / "t.csv").read_text().strip().split("\n")[1:]
+        assert np.isfinite([[float(v) for v in row.split(",")] for row in trace]).all()
+
 
 class TestScipyStaysUnloaded:
-    """Loading pksvd, a Parseval train and a desk denoise and inpaint run
-    on numpy alone, without ``numpy.ma`` (whose import costs memory and
-    time); only the Schur route of ``solve_sylvester`` loads scipy."""
+    """pksvd imports, and every command runs, with every scipy import
+    blocked, and without ``numpy.ma`` (whose import costs memory and
+    time)."""
 
     SCRIPT = textwrap.dedent("""
         import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} is blocked")
+
+        sys.meta_path.insert(0, BlockScipy())
         import numpy as np
         import pksvd.cli
         from pksvd.imaging import write_pgm
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-        assert not scipy_modules(), scipy_modules()
         out = sys.argv[1]
+        img, pk, dual = out + "/img.pgm", out + "/dict.pk", out + "/dict.dual.pk"
         rng = np.random.default_rng(0)
-        write_pgm(rng.integers(0, 256, (32, 32)).astype(float), out + "/img.pgm")
-        code = pksvd.cli.main(["train", out + "/img.pgm", "--method", "parseval",
-                               "--block_size", "4", "--m", "32", "--k", "4",
-                               "--ksvd_iters", "1", "--max_iters", "1",
-                               "--out", out + "/dict.pk"])
-        assert code == 0
-        for argv in (["denoise", "--dual", out + "/dict.dual.pk", "--sigma", "20",
-                      "--out-prefix", out + "/dn"],
-                     ["inpaint", "--fraction", "0.5", "--out-prefix", out + "/ip"]):
-            code = pksvd.cli.main([argv[0], out + "/img.pgm", "--dict", out + "/dict.pk",
-                                   "--block_size", "4", *argv[1:]])
-            assert code == 0
-        assert not scipy_modules(), scipy_modules()
+        write_pgm(rng.integers(0, 256, (32, 32)).astype(float), img)
+        desk = ["--block_size", "4", "--m", "32", "--k", "4", "--ksvd_iters", "1"]
+        for argv in (
+            ["train", img, "--method", "ksvd", *desk, "--out", out + "/base.pk"],
+            ["train", img, "--method", "parseval", *desk, "--max_iters", "1", "--out", pk],
+            ["verify", pk, dual],
+            ["reconstruct", img, "--dict", pk, "--dual", dual, "--block_size", "4",
+             "--out", out + "/rc.pgm"],
+            ["denoise", img, "--dict", pk, "--dual", dual, "--sigma", "20",
+             "--block_size", "4", "--out-prefix", out + "/dn"],
+            ["inpaint", img, "--dict", pk, "--fraction", "0.5", "--block_size", "4",
+             "--out-prefix", out + "/ip"],
+            ["compress", img, "--dict", pk, "--dual", dual, "--block_size", "4",
+             "--out-prefix", out + "/rd"],
+            ["theory", "--trials", "3", "--out", out + "/th.csv"],
+        ):
+            assert pksvd.cli.main(argv) == 0, argv
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         assert "numpy.ma" not in sys.modules
-        from pksvd.matrix_core import solve_sylvester
-        beta = solve_sylvester(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
-                               np.ones((2, 2)), "schur")
-        assert np.allclose(beta, [[1 / 4, 1 / 5], [1 / 5, 1 / 6]])
-        assert "scipy.linalg" in sys.modules
-        print("ok")
+        try:
+            import scipy  # noqa: F401
+        except ImportError:
+            print("ok")
     """)
 
     def test_train_runs_without_scipy(self, tmp_path):
@@ -707,5 +750,6 @@ class TestScipyStaysUnloaded:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "ok"
-        assert (tmp_path / "dict.pk").exists()
-        assert (tmp_path / "dn.pgm").exists() and (tmp_path / "ip.pgm").exists()
+        written = ("base.pk", "dict.pk", "dict.dual.pk", "rc.pgm", "dn.pgm", "ip.pgm",
+                   "rd.csv", "th.csv")
+        assert all((tmp_path / name).exists() for name in written)

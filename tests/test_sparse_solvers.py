@@ -10,7 +10,7 @@ from texture import texture
 from workloads import self_dual_pair
 
 from pksvd import sparse_solvers
-from pksvd.applications import Mask, _observed_systems, inpaint, random_mask
+from pksvd.applications import Mask, _observed_systems, add_gaussian_noise, inpaint, random_mask
 from pksvd.errors import SolverDidNotConverge, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
@@ -722,6 +722,33 @@ class TestBpdnColumns:
         a = np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         w = _homotopy_columns(a, np.array([[0.0], [3.0]]), [1.0, 0.0])
         assert np.all(w[:, 1, 0] > 0) and not w[:, 2, 0].any()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_rounded_join_ties_go_to_lowest_index(self, swap, monkeypatch):
+        # Column 86 of the desk denoise system of texture(5) (the self-dual
+        # DCT pair, sigma 20, noise seed 0): atoms 19 and 31 reach +-lam at
+        # the same gamma, 0.46934376157..., and their computed join times
+        # differ by 3.8e-13 relative, 31's the smaller. Whichever atom
+        # sits at the lower index joins first, in either order.
+        pair = self_dual_pair(dct_dictionary(16, 32).mat)
+        img = texture(5)[:64, :64]
+        blocks = to_blocks(add_gaussian_noise(img, 20.0, 0), 4, subtract_mean=True,
+                           mean_value=float(img.mean())).blocks
+        order = np.arange(32)
+        if swap:
+            order[[19, 31]] = [31, 19]
+        tri = np.linalg.qr(pair.T, mode="r")
+        joins = []
+        append = sparse_solvers._LaneFactors.append
+
+        def record(factors, system, lanes, new, sign):
+            joins.extend(new[lanes].tolist())
+            return append(factors, system, lanes, new, sign)
+
+        monkeypatch.setattr(sparse_solvers._LaneFactors, "append", record)
+        _homotopy_columns((tri @ pair)[:, order], tri @ blocks[:, [86]],
+                          np.arange(24.0, 0.0, -2.0))
+        assert [j for j in joins if j in (19, 31)] == [19, 31]
 
     def test_integer_blocks_reach_eps_zero(self):
         # At the end of the path every atom the support spans "joins"
