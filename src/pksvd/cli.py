@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import applications, formats, frames, imaging, parseval_ksvd, theory_lab
-from .errors import BadShape, ConfigError, PksvdError
+from .errors import BadShape, ConfigError, NearSingularSylvester, PksvdError
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
 
@@ -166,7 +166,16 @@ def cmd_train(args):
         print(f"wrote {args.out}")
         return 0
 
-    synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (base_dict, base_codes))
+    try:
+        synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (base_dict, base_codes))
+    except NearSingularSylvester as exc:
+        # The analysis update's eigenvalue sums lie between rho3 and about
+        # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+        raise ConfigError(
+            f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: a "
+            f"dictionary update's Sylvester system is near-singular ({exc}); "
+            "lower --rho2 or raise --rho3"
+        ) from None
     formats.save_dictionary(synth, args.out)
     dual_out = args.out_dual or _dual_path(args.out)
     formats.save_dictionary(analysis, dual_out)

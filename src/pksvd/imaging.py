@@ -18,6 +18,9 @@ DEFAULT_BLOCK = 8
 _SSIM_WINDOW = 8
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
+# Pixel magnitude above which ``ssim`` rejects its images: up to it, every
+# product of two window statistics in the SSIM ratio stays below 1e305.
+_SSIM_MAX_ABS = 1e76
 
 
 def as_image(a, name="image"):
@@ -131,7 +134,9 @@ def ssim(a, b):
     """Mean SSIM over all 8x8 uniform windows, stride 1.
 
     Population (divide-by-n) window statistics with the standard
-    constants C1 = (0.01*255)^2 and C2 = (0.03*255)^2.
+    constants C1 = (0.01*255)^2 and C2 = (0.03*255)^2. Raises ``BadShape``
+    when a pixel's magnitude exceeds ``_SSIM_MAX_ABS``, where the products
+    of the window statistics would overflow.
     """
     a = as_image(a, "first image")
     b = as_image(b, "second image")
@@ -139,6 +144,10 @@ def ssim(a, b):
         raise BadShape(f"shape mismatch {a.shape} vs {b.shape}")
     if min(a.shape) < _SSIM_WINDOW:
         raise BadShape(f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW}")
+    peak = max(np.abs(a).max(), np.abs(b).max())
+    if peak > _SSIM_MAX_ABS:
+        raise BadShape(f"a pixel of magnitude {peak:g} exceeds {_SSIM_MAX_ABS:g}; "
+                       "the SSIM terms would overflow")
     mu_a = _window_means(a, _SSIM_WINDOW)
     mu_b = _window_means(b, _SSIM_WINDOW)
     var_a = _window_means(a * a, _SSIM_WINDOW) - mu_a * mu_a

@@ -12,6 +12,12 @@ one analysis and one synthesis update. Three shapes:
   32x32 top-left crop of its probe image ``texture(0)`` (64 columns of
   width 4).
 
+Times ``ksvd._update_atoms``, one pass of atom updates, alone at the same
+three shapes on the inputs of the first pass of that K-SVD train: the DCT
+dictionary and the codes of the first coding. At ``full`` every atom's
+columns fit exactly and every atom takes the power step; at ``desk`` and
+``probe`` every atom takes the eigensolver.
+
 Times ``sparse_solvers._support_slots``, which lists each column's support
 rows first, on three masks: the supports of the first Batch-OMP pass at
 the ``desk`` and ``full`` shapes (``support-desk``, 32 x 256, and
@@ -76,7 +82,7 @@ from pksvd.applications import (
 from pksvd.cli import COMPRESS_STEP_GRID, DENOISE_EPS_GRID, build_parser
 from pksvd.frames import Dictionary, dct_dictionary
 from pksvd.imaging import to_blocks
-from pksvd.ksvd import KsvdConfig, ksvd_train
+from pksvd.ksvd import KsvdConfig, _code_columns, _update_atoms, ksvd_train
 from pksvd.parseval_ksvd import (
     AdmmState,
     PkvConfig,
@@ -114,6 +120,18 @@ def test_update_codes(benchmark, code_refresh_inputs):
     data, codes, synth, analysis, cfg = code_refresh_inputs
     refreshed = benchmark(update_codes, data, codes, synth, analysis, cfg)
     assert refreshed.shape == codes.shape
+
+
+@pytest.mark.parametrize("shape", sorted(CODE_REFRESH_SHAPES))
+def test_update_atoms(benchmark, shape):
+    block, side, m, k = CODE_REFRESH_SHAPES[shape]
+    seed = PROBE_SEED if shape == "probe" else 3
+    data = to_blocks(texture(seed)[:side, :side].astype(float), block,
+                     subtract_mean=True).blocks
+    init = dct_dictionary(block * block, m).mat
+    codes = _code_columns(init, data, k, None)
+    _, new_codes = benchmark(_update_atoms, init, data, codes)
+    assert np.array_equal(new_codes != 0.0, codes != 0.0)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -583,8 +583,9 @@ class TestInputLimits:
     """Inputs at the edges of their range: a seed below 0, no trials, a
     step so fine that the quantized magnitudes leave int64, a radius
     whose square overflows, a noise level whose restoration's SSIM terms
-    would overflow, a penalty above the cap, huge penalties under it, and
-    Parseval-only outputs asked of a K-SVD train. A failure exits 1 naming
+    would overflow, a penalty above the cap, huge penalties under it, a
+    rho2 too large against rho3, and Parseval-only outputs asked of a K-SVD
+    train. A failure exits 1 naming
     the input, prints no warning and writes nothing; a success prints no
     warning and writes finite outputs."""
 
@@ -693,6 +694,27 @@ class TestInputLimits:
             assert np.isfinite(load_dictionary(path).mat).all()
         trace = (tmp_path / "t.csv").read_text().strip().split("\n")[1:]
         assert np.isfinite([[float(v) for v in row.split(",")] for row in trace]).all()
+
+    @pytest.mark.parametrize("value", ["1e25", "1e250"])
+    def test_huge_rho2_fails_naming_the_penalties(self, tmp_path, capsys, value):
+        # rho2 / rho3 beyond about 1e12 made the analysis update's Sylvester
+        # solve fail with a message that named only the solver.
+        image = tmp_path / "img.pgm"
+        write_pgm(np.random.default_rng(0).integers(0, 256, (32, 32)).astype(float), image)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", str(image), "--method", "parseval", "--block_size", "4",
+                "--m", "32", "--k", "4", "--ksvd_iters", "1", "--max_iters", "2",
+                "--rho2", value, "--out", str(out / "d.pk"), "--trace", str(out / "t.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: --rho2 {float(value):g} is too large against --rho3 1e+11")
+            assert list(out.iterdir()) == []
+            # The remedy the message names: a larger rho3.
+            assert main(argv + ["--rho3", value]) == 0
+        assert np.isfinite(load_dictionary(out / "d.pk").mat).all()
 
 
 class TestScipyStaysUnloaded:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +134,23 @@ class TestSsim:
         a = rng.uniform(0, 255, (12, 12))
         b = rng.uniform(0, 255, (12, 12))
         assert -1.0 <= ssim(a, b) <= 1.0
+
+    def test_huge_pixel_fails_without_overflow(self):
+        # One pixel of 1e80 overflowed the product of the window variances.
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0, 255, (8, 8))
+        b = a.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (1e80, -1e80, 1e300):
+                b[3, 4] = value
+                with pytest.raises(BadShape, match="exceeds 1e\\+76"):
+                    ssim(a, b)
+                with pytest.raises(BadShape, match="exceeds 1e\\+76"):
+                    ssim(b, a)
+            b[3, 4] = 1e76  # the largest magnitude accepted
+            assert np.isfinite(ssim(a, b))
+            assert ssim(b, b) == 1.0
 
 
 @st.composite

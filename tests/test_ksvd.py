@@ -17,8 +17,25 @@ def fit_error(data, d, codes):
     return np.linalg.norm(data - d.mat @ codes) ** 2
 
 
-def reference_update_atoms(dict_mat, data, codes):
-    """The atom pass with a thin SVD of each restricted residual."""
+def svd_top_pair(restricted):
+    """The top left singular vector of E and its code row, by thin SVD."""
+    u, s, vt = np.linalg.svd(restricted, full_matrices=False)
+    return u[:, 0], s[0] * vt[0, :]
+
+
+def eigh_top_pair(restricted):
+    """The same from an eigensolver of the smaller Gram, as every atom
+    took it before atoms whose columns already fit took a power step."""
+    if restricted.shape[1] < restricted.shape[0]:
+        top = restricted @ np.linalg.eigh(restricted.T @ restricted)[1][:, -1]
+        top /= np.linalg.norm(top)
+    else:
+        top = np.linalg.eigh(restricted @ restricted.T)[1][:, -1]
+    return top, top @ restricted
+
+
+def reference_update_atoms(dict_mat, data, codes, top_pair=svd_top_pair):
+    """The atom pass with ``top_pair`` of each restricted residual."""
     dict_mat = dict_mat.copy()
     codes = codes.copy()
     resid = data - dict_mat @ codes
@@ -37,8 +54,7 @@ def reference_update_atoms(dict_mat, data, codes):
                 dict_mat[:, j] = col / nrm
             continue
         restricted = resid[:, used] + np.outer(dict_mat[:, j], codes[j, used])
-        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
-        atom, row = ksvd._canonical_sign(u[:, 0], s[0] * vt[0, :])
+        atom, row = ksvd._canonical_sign(*top_pair(restricted))
         dict_mat[:, j] = atom
         codes[j, used] = row
         resid[:, used] = restricted - np.outer(atom, row)
@@ -89,6 +105,65 @@ class TestUpdateAtoms:
         if unused:
             cosines = got_dict[:, 5] @ data / np.linalg.norm(data, axis=0)
             assert np.isclose(cosines.max(), 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed,unused", [(0, False), (1, True)])
+    def test_desk_matches_eigh_loop_bytewise(self, seed, unused):
+        # At k=4 of n=16 no atom's columns fit, so every atom takes the
+        # eigensolver exactly as before.
+        init, data, codes = self.coded_texture(seed, 4, 32, 4)
+        if unused:
+            codes[5] = 0.0
+        got = ksvd._update_atoms(init, data, codes)
+        want = reference_update_atoms(init, data, codes, eigh_top_pair)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_exact_fit_takes_power_steps(self, seed, monkeypatch):
+        # k = n: the first coding fits every column exactly, so every atom
+        # takes the power step and no eigensolver runs.
+        init, data, codes = self.coded_texture(seed, 8, 256, 64)
+        assert np.count_nonzero(codes, axis=1).min() > 0
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", no_eigh)
+            got_dict, got_codes = ksvd._update_atoms(init, data, codes)
+        ref_dict, ref_codes = reference_update_atoms(init, data, codes)
+        assert np.abs(got_dict - ref_dict).max() <= 1e-12
+        assert np.abs(got_codes - ref_codes).max() <= 1e-12 * np.abs(ref_codes).max()
+        assert np.array_equal(got_codes != 0.0, codes != 0.0)
+
+    def test_power_step_threshold(self, monkeypatch):
+        # Atoms 0 and 1 code disjoint columns, E_j = d_j x_j^T + R_j, with
+        # ||R_0|| just below tau ||x_0|| and ||R_1|| just above tau ||x_1||:
+        # only atom 1 takes the eigensolver.
+        rng = np.random.default_rng(13)
+        tau = ksvd._POWER_STEP_TOL
+        init = normalized_columns(rng, 6, 2)
+        codes = np.zeros((2, 20))
+        codes[0, :10] = rng.uniform(0.5, 1.5, 10)
+        codes[1, 10:] = rng.uniform(0.5, 1.5, 10)
+        noise = rng.standard_normal((6, 20))
+        for j, cols, factor in ((0, slice(0, 10), 1 - 1e-6), (1, slice(10, 20), 1 + 1e-6)):
+            noise[:, cols] *= factor * tau * np.linalg.norm(codes[j]) / np.linalg.norm(
+                noise[:, cols])
+        data = init @ codes + noise
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counted(gram):
+            solved.append(gram.shape)
+            return eigh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        got_dict, got_codes = ksvd._update_atoms(init, data, codes)
+        monkeypatch.undo()
+        assert solved == [(6, 6)]
+        ref_dict, ref_codes = reference_update_atoms(init, data, codes)
+        assert np.abs(got_dict - ref_dict).max() <= 1e-12
+        assert np.abs(got_codes - ref_codes).max() <= 1e-12
 
     @pytest.mark.parametrize("cols", [5, 9])
     def test_tied_top_singular_values(self, cols):
@@ -172,6 +247,20 @@ class TestKsvdTrain:
             objs.append(fit_error(data, d, codes))
         assert all(a >= b - 1e-9 for a, b in zip(objs, objs[1:]))
         assert objs[-1] <= objs[0]
+
+    def test_objective_nonincreasing_at_exact_fit(self):
+        # k = n: every sweep fits exactly and its atoms take power steps.
+        # The objective sits at rounding level, so it may not rise by more
+        # than one rounding error per entry of the data.
+        data = to_blocks(texture(0)[:64, :64].astype(float), 4, subtract_mean=True).blocks
+        slack = data.size * (np.finfo(float).eps * np.abs(data).max()) ** 2
+        objs = []
+        for sweeps in range(1, 6):
+            d, codes = ksvd_train(data, KsvdConfig(m=32, k=16, iters=sweeps),
+                                  dct_dictionary(16, 32))
+            objs.append(fit_error(data, d, codes))
+        assert all(b <= a + slack for a, b in zip(objs, objs[1:]))
+        assert max(objs) <= slack
 
     def test_dct_init_desk_shapes(self):
         rng = np.random.default_rng(8)
