@@ -20,7 +20,7 @@ from .errors import BadShape, ConfigError, NearSingularSylvester, PksvdError
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
 
-_INT_KEYS = ("block_size", "m", "k", "max_iters", "x_sweeps", "seed", "ksvd_iters")
+_INT_KEYS = ("block_size", "m", "k", "max_iters", "seed", "ksvd_iters")
 _FLOAT_KEYS = ("rho1", "rho2", "rho3")
 KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS
 
@@ -32,7 +32,6 @@ DEFAULTS = {
     "rho2": 1e11,
     "rho3": 1e11,
     "max_iters": 200,
-    "x_sweeps": 20,
     "seed": 0,
     "ksvd_iters": 20,
 }
@@ -147,7 +146,7 @@ def cmd_train(args):
         # Built before any data is read, so that bad penalties fail at once.
         pkv_cfg = PkvConfig(
             k=cfg["k"], rho1=cfg["rho1"], rho2=cfg["rho2"], rho3=cfg["rho3"],
-            max_iters=cfg["max_iters"], x_sweeps=cfg["x_sweeps"],
+            max_iters=cfg["max_iters"],
         )
     data = _load_training_blocks(args.images, cfg["block_size"])
     if data.shape[1] < cfg["m"]:

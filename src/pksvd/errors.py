@@ -22,7 +22,8 @@ class NearSingularSylvester(PksvdError, ArithmeticError):
 
 
 class SingularCoefficientGram(PksvdError, ArithmeticError):
-    """Coefficient Gram matrix is singular even after regularization."""
+    """A Gram matrix that determines codes is singular: the code Gram even
+    after regularization, or the Gram of a code column's support atoms."""
 
 
 class SolverDidNotConverge(PksvdError, RuntimeError):

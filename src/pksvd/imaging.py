@@ -150,9 +150,16 @@ def ssim(a, b):
                        "the SSIM terms would overflow")
     mu_a = _window_means(a, _SSIM_WINDOW)
     mu_b = _window_means(b, _SSIM_WINDOW)
-    var_a = _window_means(a * a, _SSIM_WINDOW) - mu_a * mu_a
-    var_b = _window_means(b * b, _SSIM_WINDOW) - mu_b * mu_b
-    cov = _window_means(a * b, _SSIM_WINDOW) - mu_a * mu_b
+    # The variances and the covariance do not change under a shift of
+    # either image; from mean-centred copies, E[x^2] - E[x]^2 does not
+    # cancel when the pixels share a large offset.
+    a = a - a.mean()
+    b = b - b.mean()
+    mc_a = _window_means(a, _SSIM_WINDOW)
+    mc_b = _window_means(b, _SSIM_WINDOW)
+    var_a = _window_means(a * a, _SSIM_WINDOW) - mc_a * mc_a
+    var_b = _window_means(b * b, _SSIM_WINDOW) - mc_b * mc_b
+    cov = _window_means(a * b, _SSIM_WINDOW) - mc_a * mc_b
     num = (2 * mu_a * mu_b + _SSIM_C1) * (2 * cov + _SSIM_C2)
     den = (mu_a ** 2 + mu_b ** 2 + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return float(np.mean(num / den))

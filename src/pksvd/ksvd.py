@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import _OMP_BATCH_ENTRIES, _TIE_RTOL, _omp_columns, _support_slots
+from .sparse_solvers import _TIE_RTOL, _omp_columns, _refit_supports
 
 _OMP_RESIDUAL_TOL = 1e-12
 # Residual-to-code-row norm ratio up to which an atom update takes one
@@ -59,7 +59,7 @@ def _code_columns(dict_mat, data, k, prev_codes):
     codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj)
     if prev_codes is None:
         return codes
-    refit = _refit_supports(dict_mat, proj.T, prev_codes)
+    refit = _refit_supports(dict_mat.T @ dict_mat, proj.T, prev_codes)
     gain = _fit_errors(dict_mat, data, codes) - _fit_errors(dict_mat, data, refit)
     better = prev_codes.any(axis=0) & (gain > _OMP_RESIDUAL_TOL)
     codes[:, better] = refit[:, better]
@@ -68,34 +68,6 @@ def _code_columns(dict_mat, data, k, prev_codes):
 
 def _fit_errors(dict_mat, data, codes):
     return np.linalg.norm(data - dict_mat @ codes, axis=0)
-
-
-def _refit_supports(dict_mat, proj, codes):
-    """Least-squares codes of every column on the support of ``codes``,
-    given the projections ``proj`` = D^T Y of the columns.
-
-    Supports are padded to a common width with identity rows of the
-    normal equations, which pins the padding coefficients at zero; the
-    columns are solved in batched calls sized like the Batch-OMP batches.
-    """
-    present = codes != 0
-    sizes = present.sum(axis=0)
-    width = int(sizes.max(initial=0))
-    # The first sizes[j] entries of column j's order are its support.
-    order = _support_slots(present, width).T
-    gram = dict_mat.T @ dict_mat
-    refit = np.zeros_like(codes)
-    batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
-    for start in range(0, codes.shape[1], batch):
-        cols = np.arange(start, min(start + batch, codes.shape[1]))[:, None]
-        support = order[cols[:, 0]]
-        valid = np.arange(width) < sizes[cols]
-        system = gram[support[:, :, None], support[:, None, :]]
-        system *= valid[:, :, None] & valid[:, None, :]
-        system[:, np.arange(width), np.arange(width)] += ~valid
-        rhs = np.where(valid, proj[support, cols], 0.0)
-        refit[support, cols] = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-    return refit
 
 
 def _update_atoms(dict_mat, data, codes):

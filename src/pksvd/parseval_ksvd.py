@@ -4,13 +4,13 @@ The trainer alternates: (v) analysis- then synthesis-dictionary updates,
 each a symmetric Sylvester solve by eigendecomposition; (vi) gradient-
 ascent multiplier updates for the two constraints (synth @ analysis.T = I
 and synth = analysis); (vii) a support-preserving refresh of the sparse
-codes in row order, repeated ``x_sweeps`` times:
-Gauss–Seidel on per-column support Grams, in column batches.
-The weighted objective
+codes: each column's exact least-squares codes on its own support for
+the weighted objective
 
-    || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2
+    || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2,
 
-is traced once per outer iteration together with the constraint residuals.
+solved by the batched support refit that K-SVD uses. The objective is
+traced once per outer iteration together with the constraint residuals.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ from .matrix_core import (
     generalized_eigh,
     solve_sylvester_eig,
 )
-from .sparse_solvers import ZERO_THRESHOLD, _support_slots
+from .sparse_solvers import ZERO_THRESHOLD, _refit_supports
 
 _LOG_FLOOR = 1e-300
-
-# Entries of the per-column support Grams (width x width x columns) one
-# code-refresh batch may hold: 64 columns (a 2 MiB buffer) at width 64,
-# all columns at desk scale. A larger budget takes fewer steps but grows
-# the peak memory of a full-scale call past 4 MiB.
-_CODE_BATCH_ENTRIES = 2 ** 18
 
 # Penalties above this are rejected: under it 2 rho1 G, rho2 S + rho3 S
 # and their kin stay finite while the code Gram G and the dictionaries
@@ -52,7 +46,6 @@ class PkvConfig:
     rho2: float = 1e11
     rho3: float = 1e11
     max_iters: int = 200
-    x_sweeps: int = 20
 
     def __post_init__(self):
         for name in ("rho1", "rho2", "rho3"):
@@ -60,8 +53,8 @@ class PkvConfig:
             if not 0 < value <= PENALTY_MAX:  # NaN fails too
                 raise ValueError(f"penalty {name} must be finite and positive, "
                                  f"at most {PENALTY_MAX:g}, got {value}")
-        if self.max_iters < 1 or self.x_sweeps < 1:
-            raise ValueError("max_iters and x_sweeps must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.k < 1:
             raise ValueError("sparsity budget k must be >= 1")
 
@@ -196,144 +189,25 @@ def update_multipliers(synth, analysis, state, cfg):
     )
 
 
-def _count_above(x):
-    """The number of entries of ``x`` above the zero threshold in absolute
-    value. NaN entries are not counted, so a sweep that makes one is
-    replayed too."""
-    return np.count_nonzero(np.abs(x) > ZERO_THRESHOLD)
+def update_codes(data, codes, synth, analysis, cfg):
+    """Support-preserving code refresh.
 
-
-def update_codes(data, codes, synth, analysis, cfg, obj_log=None):
-    """Support-preserving code refresh in row order.
-
-    Gauss–Seidel on per-column support Grams, in column batches.
-
-    Each of the ``cfg.x_sweeps`` sweeps visits rows 1..m in order and gives
-    each row's nonzero entries the closed-form least-squares value for the
-    weighted objective at the current codes; entries falling below the
-    zero threshold are frozen at zero from then on, so supports never
-    grow. Rows with empty support and atoms whose weighted norm is not
-    positive are skipped. An entry's update reads and writes only its own
-    column, so a sweep equals visiting each column's support atoms in
-    increasing index order. With W = rho1 I + analysis analysis^T and
-    H = synth^T W synth, column j's steps are Gauss–Seidel on the normal
-    equations of its own support S_j, H[S_j, S_j] x = (synth^T W y_j)[S_j],
-    so no residual is kept. One step updates the s-th support atom of
-    every column in a batch, in place, in buffers allocated once per call;
-    a batch's support Grams hold at most ``_CODE_BATCH_ENTRIES`` entries.
-    Each Gram row is laid out (width, columns) with the columns innermost,
-    as the codes are, so each column's sums run in the same order whatever
-    its batch. The buffers are at least two columns wide, and a batch of
-    one column runs as two identical lanes: ``einsum`` sums a one-column
-    product in another order. Past the Grams, the working set is a few
-    (width, N) arrays: the m x N products and sort order are freed once
-    each column's atoms and right-hand side are gathered.
-
-    A sweep's steps do not apply the zero threshold. Each entry is written
-    once per sweep, at its own step, so the sweep's result shows every
-    entry that its step took to the threshold: when fewer entries lie
-    above the threshold than before the sweep, the batch's codes are
-    restored from a copy taken before it and the sweep is run again with
-    the freeze applied at every step. Both give the same bits whenever no
-    entry is frozen. When ``obj_log`` is given, every sweep runs with the
-    freeze, and the objective after each row that had a live entry in the
-    sweep is appended, as a row-at-a-time sweep sees it.
+    Every column's codes become the least-squares minimizer of the
+    weighted objective on its own support: with W = rho1 I + analysis
+    analysis^T and H = synth^T W synth, column j solves
+    H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``). Entries
+    at or below the zero threshold are zeroed before and after the solve,
+    so supports never grow. An atom whose weighted norm is zero keeps its
+    codes.
     """
     codes = codes.copy()
-    # Entries at or below the zero threshold count as zero support-wise;
-    # clamping them up front keeps supports monotone under that rule.
     codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
-    m, n_cols = codes.shape
     kernel = analysis.T @ synth
     hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
     target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
     del kernel
-    denom = np.diag(hess)
-    scale = np.divide(1.0, denom, out=np.zeros(m), where=denom > 0.0)
-    # slots[s, j] is the s-th support atom of column j, in increasing
-    # index order; past the end of a support it names a zero entry.
-    present = codes != 0.0
-    width = int(present.sum(axis=0).max(initial=0))
-    slots = _support_slots(present, width)
-    lanes = np.arange(n_cols)
-    rhs = target[slots, lanes]
-    del target, present
-    batch = max(1, min(n_cols, _CODE_BATCH_ENTRIES // max(width, 1) ** 2))
-    buffer_cols = max(batch, 2)
-    grams = np.empty((width, width, buffer_cols))
-    # The work buffers of one step and the codes before a sweep, allocated
-    # once per call.
-    buffers = (*np.empty((3, buffer_cols)), np.empty(buffer_cols, dtype=bool))
-    before_sweep = np.empty((width, buffer_cols))
-    if obj_log is not None:
-        # The codes at the start of each sweep and each entry's objective
-        # change, kept per column and summed once at the end, so that the
-        # log does not depend on how the columns were batched.
-        snaps = np.zeros((cfg.x_sweeps, width, n_cols))
-        change = np.zeros((cfg.x_sweeps, width, n_cols))
-
-    for lo in range(0, n_cols, batch):
-        hi = min(lo + batch, n_cols)
-        cols = slice(lo, hi) if hi - lo > 1 else [lo, lo]  # two lanes at least
-        atoms = slots[:, cols]
-        size = atoms.shape[1]
-        gram = grams[:, :, :size]
-        for s in range(width):
-            # gram[s, t, j] = hess[atoms[s, j], atoms[t, j]]
-            gram[s] = hess[atoms[s], atoms]
-        x = codes[atoms, lanes[cols]]
-        # Zero entries (padding, frozen) and unusable atoms take no step.
-        step = np.where(x != 0.0, scale[atoms], 0.0)
-        # Step s reads slot s's Gram row and right-hand side and writes
-        # slot s's codes.
-        slot_views = tuple(zip(gram, rhs[:, cols], x, step))
-        numer, move, mag, dead = (buf[:size] for buf in buffers)
-        before = before_sweep[:, :size]
-        above = _count_above(x)
-        for sweep in range(cfg.x_sweeps):
-            if obj_log is None:
-                np.copyto(before, x)
-                for gram_row, rhs_row, row, row_step in slot_views:
-                    np.einsum("tj,tj->j", gram_row, x, out=numer)
-                    np.subtract(rhs_row, numer, out=numer)
-                    np.multiply(numer, row_step, out=move)
-                    row += move
-                if _count_above(x) == above:
-                    continue
-                np.copyto(x, before)  # some entry reached the threshold
-            else:
-                snaps[sweep, :, lo:hi] = x[:, :hi - lo]
-            for s, (gram_row, rhs_row, row, row_step) in enumerate(slot_views):
-                np.einsum("tj,tj->j", gram_row, x, out=numer)
-                np.subtract(rhs_row, numer, out=numer)
-                np.multiply(numer, row_step, out=move)
-                if obj_log is not None:
-                    old = row.copy()
-                row += move
-                # An entry that reaches the zero threshold is frozen at zero.
-                np.less_equal(np.abs(row, out=mag), ZERO_THRESHOLD, out=dead)
-                np.putmask(row, dead, 0.0)
-                np.putmask(row_step, dead, 0.0)
-                if obj_log is not None:
-                    # Each update changes its column's objective by this much.
-                    delta = row - old
-                    change[sweep, s, lo:hi] = (
-                        delta * (delta * denom[atoms[s]] - 2.0 * numer)
-                    )[:hi - lo]
-            above = _count_above(x)
-        codes[atoms, lanes[cols]] = x
-
-    if obj_log is not None:
-        rows = slots.ravel()
-        usable = scale[slots] > 0.0
-        for snap, entry_change in zip(snaps, change):
-            start = np.zeros_like(codes)
-            start[slots, lanes] = snap
-            start_value = objective_value(data, start, synth, analysis, cfg.rho1)
-            per_row = np.bincount(rows, weights=entry_change.ravel(), minlength=m)
-            seen = np.zeros(m, dtype=bool)
-            seen[slots[(snap != 0.0) & usable]] = True
-            obj_log.extend((start_value + np.cumsum(per_row)[seen]).tolist())
+    codes = _refit_supports(hess, target, codes)
+    codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
     return codes
 
 
@@ -343,7 +217,8 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     ``init`` is the (Dictionary, codes) pair produced by the K-SVD
     initializer. Returns (synth Dictionary, analysis Dictionary, codes,
     trace). With ``track_updates`` the trace also logs the objective after
-    every primal update, labeled "analysis", "synthesis" or "codes_row".
+    every primal update: three entries per iteration, labeled "analysis",
+    "synthesis" and "codes".
     """
     data = as_matrix(data, "data")
     init_dict, init_codes = init
@@ -368,12 +243,8 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
         synth = update_synthesis(data, codes, analysis, state, cfg)
         log_update("synthesis")
         state = update_multipliers(synth, analysis, state, cfg)
-        if track_updates:
-            row_log = []
-            codes = update_codes(data, codes, synth, analysis, cfg, obj_log=row_log)
-            trace.update_objectives.extend(("codes_row", v) for v in row_log)
-        else:
-            codes = update_codes(data, codes, synth, analysis, cfg)
+        codes = update_codes(data, codes, synth, analysis, cfg)
+        log_update("codes")
         trace.record(
             synth, analysis, objective_value(data, codes, synth, analysis, cfg.rho1)
         )

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SolverDidNotConverge, TooLarge
+from .errors import SingularCoefficientGram, SolverDidNotConverge, TooLarge
 from .frames import Dictionary
 from .matrix_core import as_matrix
 
@@ -223,6 +223,46 @@ def _support_slots(mask, count):
     top = keys[:, :count]
     top[top < 0] += m
     return np.ascontiguousarray(top.T, dtype=np.intp)
+
+
+def _refit_supports(gram, proj, codes):
+    """Least-squares codes of every column on the support of ``codes``.
+
+    Column j solves gram[S_j, S_j] x = proj[S_j, j], where S_j holds the
+    nonzero rows of codes[:, j]: with gram = D^T D and proj = D^T Y, the
+    least-squares fit of y_j by the atoms of S_j. An atom whose diagonal
+    entry of ``gram`` is not positive (a zero atom) keeps its code.
+    Supports are padded to a common width; the padding and such atoms take
+    identity rows of the normal equations, which pin them at their values
+    in ``codes``. Columns are solved in batched calls sized like the
+    Batch-OMP batches. Raises ``SingularCoefficientGram``, naming the
+    column, when a support system is singular.
+    """
+    present = codes != 0
+    sizes = present.sum(axis=0)
+    width = int(sizes.max(initial=0))
+    # The first sizes[j] entries of column j's order are its support.
+    order = _support_slots(present, width).T
+    usable = np.diag(gram) > 0
+    refit = np.zeros_like(codes)
+    batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
+    for start in range(0, codes.shape[1], batch):
+        cols = np.arange(start, min(start + batch, codes.shape[1]))[:, None]
+        support = order[cols[:, 0]]
+        free = (np.arange(width) < sizes[cols]) & usable[support]
+        system = gram[support[:, :, None], support[:, None, :]]
+        system *= free[:, :, None] & free[:, None, :]
+        system[:, np.arange(width), np.arange(width)] += ~free
+        rhs = np.where(free, proj[support, cols], codes[support, cols])
+        try:
+            refit[support, cols] = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            column = cols[np.linalg.slogdet(system)[0] == 0.0, 0][0]
+            raise SingularCoefficientGram(
+                f"the support Gram of code column {column} is singular"
+            ) from None
+        del system  # before the next batch's system is gathered
+    return refit
 
 
 def bpdn(a, b, eps: float) -> SparseVec:

@@ -1,6 +1,8 @@
 """Layer timings with pytest-benchmark; not part of the test suite.
 
-Times ``parseval_ksvd.update_codes`` alone on the inputs of its first call
+Times ``parseval_ksvd.update_codes``, the code refresh (one batched exact
+least-squares solve per column on its support, through
+``sparse_solvers._refit_supports``), alone on the inputs of its first call
 in a Parseval K-SVD train: the codes of one K-SVD pass, and the pair after
 one analysis and one synthesis update. Three shapes:
 

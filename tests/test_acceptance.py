@@ -74,7 +74,7 @@ def test_criterion_01_runtime(test_image):
     t0 = time.time()
     base = ksvd_train(data, KsvdConfig(m=32, k=4, iters=20),
                       dct_dictionary(16, 32))
-    cfg = PkvConfig(k=4, rho2=1e11, rho3=1e11, max_iters=200, x_sweeps=20)
+    cfg = PkvConfig(k=4, rho2=1e11, rho3=1e11, max_iters=200)
     pksvd_train(data, cfg, base)
     elapsed = time.time() - t0
     ok = elapsed <= 300.0
@@ -104,27 +104,26 @@ def test_criterion_03_reconstruction_flow(desk_run):
 def test_criterion_04_objective_monotonicity(desk_run):
     # Checked exactly as stated: the weighted objective must be
     # non-increasing across every primal update (analysis, synthesis, and
-    # each code row) of the first 50 iterations, within 1e-9 relative
-    # slack. The code-row updates satisfy this by construction; the
-    # dictionary updates minimize the penalized Lagrangian rather than the
-    # objective itself, so the constraint-enforcement transient raises the
-    # objective and the criterion fails there. This is inherent to the
-    # update equations, not a solver artifact (see README).
-    cfg = desk_run["cfg"]
-    per_iter = 2 + cfg.x_sweeps * desk_run["synth"].m
-    updates = desk_run["trace"].update_objectives[: 50 * per_iter]
-    assert len(updates) == 50 * per_iter
+    # the code refresh) of the first 50 iterations, within 1e-9 relative
+    # slack. The code refresh satisfies this by construction: it minimizes
+    # the objective over the codes on their supports. The dictionary
+    # updates minimize the penalized Lagrangian rather than the objective
+    # itself, so the constraint-enforcement transient raises the objective
+    # and the criterion fails there. This is inherent to the update
+    # equations, not a solver artifact (see README).
+    updates = desk_run["trace"].update_objectives[: 50 * 3]
+    assert [label for label, _ in updates] == ["analysis", "synthesis", "codes"] * 50
     violations = []
     for i in range(1, len(updates)):
         prev, cur = updates[i - 1][1], updates[i][1]
         if cur > prev + 1e-9 * max(1.0, prev):
             violations.append((i, updates[i][0], (cur - prev) / max(1.0, prev)))
-    row_violations = [v for v in violations if v[1] == "codes_row"]
-    dict_violations = [v for v in violations if v[1] != "codes_row"]
+    code_violations = [v for v in violations if v[1] == "codes"]
+    dict_violations = [v for v in violations if v[1] != "codes"]
     ok = not violations
     detail = (
         f"{len(updates)} primal updates over 50 iterations: "
-        f"{len(row_violations)} code-row violations, "
+        f"{len(code_violations)} code-update violations, "
         f"{len(dict_violations)} dictionary-update violations"
     )
     if dict_violations:
@@ -328,7 +327,7 @@ def test_criterion_12_cli_determinism(test_image, tmp_path):
     img_path = tmp_path / "in.pgm"
     write_pgm(test_image[:64, :64], img_path)
     cfg = ["--block_size", "4", "--m", "24", "--k", "3", "--ksvd_iters", "4",
-           "--max_iters", "4", "--x_sweeps", "4", "--seed", "11"]
+           "--max_iters", "4", "--seed", "11"]
     snapshots = []
     # Both runs use the same file names, in two directories: the denoise
     # table records the dictionary's file name.

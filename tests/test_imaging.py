@@ -152,6 +152,35 @@ class TestSsim:
             assert np.isfinite(ssim(a, b))
             assert ssim(b, b) == 1.0
 
+    @pytest.mark.parametrize("offset", [1e5, 1e7])
+    def test_offset_matches_two_pass_reference(self, offset):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0, 255, (64, 64))
+        b = a + rng.uniform(-64, 64, (64, 64))
+        a, b = a + offset, b + offset
+        assert ssim(a, b) == pytest.approx(two_pass_ssim(a, b), rel=1e-12, abs=0.0)
+
+    def test_opposite_constant_extremes(self):
+        a = np.full((8, 8), 1e76)
+        assert ssim(a, -a) == -1.0
+
+
+def two_pass_ssim(a, b, size=8):
+    """SSIM by sliding 8x8 windows, each window's statistics taken about
+    its own mean."""
+    c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+    scores = []
+    for i in range(a.shape[0] - size + 1):
+        for j in range(a.shape[1] - size + 1):
+            wa = a[i:i + size, j:j + size]
+            wb = b[i:i + size, j:j + size]
+            mu_a, mu_b = wa.mean(), wb.mean()
+            da, db = wa - mu_a, wb - mu_b
+            var_a, var_b, cov = (da * da).mean(), (db * db).mean(), (da * db).mean()
+            scores.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                          / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
+    return float(np.mean(scores))
+
 
 @st.composite
 def pgm_blobs(draw):

@@ -184,27 +184,6 @@ class TestUpdateAtoms:
         assert abs(np.linalg.norm(new_dict[:, 0]) - 1.0) <= 1e-12
 
 
-class TestRefitSupports:
-    def test_matches_per_column_lstsq_across_batches(self, monkeypatch):
-        # Batches of 2 columns at support width 3; 7 columns end short.
-        monkeypatch.setattr(ksvd, "_OMP_BATCH_ENTRIES", 2 * 3 ** 2)
-        rng = np.random.default_rng(9)
-        dict_mat = rng.standard_normal((6, 10))
-        data = rng.standard_normal((6, 7))
-        codes = np.zeros((10, 7))
-        supports = ([0, 4, 9], [2], [], [1, 3, 5], [7, 8], [6], [0, 9])
-        for j, support in enumerate(supports):
-            codes[support, j] = 1.0
-        got = ksvd._refit_supports(dict_mat, dict_mat.T @ data, codes)
-        for j in range(7):
-            support = np.flatnonzero(codes[:, j])
-            want = np.zeros(10)
-            if support.size:
-                want[support] = np.linalg.lstsq(dict_mat[:, support], data[:, j],
-                                                rcond=None)[0]
-            assert np.allclose(got[:, j], want, atol=1e-12)
-
-
 class TestKsvdTrain:
     def test_perfect_one_sparse_model(self):
         rng = np.random.default_rng(0)
