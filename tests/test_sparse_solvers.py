@@ -11,7 +11,7 @@ from workloads import self_dual_pair
 
 from pksvd import sparse_solvers
 from pksvd.applications import Mask, _observed_systems, add_gaussian_noise, inpaint, random_mask
-from pksvd.errors import SolverDidNotConverge, TooLarge
+from pksvd.errors import SingularCoefficientGram, SolverDidNotConverge, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
 from pksvd.sparse_solvers import (
@@ -382,6 +382,42 @@ class TestRefitSupports:
                 want[support] = np.linalg.lstsq(dict_mat[:, support], data[:, j],
                                                 rcond=None)[0]
             assert np.allclose(got[:, j], want, atol=1e-12)
+
+    def test_zero_atom_keeps_its_code(self):
+        rng = np.random.default_rng(10)
+        dict_mat = rng.standard_normal((6, 8))
+        dict_mat[:, 3] = 0.0
+        data = rng.standard_normal((6, 4))
+        codes = np.zeros((8, 4))
+        supports = ([3], [0, 3, 5], [1, 2], [3, 7, 6])
+        for j, support in enumerate(supports):
+            codes[support, j] = 2.0 + j
+        got = _refit_supports(dict_mat.T @ dict_mat, dict_mat.T @ data, codes)
+        assert np.array_equal(got[3], codes[3])
+        for j, support in enumerate(supports):
+            live = [i for i in support if i != 3]
+            want = np.zeros(8)
+            want[3] = codes[3, j]
+            if live:
+                want[live] = np.linalg.lstsq(dict_mat[:, live], data[:, j],
+                                             rcond=None)[0]
+            assert np.allclose(got[:, j], want, atol=1e-12)
+
+    def test_singular_support_names_its_column_in_a_later_batch(self, monkeypatch):
+        # Batches of 2 columns at support width 2; column 5 is in the third.
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 2 ** 2)
+        # Integer entries keep the Gram exact: atoms 1 and 2 are equal.
+        dict_mat = np.array([[1.0, 2.0, 2.0, 0.0],
+                             [0.0, 1.0, 1.0, 1.0],
+                             [1.0, 0.0, 0.0, 1.0]])
+        data = np.arange(18.0).reshape(3, 6)
+        codes = np.zeros((4, 6))
+        supports = ([0, 1], [2, 3], [0], [1, 3], [0, 2], [1, 2])
+        for j, support in enumerate(supports):
+            codes[support, j] = 1.0
+        gram = dict_mat.T @ dict_mat
+        with pytest.raises(SingularCoefficientGram, match="code column 5 is singular"):
+            _refit_supports(gram, dict_mat.T @ data, codes)
 
 
 class TestBruteforceOracle:
