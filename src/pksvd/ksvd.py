@@ -53,13 +53,15 @@ def _code_columns(dict_mat, data, k, prev_codes):
     coding stage cannot increase the data-fit objective. The refit wins
     only when it lowers the column's residual norm by more than
     ``_OMP_RESIDUAL_TOL``: below that the two fits are equally exact, and
-    rounding alone must not pick between supports.
+    rounding alone must not pick between supports. The Gram D^T D and
+    the projections are formed once and shared by the OMP and the refit.
     """
+    gram = dict_mat.T @ dict_mat
     proj = data.T @ dict_mat
-    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj)
+    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj, gram)
     if prev_codes is None:
         return codes
-    refit = _refit_supports(dict_mat.T @ dict_mat, proj.T, prev_codes)
+    refit = _refit_supports(gram, proj.T, prev_codes)
     gain = _fit_errors(dict_mat, data, codes) - _fit_errors(dict_mat, data, refit)
     better = prev_codes.any(axis=0) & (gain > _OMP_RESIDUAL_TOL)
     codes[:, better] = refit[:, better]

@@ -9,8 +9,12 @@ the weighted objective
 
     || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2,
 
-solved by the batched support refit that K-SVD uses. The objective is
-traced once per outer iteration together with the constraint residuals.
+solved by the batched support refit that K-SVD uses: the support systems
+are gathered from the weighted Gram padded with an identity block. The
+supports never grow, so the trainer builds their slots at the first
+refresh and keeps them, and builds them again only after a refresh has
+zeroed an entry. The objective is traced once per outer iteration
+together with the constraint residuals.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .matrix_core import (
     generalized_eigh,
     solve_sylvester_eig,
 )
-from .sparse_solvers import ZERO_THRESHOLD, _refit_supports
+from .sparse_solvers import ZERO_THRESHOLD, _refit_slots, _refit_supports
 
 _LOG_FLOOR = 1e-300
 
@@ -189,24 +193,28 @@ def update_multipliers(synth, analysis, state, cfg):
     )
 
 
-def update_codes(data, codes, synth, analysis, cfg):
+def update_codes(data, codes, synth, analysis, cfg, slots=None):
     """Support-preserving code refresh.
 
     Every column's codes become the least-squares minimizer of the
     weighted objective on its own support: with W = rho1 I + analysis
     analysis^T and H = synth^T W synth, column j solves
-    H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``). Entries
-    at or below the zero threshold are zeroed before and after the solve,
-    so supports never grow. An atom whose weighted norm is zero keeps its
+    H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``, which
+    gathers the systems from H padded with an identity block).
+    The supports are the entries above the zero threshold; ``slots``, the
+    padded support slots of ``_refit_slots``, gives them when the caller
+    kept them from an earlier refresh, and they are built here otherwise.
+    Entries at or below the zero threshold after the solve are zeroed, so
+    supports never grow. An atom whose weighted norm is zero keeps its
     codes.
     """
-    codes = codes.copy()
-    codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
     kernel = analysis.T @ synth
     hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
     target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
     del kernel
-    codes = _refit_supports(hess, target, codes)
+    if slots is None:
+        slots = _refit_slots(np.abs(codes) > ZERO_THRESHOLD)
+    codes = _refit_supports(hess, target, codes, slots)
     codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
     return codes
 
@@ -219,6 +227,12 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     trace). With ``track_updates`` the trace also logs the objective after
     every primal update: three entries per iteration, labeled "analysis",
     "synthesis" and "codes".
+
+    The support slots of the code refresh are built at the first refresh
+    and kept from one refresh to the next. Supports never grow, so a
+    refresh that leaves as many entries above the zero threshold as its
+    slots hold leaves the support pattern unchanged; the slots are built
+    again only after a refresh has zeroed an entry.
     """
     data = as_matrix(data, "data")
     init_dict, init_codes = init
@@ -230,6 +244,7 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
 
     state = AdmmState.zeros(n, m)
     trace = ConvergenceTrace()
+    slots, held = None, 0
 
     def log_update(label):
         if track_updates:
@@ -243,7 +258,12 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
         synth = update_synthesis(data, codes, analysis, state, cfg)
         log_update("synthesis")
         state = update_multipliers(synth, analysis, state, cfg)
-        codes = update_codes(data, codes, synth, analysis, cfg)
+        if slots is None:
+            present = np.abs(codes) > ZERO_THRESHOLD
+            slots, held = _refit_slots(present), np.count_nonzero(present)
+        codes = update_codes(data, codes, synth, analysis, cfg, slots)
+        if np.count_nonzero(codes) < held:
+            slots = None
         log_update("codes")
         trace.record(
             synth, analysis, objective_value(data, codes, synth, analysis, cfg.rho1)

@@ -98,7 +98,7 @@ def omp(d: Dictionary, y, k: int, residual_tol: float = 0.0) -> SparseVec:
     return SparseVec(_omp_columns(d.mat, y[:, None], k, residual_tol)[:, 0])
 
 
-def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None):
+def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
     """Orthogonal matching pursuit on every column of ``data`` (Batch-OMP).
 
     Per column: add the unused atom most correlated with the residual
@@ -114,14 +114,15 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None):
     Y - D X, and columns go in batches whose factors hold at most
     ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
     factors once, at full size k. ``proj``, the N x m projections Y^T D,
-    is formed here once for all batches unless the caller passes it.
-    Returns the m x N codes.
+    and ``gram``, D^T D, are formed here once for all batches unless the
+    caller passes them. Returns the m x N codes.
     """
     dict_mat = as_matrix(dict_mat, "dictionary")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != dict_mat.shape[0]:
         raise ValueError(f"data shape {data.shape} does not match {dict_mat.shape}")
-    gram = dict_mat.T @ dict_mat
+    if gram is None:
+        gram = dict_mat.T @ dict_mat
     if proj is None:  # once: a one-column batch's product rounds differently
         proj = data.T @ dict_mat
     codes = np.zeros((dict_mat.shape[1], data.shape[1]))
@@ -225,44 +226,68 @@ def _support_slots(mask, count):
     return np.ascontiguousarray(top.T, dtype=np.intp)
 
 
-def _refit_supports(gram, proj, codes):
+def _refit_slots(present):
+    """The slots of ``_refit_supports`` for the support pattern of the
+    m x N boolean ``present``: an N x w index array whose row j lists the
+    True rows of column j in increasing order, for the widest support w.
+    Slot i of a column with fewer rows holds the padding index m + i."""
+    m = present.shape[0]
+    sizes = present.sum(axis=0)
+    width = int(sizes.max(initial=0))
+    slot = np.arange(width)
+    return np.where(slot < sizes[:, None], _support_slots(present, width).T, m + slot)
+
+
+def _refit_supports(gram, proj, codes, slots=None):
     """Least-squares codes of every column on the support of ``codes``.
 
     Column j solves gram[S_j, S_j] x = proj[S_j, j], where S_j holds the
     nonzero rows of codes[:, j]: with gram = D^T D and proj = D^T Y, the
-    least-squares fit of y_j by the atoms of S_j. An atom whose diagonal
-    entry of ``gram`` is not positive (a zero atom) keeps its code.
-    Supports are padded to a common width; the padding and such atoms take
-    identity rows of the normal equations, which pin them at their values
-    in ``codes``. Columns are solved in batched calls sized like the
+    least-squares fit of y_j by the atoms of S_j. ``slots`` lists the
+    supports as ``_refit_slots`` builds them, padded with the indices m
+    and up; a caller whose supports do not change between calls builds
+    them once and passes them in, and they are built here from ``codes``
+    otherwise. The systems are gathered from the Gram padded with a w x w
+    identity block, for the slot width w, and from the projections padded
+    with w zero rows: a padding slot gathers an identity row and a zero
+    projection, and its code, 0, falls in a padding row of the solution,
+    which is dropped. An atom whose diagonal entry of ``gram`` is not
+    positive (a zero atom) keeps its code: it gets an identity row and
+    column of the padded Gram too, and its value in ``codes`` as its
+    projection. Columns are solved in batched calls sized like the
     Batch-OMP batches. Raises ``SingularCoefficientGram``, naming the
     column, when a support system is singular.
     """
-    present = codes != 0
-    sizes = present.sum(axis=0)
-    width = int(sizes.max(initial=0))
-    # The first sizes[j] entries of column j's order are its support.
-    order = _support_slots(present, width).T
-    usable = np.diag(gram) > 0
-    refit = np.zeros_like(codes)
+    m, n_cols = codes.shape
+    if slots is None:
+        slots = _refit_slots(codes != 0)
+    width = slots.shape[1]
+    zero = np.flatnonzero(~(np.diag(gram) > 0))
+    padded = np.eye(m + width)
+    padded[:m, :m] = gram
+    padded[zero] = 0.0
+    padded[:, zero] = 0.0
+    padded[zero, zero] = 1.0
+    target = np.zeros((m + width, n_cols))
+    target[:m] = proj
+    target[zero] = codes[zero]
     batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
-    for start in range(0, codes.shape[1], batch):
-        cols = np.arange(start, min(start + batch, codes.shape[1]))[:, None]
-        support = order[cols[:, 0]]
-        free = (np.arange(width) < sizes[cols]) & usable[support]
-        system = gram[support[:, :, None], support[:, None, :]]
-        system *= free[:, :, None] & free[:, None, :]
-        system[:, np.arange(width), np.arange(width)] += ~free
-        rhs = np.where(free, proj[support, cols], codes[support, cols])
+    for start in range(0, n_cols, batch):
+        block = slice(start, start + batch)
+        cols = np.arange(n_cols)[block, None]
+        support = slots[block]
+        system = padded[support[:, :, None], support[:, None, :]]
+        rhs = target[support, cols]
+        target[:, block] = 0.0  # the batch's columns now take its codes
         try:
-            refit[support, cols] = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+            target[support, cols] = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             column = cols[np.linalg.slogdet(system)[0] == 0.0, 0][0]
             raise SingularCoefficientGram(
                 f"the support Gram of code column {column} is singular"
             ) from None
         del system  # before the next batch's system is gathered
-    return refit
+    return target[:m]
 
 
 def bpdn(a, b, eps: float) -> SparseVec:

@@ -14,6 +14,13 @@ one analysis and one synthesis update. Three shapes:
   32x32 top-left crop of its probe image ``texture(0)`` (64 columns of
   width 4).
 
+Times a run of 10 consecutive code refreshes on fixed supports
+(``test_update_codes_run``), as the Parseval K-SVD loop makes them: the
+support slots built once (``sparse_solvers._refit_slots``) and passed to
+every refresh. Its inputs are the state at the end of the ``train-desk``
+train of the 64x64 top-left crop of ``texture(3)`` (20 K-SVD and 100 ADMM
+iterations, m=32, k=4), whose refreshes keep their supports.
+
 Times ``ksvd._update_atoms``, one pass of atom updates, alone at the same
 three shapes on the inputs of the first pass of that K-SVD train: the DCT
 dictionary and the codes of the first coding. At ``full`` every atom's
@@ -88,11 +95,18 @@ from pksvd.ksvd import KsvdConfig, _code_columns, _update_atoms, ksvd_train
 from pksvd.parseval_ksvd import (
     AdmmState,
     PkvConfig,
+    pksvd_train,
     update_analysis,
     update_codes,
     update_synthesis,
 )
-from pksvd.sparse_solvers import _homotopy_columns, _omp_columns, _support_slots
+from pksvd.sparse_solvers import (
+    ZERO_THRESHOLD,
+    _homotopy_columns,
+    _omp_columns,
+    _refit_slots,
+    _support_slots,
+)
 
 SHAPES = {
     # name: (block size, crop side, m, k)
@@ -122,6 +136,33 @@ def test_update_codes(benchmark, code_refresh_inputs):
     data, codes, synth, analysis, cfg = code_refresh_inputs
     refreshed = benchmark(update_codes, data, codes, synth, analysis, cfg)
     assert refreshed.shape == codes.shape
+
+
+REFRESH_RUN = 10
+
+
+@pytest.fixture(scope="module")
+def trained_desk():
+    block, side, m, k = SHAPES["desk"]
+    data = to_blocks(texture(3)[:side, :side].astype(float), block,
+                     subtract_mean=True).blocks
+    init = ksvd_train(data, KsvdConfig(m=m, k=k, iters=20), dct_dictionary(block * block, m))
+    cfg = PkvConfig(k=k, max_iters=100)
+    synth, analysis, codes, _ = pksvd_train(data, cfg, init)
+    return data, codes, synth.mat, analysis.mat, cfg
+
+
+def refresh_run(data, codes, synth, analysis, cfg):
+    slots = _refit_slots(np.abs(codes) > ZERO_THRESHOLD)
+    for _ in range(REFRESH_RUN):
+        codes = update_codes(data, codes, synth, analysis, cfg, slots)
+    return codes
+
+
+def test_update_codes_run(benchmark, trained_desk):
+    data, codes, synth, analysis, cfg = trained_desk
+    refreshed = benchmark(refresh_run, data, codes, synth, analysis, cfg)
+    assert np.array_equal(refreshed != 0.0, codes != 0.0)
 
 
 @pytest.mark.parametrize("shape", sorted(CODE_REFRESH_SHAPES))

@@ -529,7 +529,56 @@ def desk_training(seed=0, n=16, m=32, n_cols=256, k=4, iters=50, rho=1e11,
     return data, cfg, pksvd_train(data, cfg, init, track_updates=track)
 
 
+def fresh_slot_train(data, codes, synth, cfg):
+    """``pksvd_train``'s loop with the support slots built at every code
+    refresh: (synth, analysis, codes)."""
+    state = AdmmState.zeros(*synth.shape)
+    for _ in range(cfg.max_iters):
+        analysis = update_analysis(data, codes, synth, state, cfg)
+        synth = update_synthesis(data, codes, analysis, state, cfg)
+        state = update_multipliers(synth, analysis, state, cfg)
+        codes = update_codes(data, codes, synth, analysis, cfg)
+    return synth, analysis, codes
+
+
+def count_slot_builds(monkeypatch):
+    builds = []
+    build = sparse_solvers._support_slots
+
+    def counted(mask, count):
+        builds.append(mask.sum())
+        return build(mask, count)
+
+    monkeypatch.setattr(sparse_solvers, "_support_slots", counted)
+    return builds
+
+
 class TestPksvdTrain:
+    def test_fixed_supports_build_slots_once(self, monkeypatch):
+        data, codes, synth, _, _, _ = small_problem(1)
+        cfg = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=6)
+        builds = count_slot_builds(monkeypatch)
+        _, _, got, _ = pksvd_train(data, cfg, (Dictionary(synth), codes))
+        assert builds == [np.count_nonzero(codes)] == [np.count_nonzero(got)]
+
+    def test_entry_falling_to_zero_rebuilds_slots(self, monkeypatch):
+        # Column 0 scaled so that its codes sit near the zero threshold:
+        # one of them falls to it at the fourth of eight refreshes.
+        data, codes, synth, _, _, _ = small_problem(0)
+        scale = 7.5e-6 / np.abs(codes[:, 0]).max()
+        data[:, 0] *= scale
+        codes[:, 0] *= scale
+        cfg = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=8)
+        early = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
+        assert np.count_nonzero(fresh_slot_train(data, codes, synth, early)[2]) == 24
+        want = fresh_slot_train(data, codes, synth, cfg)
+        builds = count_slot_builds(monkeypatch)
+        got = pksvd_train(data, cfg, (Dictionary(synth), codes))
+        assert builds == [24, 23]
+        assert np.count_nonzero(got[2]) == 23
+        for mat, ref in zip((got[0].mat, got[1].mat, got[2]), want):
+            assert mat.tobytes() == ref.tobytes()
+
     def test_constraints_reached_at_large_rho(self):
         _, _, (synth, analysis, codes, trace) = desk_training(iters=40)
         ident = 10.0 ** trace.log10_identity_residual[-1]

@@ -19,6 +19,7 @@ from pksvd.sparse_solvers import (
     SparseVec,
     _homotopy_columns,
     _omp_columns,
+    _refit_slots,
     _refit_supports,
     _support_slots,
     basis_pursuit,
@@ -364,6 +365,26 @@ class TestSupportSlots:
 
 
 class TestRefitSupports:
+    def test_slots_list_supports_then_padding(self):
+        present = np.zeros((5, 4), dtype=bool)
+        present[[0, 3, 4], 0] = True
+        present[[2], 1] = True
+        present[[1, 4], 3] = True
+        assert np.array_equal(_refit_slots(present),
+                              [[0, 3, 4], [2, 6, 7], [5, 6, 7], [1, 4, 7]])
+
+    def test_kept_slots_give_the_same_codes(self, monkeypatch):
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 3 ** 2)
+        rng = np.random.default_rng(12)
+        dict_mat = rng.standard_normal((6, 10))
+        data = rng.standard_normal((6, 7))
+        codes = np.where(rng.random((10, 7)) < 0.3, rng.standard_normal((10, 7)), 0.0)
+        gram, proj = dict_mat.T @ dict_mat, dict_mat.T @ data
+        slots = _refit_slots(codes != 0)
+        got = _refit_supports(gram, proj, codes, slots)
+        assert got.tobytes() == _refit_supports(gram, proj, codes).tobytes()
+        assert np.array_equal(got != 0, codes != 0)
+
     def test_matches_per_column_lstsq_across_batches(self, monkeypatch):
         # Batches of 2 columns at support width 3; 7 columns end short.
         monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 3 ** 2)
