@@ -137,22 +137,21 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
 def _observed_systems(masks, blocks, mat):
     """Each block's observed rows of ``mat`` and of its column of
     ``blocks``, in ascending order and zero-padded to a common height q
-    (zero rows change nothing), so that all blocks solve as one batch.
-    Returns the (N, q, m) systems, the q x N data and each block's count
-    of observed rows. For a ``Dictionary`` D each count is the rank that
+    (zero rows change nothing), so that all blocks solve as one batch:
+    both are gathered through the slots of ``masks`` (``_support_slots``)
+    from ``mat`` and ``blocks`` padded with q zero rows. Returns the
+    (N, q, m) systems, the q x N data and each block's count of observed
+    rows. For a ``Dictionary`` D each count is the rank that
     ``np.linalg.matrix_rank`` gives: by interlacing, a row subset's
     singular values lie within D's, whose sigma_min ``Dictionary`` keeps
     above 1e-10 sigma_max, while ``matrix_rank`` drops only singular
     values at or below m * 2.2e-16 sigma_max, less than 1e-10 sigma_max
     for any m below about 4e5.
     """
-    counts = masks.sum(axis=0)
-    height = int(counts.max())
-    rows = _support_slots(masks, height)
-    real = np.arange(height)[:, None] < counts
-    systems = np.where(real.T[:, :, None], mat[rows.T], 0.0)
-    data = np.where(real, np.take_along_axis(blocks, rows, axis=0), 0.0)
-    return systems, data, counts
+    slots = _support_slots(masks)
+    pad = ((0, slots.shape[1]), (0, 0))
+    data = np.take_along_axis(np.pad(blocks, pad), slots.T, axis=0)
+    return np.pad(mat, pad)[slots], data, masks.sum(axis=0)
 
 
 def _binary_entropy(p):

@@ -144,10 +144,8 @@ def cmd_train(args):
             formats.check_output_dir(path)
     if args.method == "parseval":
         # Built before any data is read, so that bad penalties fail at once.
-        pkv_cfg = PkvConfig(
-            k=cfg["k"], rho1=cfg["rho1"], rho2=cfg["rho2"], rho3=cfg["rho3"],
-            max_iters=cfg["max_iters"],
-        )
+        pkv_cfg = PkvConfig(rho1=cfg["rho1"], rho2=cfg["rho2"], rho3=cfg["rho3"],
+                            max_iters=cfg["max_iters"])
     data = _load_training_blocks(args.images, cfg["block_size"])
     if data.shape[1] < cfg["m"]:
         raise ConfigError(

@@ -27,17 +27,7 @@ class SingularCoefficientGram(PksvdError, ArithmeticError):
 
 
 class SolverDidNotConverge(PksvdError, RuntimeError):
-    """A solver exhausted its step budget or missed its constraint.
-
-    Carries the best iterate found so far plus the residual at the stop.
-    """
-
-    def __init__(self, message, best=None, residual=None, gap=None, iterations=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.gap = gap
-        self.iterations = iterations
+    """A solver exhausted its step budget or missed its constraint."""
 
 
 class TooLarge(PksvdError, ValueError):

@@ -31,7 +31,7 @@ from .matrix_core import (
     generalized_eigh,
     solve_sylvester_eig,
 )
-from .sparse_solvers import ZERO_THRESHOLD, _refit_slots, _refit_supports
+from .sparse_solvers import ZERO_THRESHOLD, _refit_supports, _support_slots
 
 _LOG_FLOOR = 1e-300
 
@@ -43,9 +43,10 @@ PENALTY_MAX = 1e250
 
 @dataclass(frozen=True)
 class PkvConfig:
-    """Penalty weights and iteration counts for the ADMM trainer."""
+    """Penalty weights and the iteration count for the ADMM trainer. The
+    codes' sparsity comes from the supports of the K-SVD start, which the
+    trainer never grows."""
 
-    k: int
     rho1: float = 0.1
     rho2: float = 1e11
     rho3: float = 1e11
@@ -59,8 +60,6 @@ class PkvConfig:
                                  f"at most {PENALTY_MAX:g}, got {value}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.k < 1:
-            raise ValueError("sparsity budget k must be >= 1")
 
 
 @dataclass
@@ -202,7 +201,7 @@ def update_codes(data, codes, synth, analysis, cfg, slots=None):
     H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``, which
     gathers the systems from H padded with an identity block).
     The supports are the entries above the zero threshold; ``slots``, the
-    padded support slots of ``_refit_slots``, gives them when the caller
+    padded support slots of ``_support_slots``, gives them when the caller
     kept them from an earlier refresh, and they are built here otherwise.
     Entries at or below the zero threshold after the solve are zeroed, so
     supports never grow. An atom whose weighted norm is zero keeps its
@@ -213,7 +212,7 @@ def update_codes(data, codes, synth, analysis, cfg, slots=None):
     target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
     del kernel
     if slots is None:
-        slots = _refit_slots(np.abs(codes) > ZERO_THRESHOLD)
+        slots = _support_slots(np.abs(codes) > ZERO_THRESHOLD)
     codes = _refit_supports(hess, target, codes, slots)
     codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
     return codes
@@ -228,11 +227,11 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     every primal update: three entries per iteration, labeled "analysis",
     "synthesis" and "codes".
 
-    The support slots of the code refresh are built at the first refresh
-    and kept from one refresh to the next. Supports never grow, so a
-    refresh that leaves as many entries above the zero threshold as its
-    slots hold leaves the support pattern unchanged; the slots are built
-    again only after a refresh has zeroed an entry.
+    The support slots of the code refresh (``_support_slots``) are built
+    at the first refresh and kept from one refresh to the next. Supports
+    never grow, so a refresh that leaves as many entries above the zero
+    threshold as its slots hold leaves the support pattern unchanged; the
+    slots are built again only after a refresh has zeroed an entry.
     """
     data = as_matrix(data, "data")
     init_dict, init_codes = init
@@ -260,7 +259,7 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
         state = update_multipliers(synth, analysis, state, cfg)
         if slots is None:
             present = np.abs(codes) > ZERO_THRESHOLD
-            slots, held = _refit_slots(present), np.count_nonzero(present)
+            slots, held = _support_slots(present), np.count_nonzero(present)
         codes = update_codes(data, codes, synth, analysis, cfg, slots)
         if np.count_nonzero(codes) < held:
             slots = None

@@ -208,34 +208,19 @@ def _col_norms(v):
     return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
-def _support_slots(mask, count):
-    """The first ``count`` rows of each column of the m x N boolean
-    ``mask``, as a (count, N) index array: the column's True rows in
-    increasing order, then its False rows in increasing order.
-
-    Equals ``np.argsort(~mask, axis=0, kind="stable")[:count]``, but sorts
-    distinct int32 keys along contiguous rows: a True row i is keyed
-    i - m and a False row i, so every True row sorts first.
-    """
-    m = mask.shape[0]
-    keys = np.multiply(mask.T, np.int32(-m), dtype=np.int32, order="C")
-    keys += np.arange(m, dtype=np.int32)
-    keys.sort(axis=1)
-    top = keys[:, :count]
-    top[top < 0] += m
-    return np.ascontiguousarray(top.T, dtype=np.intp)
-
-
-def _refit_slots(present):
-    """The slots of ``_refit_supports`` for the support pattern of the
-    m x N boolean ``present``: an N x w index array whose row j lists the
-    True rows of column j in increasing order, for the widest support w.
-    Slot i of a column with fewer rows holds the padding index m + i."""
+def _support_slots(present):
+    """The support slots of the m x N boolean ``present``: an N x w index
+    array whose row j lists the True rows of column j in increasing order,
+    for the widest support w, and then, in each slot i that a shorter
+    support leaves, the padding index m + i, which points into w rows
+    appended after the m. The refit and inpainting gather their systems
+    through these slots."""
     m = present.shape[0]
     sizes = present.sum(axis=0)
     width = int(sizes.max(initial=0))
     slot = np.arange(width)
-    return np.where(slot < sizes[:, None], _support_slots(present, width).T, m + slot)
+    rows = np.argsort(~present, axis=0, kind="stable")[:width].T
+    return np.where(slot < sizes[:, None], rows, m + slot)
 
 
 def _refit_supports(gram, proj, codes, slots=None):
@@ -244,7 +229,7 @@ def _refit_supports(gram, proj, codes, slots=None):
     Column j solves gram[S_j, S_j] x = proj[S_j, j], where S_j holds the
     nonzero rows of codes[:, j]: with gram = D^T D and proj = D^T Y, the
     least-squares fit of y_j by the atoms of S_j. ``slots`` lists the
-    supports as ``_refit_slots`` builds them, padded with the indices m
+    supports as ``_support_slots`` builds them, padded with the indices m
     and up; a caller whose supports do not change between calls builds
     them once and passes them in, and they are built here from ``codes``
     otherwise. The systems are gathered from the Gram padded with a w x w
@@ -260,7 +245,7 @@ def _refit_supports(gram, proj, codes, slots=None):
     """
     m, n_cols = codes.shape
     if slots is None:
-        slots = _refit_slots(codes != 0)
+        slots = _support_slots(codes != 0)
     width = slots.shape[1]
     zero = np.flatnonzero(~(np.diag(gram) > 0))
     padded = np.eye(m + width)
@@ -383,10 +368,7 @@ def _homotopy_columns(system, data, radii, rank=None):
     if not excess[k, j] <= 0:  # NaN codes fail too
         raise SolverDidNotConverge(
             f"block {j}: constraint residual {norms[k, j]:.6g} exceeds "
-            f"eps {radii[k]:g}",
-            best=SparseVec(codes[k, j]) if np.isfinite(codes[k, j]).all() else None,
-            residual=float(norms[k, j]),
-            gap=float(norms[k, j] - radii[k]),
+            f"eps {radii[k]:g}"
         )
     return codes.transpose(0, 2, 1)
 
@@ -449,8 +431,7 @@ def _homotopy_block(atoms, b, radii, rank, width):
     while lanes.size:
         if steps == _PATH_MAX_STEPS:
             raise SolverDidNotConverge(
-                f"homotopy path did not end within {_PATH_MAX_STEPS} steps",
-                iterations=steps,
+                f"homotopy path did not end within {_PATH_MAX_STEPS} steps"
             )
         steps += 1
         rows = np.arange(lanes.size)

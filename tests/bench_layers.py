@@ -16,7 +16,7 @@ one analysis and one synthesis update. Three shapes:
 
 Times a run of 10 consecutive code refreshes on fixed supports
 (``test_update_codes_run``), as the Parseval K-SVD loop makes them: the
-support slots built once (``sparse_solvers._refit_slots``) and passed to
+support slots built once (``sparse_solvers._support_slots``) and passed to
 every refresh. Its inputs are the state at the end of the ``train-desk``
 train of the 64x64 top-left crop of ``texture(3)`` (20 K-SVD and 100 ADMM
 iterations, m=32, k=4), whose refreshes keep their supports.
@@ -28,10 +28,10 @@ columns fit exactly and every atom takes the power step; at ``desk`` and
 ``probe`` every atom takes the eigensolver.
 
 Times ``sparse_solvers._support_slots``, which lists each column's support
-rows first, on three masks: the supports of the first Batch-OMP pass at
-the ``desk`` and ``full`` shapes (``support-desk``, 32 x 256, and
-``support-full``, 256 x 256), and the ``inpaint-desk`` mask of observed
-pixels (16 x 256).
+rows, then its padding indices, on three masks: the supports of the first
+Batch-OMP pass at the ``desk`` and ``full`` shapes (``support-desk``,
+32 x 256, and ``support-full``, 256 x 256), and the ``inpaint-desk`` mask
+of observed pixels (16 x 256).
 
 Times Batch-OMP, ``sparse_solvers._omp_columns``, alone at the same two
 shapes on the inputs of the first OMP pass of that K-SVD train: the
@@ -104,7 +104,6 @@ from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
     _homotopy_columns,
     _omp_columns,
-    _refit_slots,
     _support_slots,
 )
 
@@ -125,7 +124,7 @@ def code_refresh_inputs(request):
     data = to_blocks(img, block, subtract_mean=True).blocks
     n = block * block
     base, codes = ksvd_train(data, KsvdConfig(m=m, k=k, iters=1), dct_dictionary(n, m))
-    cfg = PkvConfig(k=k)
+    cfg = PkvConfig()
     state = AdmmState.zeros(n, m)
     analysis = update_analysis(data, codes, base.mat, state, cfg)
     synth = update_synthesis(data, codes, analysis, state, cfg)
@@ -147,13 +146,13 @@ def trained_desk():
     data = to_blocks(texture(3)[:side, :side].astype(float), block,
                      subtract_mean=True).blocks
     init = ksvd_train(data, KsvdConfig(m=m, k=k, iters=20), dct_dictionary(block * block, m))
-    cfg = PkvConfig(k=k, max_iters=100)
+    cfg = PkvConfig(max_iters=100)
     synth, analysis, codes, _ = pksvd_train(data, cfg, init)
     return data, codes, synth.mat, analysis.mat, cfg
 
 
 def refresh_run(data, codes, synth, analysis, cfg):
-    slots = _refit_slots(np.abs(codes) > ZERO_THRESHOLD)
+    slots = _support_slots(np.abs(codes) > ZERO_THRESHOLD)
     for _ in range(REFRESH_RUN):
         codes = update_codes(data, codes, synth, analysis, cfg, slots)
     return codes
@@ -195,9 +194,8 @@ def test_support_slots(benchmark, case):
         data = to_blocks(texture(3)[:side, :side].astype(float), block,
                          subtract_mean=True).blocks
         mask = _omp_columns(dct_dictionary(block * block, m).mat, data, k) != 0.0
-    count = int(mask.sum(axis=0).max())
-    slots = benchmark(_support_slots, mask, count)
-    assert slots.shape == (count, mask.shape[1])
+    slots = benchmark(_support_slots, mask)
+    assert slots.shape == (mask.shape[1], int(mask.sum(axis=0).max()))
 
 
 HOMOTOPY_CASES = {

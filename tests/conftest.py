@@ -40,7 +40,7 @@ def desk_run(test_image):
         data, KsvdConfig(m=N_ATOMS, k=BUDGET, iters=20),
         dct_dictionary(N_DIM, N_ATOMS),
     )
-    cfg = PkvConfig(k=BUDGET, rho1=0.1, rho2=1e11, rho3=1e11, max_iters=200)
+    cfg = PkvConfig(rho1=0.1, rho2=1e11, rho3=1e11, max_iters=200)
     synth, analysis, codes, trace = pksvd_train(
         data, cfg, base, track_updates=True
     )
@@ -67,7 +67,7 @@ def app_dictionaries(test_image):
         data, KsvdConfig(m=N_ATOMS, k=BUDGET, iters=20),
         dct_dictionary(N_DIM, N_ATOMS),
     )
-    cfg = PkvConfig(k=BUDGET, max_iters=200)
+    cfg = PkvConfig(max_iters=200)
     synth, analysis, _, _ = pksvd_train(data, cfg, (ksvd_dict, ksvd_codes))
     return {
         "parseval": (synth, analysis),

@@ -74,7 +74,7 @@ def test_criterion_01_runtime(test_image):
     t0 = time.time()
     base = ksvd_train(data, KsvdConfig(m=32, k=4, iters=20),
                       dct_dictionary(16, 32))
-    cfg = PkvConfig(k=4, rho2=1e11, rho3=1e11, max_iters=200)
+    cfg = PkvConfig(rho2=1e11, rho3=1e11, max_iters=200)
     pksvd_train(data, cfg, base)
     elapsed = time.time() - t0
     ok = elapsed <= 300.0

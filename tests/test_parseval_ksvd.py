@@ -36,7 +36,7 @@ def small_problem(seed=0, n=4, m=6, n_cols=12, k=2):
         mult_id=rng.standard_normal((n, n)),
         mult_eq=rng.standard_normal((n, m)),
     )
-    cfg = PkvConfig(k=k, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
+    cfg = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
     return data, codes, synth, analysis, state, cfg
 
 
@@ -257,10 +257,10 @@ class TestPkvConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e251])
     def test_penalties_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=f"penalty {name} must be finite"):
-            PkvConfig(k=2, **{name: value})
+            PkvConfig(**{name: value})
 
     def test_defaults_accepted(self):
-        cfg = PkvConfig(k=2)
+        cfg = PkvConfig()
         assert (cfg.rho1, cfg.rho2, cfg.rho3) == (0.1, 1e11, 1e11)
 
 
@@ -319,7 +319,7 @@ class TestUpdateMultipliers:
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         synth = q.T
         state = AdmmState.zeros(3, 6)
-        cfg = PkvConfig(k=2, rho2=100.0, rho3=50.0)
+        cfg = PkvConfig(rho2=100.0, rho3=50.0)
         new = update_multipliers(synth, synth.copy(), state, cfg)
         assert np.allclose(new.mult_id, 0.0, atol=1e-12)
         assert np.allclose(new.mult_eq, 0.0, atol=1e-12)
@@ -329,7 +329,7 @@ class TestUpdateMultipliers:
         rng = np.random.default_rng(8)
         synth = rng.standard_normal((3, 5))
         analysis = rng.standard_normal((3, 5))
-        cfg = PkvConfig(k=2, rho2=7.0, rho3=3.0)
+        cfg = PkvConfig(rho2=7.0, rho3=3.0)
         new = update_multipliers(synth, analysis, AdmmState.zeros(3, 5), cfg)
         assert np.allclose(
             new.mult_id, 7.0 * (synth @ analysis.T - np.eye(3)), atol=1e-12
@@ -338,7 +338,7 @@ class TestUpdateMultipliers:
 
     def test_two_steps_accumulate(self):
         rng = np.random.default_rng(9)
-        cfg = PkvConfig(k=2, rho2=2.0, rho3=4.0)
+        cfg = PkvConfig(rho2=2.0, rho3=4.0)
         s1, a1 = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
         s2, a2 = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
         state = update_multipliers(s1, a1, AdmmState.zeros(2, 4), cfg)
@@ -353,7 +353,7 @@ class TestUpdateCodes:
         rng = np.random.default_rng(10)
         data = rng.uniform(1.0, 2.0, size=(4, 6))
         synth = np.eye(4)
-        cfg = PkvConfig(k=4, rho1=0.1)
+        cfg = PkvConfig(rho1=0.1)
         codes = update_codes(data, np.ones((4, 6)), synth, synth, cfg)
         assert np.allclose(codes, data, atol=1e-12)
 
@@ -468,7 +468,7 @@ class TestUpdateCodes:
         codes = np.array([[1.0, 1.0, 1.0, 0.0],
                           [1.0, 0.0, 0.0, 1.0],
                           [0.0, 0.0, 1.0, 1.0]])
-        cfg = PkvConfig(k=2, rho1=0.25)
+        cfg = PkvConfig(rho1=0.25)
         with pytest.raises(SingularCoefficientGram, match="code column 3 is singular"):
             update_codes(data, codes, synth, synth, cfg)
 
@@ -525,7 +525,7 @@ def desk_training(seed=0, n=16, m=32, n_cols=256, k=4, iters=50, rho=1e11,
         codes[idx, i] = rng.standard_normal(k) * 5
     data = hidden @ codes + 0.05 * rng.standard_normal((n, n_cols))
     init = ksvd_train(data, KsvdConfig(m=m, k=k, iters=10), dct_dictionary(n, m))
-    cfg = PkvConfig(k=k, rho1=0.1, rho2=rho, rho3=rho, max_iters=iters)
+    cfg = PkvConfig(rho1=0.1, rho2=rho, rho3=rho, max_iters=iters)
     return data, cfg, pksvd_train(data, cfg, init, track_updates=track)
 
 
@@ -543,20 +543,20 @@ def fresh_slot_train(data, codes, synth, cfg):
 
 def count_slot_builds(monkeypatch):
     builds = []
-    build = sparse_solvers._support_slots
+    build = parseval_ksvd._support_slots
 
-    def counted(mask, count):
-        builds.append(mask.sum())
-        return build(mask, count)
+    def counted(present):
+        builds.append(present.sum())
+        return build(present)
 
-    monkeypatch.setattr(sparse_solvers, "_support_slots", counted)
+    monkeypatch.setattr(parseval_ksvd, "_support_slots", counted)
     return builds
 
 
 class TestPksvdTrain:
     def test_fixed_supports_build_slots_once(self, monkeypatch):
         data, codes, synth, _, _, _ = small_problem(1)
-        cfg = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=6)
+        cfg = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=6)
         builds = count_slot_builds(monkeypatch)
         _, _, got, _ = pksvd_train(data, cfg, (Dictionary(synth), codes))
         assert builds == [np.count_nonzero(codes)] == [np.count_nonzero(got)]
@@ -568,8 +568,8 @@ class TestPksvdTrain:
         scale = 7.5e-6 / np.abs(codes[:, 0]).max()
         data[:, 0] *= scale
         codes[:, 0] *= scale
-        cfg = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=8)
-        early = PkvConfig(k=2, rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
+        cfg = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=8)
+        early = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
         assert np.count_nonzero(fresh_slot_train(data, codes, synth, early)[2]) == 24
         want = fresh_slot_train(data, codes, synth, cfg)
         builds = count_slot_builds(monkeypatch)

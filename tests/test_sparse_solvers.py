@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from texture import texture
@@ -19,7 +19,6 @@ from pksvd.sparse_solvers import (
     SparseVec,
     _homotopy_columns,
     _omp_columns,
-    _refit_slots,
     _refit_supports,
     _support_slots,
     basis_pursuit,
@@ -351,16 +350,22 @@ class TestOmpColumns:
 
 class TestSupportSlots:
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_stable_argsort(self, data):
-        mask = data.draw(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
-                                                           min_side=0, max_side=40)))
-        if mask.shape[1]:
-            mask[:, data.draw(st.integers(0, mask.shape[1] - 1))] = False
-        count = data.draw(st.integers(0, mask.shape[0]))
-        got = _support_slots(mask, count)
-        want = np.argsort(~mask, axis=0, kind="stable")[:count]
-        assert got.dtype == want.dtype and got.flags.c_contiguous
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40)),
+           st.integers(0, 39))
+    @example(np.zeros((5, 0), dtype=bool), 0)  # no columns
+    @example(np.zeros((0, 3), dtype=bool), 0)  # no rows
+    @example(np.zeros((4, 3), dtype=bool), 0)  # width 0
+    def test_matches_per_column_reference(self, present, empty):
+        m, n_cols = present.shape
+        if n_cols:
+            present[:, empty % n_cols] = False
+        supports = [np.flatnonzero(present[:, j]) for j in range(n_cols)]
+        width = max((s.size for s in supports), default=0)
+        want = np.zeros((n_cols, width), dtype=np.intp)
+        for j, support in enumerate(supports):
+            want[j] = np.concatenate((support, m + np.arange(support.size, width)))
+        got = _support_slots(present)
+        assert got.dtype == np.intp and got.shape == want.shape
         assert np.array_equal(got, want)
 
 
@@ -370,7 +375,7 @@ class TestRefitSupports:
         present[[0, 3, 4], 0] = True
         present[[2], 1] = True
         present[[1, 4], 3] = True
-        assert np.array_equal(_refit_slots(present),
+        assert np.array_equal(_support_slots(present),
                               [[0, 3, 4], [2, 6, 7], [5, 6, 7], [1, 4, 7]])
 
     def test_kept_slots_give_the_same_codes(self, monkeypatch):
@@ -380,7 +385,7 @@ class TestRefitSupports:
         data = rng.standard_normal((6, 7))
         codes = np.where(rng.random((10, 7)) < 0.3, rng.standard_normal((10, 7)), 0.0)
         gram, proj = dict_mat.T @ dict_mat, dict_mat.T @ data
-        slots = _refit_slots(codes != 0)
+        slots = _support_slots(codes != 0)
         got = _refit_supports(gram, proj, codes, slots)
         assert got.tobytes() == _refit_supports(gram, proj, codes).tobytes()
         assert np.array_equal(got != 0, codes != 0)
