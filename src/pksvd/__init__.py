@@ -16,6 +16,7 @@ from .errors import (
     PksvdError,
     RankDeficient,
     SingularCoefficientGram,
+    SingularMetric,
     SolverDidNotConverge,
     TooLarge,
     UniqueDual,
@@ -33,8 +34,6 @@ from .frames import (
 from .matrix_core import kron, pseudo_inverse, solve_sylvester
 from .sparse_solvers import (
     ZERO_THRESHOLD,
-    SparseVec,
-    basis_pursuit,
     bp_bruteforce_oracle,
     bpdn,
     omp,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadShape, EmptyBlockMask
 from .frames import Dictionary
 from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
-from .sparse_solvers import _homotopy_columns, _support_slots
+from .sparse_solvers import _support_slots, bpdn
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ def add_gaussian_noise(img, sigma, seed):
 
 def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     """Per block, exactly round(fraction * b^2) uniformly random missing
-    pixels."""
+    pixels. Raises ``EmptyBlockMask`` before any draw when that is every
+    pixel of a block."""
     h, w = dims
     if not 0.0 <= missing_fraction <= 0.99:
         raise ValueError("missing fraction must be in [0, 0.99]")
@@ -71,6 +72,9 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
         raise BadShape(f"dims {dims} not divisible by block size {block_size}")
     b = block_size
     n_missing = int(round(missing_fraction * b * b))
+    if n_missing == b * b:
+        raise EmptyBlockMask(f"missing fraction {missing_fraction:g} removes all {b * b} "
+                             f"pixels of every {b}x{b} block")
     rng = np.random.default_rng(seed)
     # One draw per block, row of blocks by row of blocks, then one scatter.
     bi, bj = np.divmod(np.arange((h // b) * (w // b)), w // b)
@@ -82,16 +86,11 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
 
 
 def denoise(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
-            eps: float) -> BlockedImage:
+            eps_grid) -> list[BlockedImage]:
     """Per block: decompose with the analysis dictionary, find the
-    minimum-l1 codes whose analysis-domain image stays within ``eps`` of
-    the coefficients, then synthesize. A one-radius ``denoise_sweep``."""
-    return denoise_sweep(noisy, synth, analysis, [eps])[0]
-
-
-def denoise_sweep(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
-                  eps_grid) -> list[BlockedImage]:
-    """``denoise`` at every radius of ``eps_grid``, in the grid's order.
+    minimum-l1 codes whose analysis-domain image stays within eps of the
+    coefficients, then synthesize; one restoration for every radius eps
+    of ``eps_grid``, in the grid's order.
 
     Implements the candidate-radius protocol (the caller keeps whichever
     result scores best). One homotopy path per block crosses every
@@ -108,7 +107,7 @@ def denoise_sweep(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
         raise BadShape("dictionary shapes do not match the blocked image")
     tri = np.linalg.qr(analysis.mat.T, mode="r")
     order = np.argsort(-grid, kind="stable")
-    codes = _homotopy_columns(tri @ synth.mat, tri @ noisy.blocks, grid[order])
+    codes = bpdn(tri @ synth.mat, tri @ noisy.blocks, grid[order])
     out = [None] * grid.size
     for k, pos in enumerate(order):
         out[pos] = noisy.with_blocks(synth.mat @ codes[k])
@@ -130,7 +129,7 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
     if empty.size:
         raise EmptyBlockMask(f"block {int(empty[0])} observes no pixels")
     systems, data, counts = _observed_systems(masks, observed.blocks, synth.mat)
-    codes = _homotopy_columns(systems, data, [eps], counts)[0]
+    codes = bpdn(systems, data, [eps], counts)[0]
     return observed.with_blocks(synth.mat @ codes)
 
 

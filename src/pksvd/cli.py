@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import applications, formats, frames, imaging, parseval_ksvd, theory_lab
-from .errors import BadShape, ConfigError, NearSingularSylvester, PksvdError
+from .errors import (BadShape, ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
+                     RankDeficient, SingularMetric)
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
 
@@ -153,38 +154,43 @@ def cmd_train(args):
         )
     init = frames.dct_dictionary(cfg["block_size"] ** 2, cfg["m"])
     ksvd_cfg = KsvdConfig(m=cfg["m"], k=cfg["k"], iters=cfg["ksvd_iters"])
-    base_dict, base_codes = ksvd_train(data, ksvd_cfg, init)
-
-    if args.method == "ksvd":
-        formats.save_dictionary(base_dict, args.out)
-        if args.out_codes:
-            formats.save_codes(base_codes, args.out_codes)
-        _print_dictionary_summary("ksvd dictionary", base_dict, base_codes)
-        print(f"wrote {args.out}")
-        return 0
-
-    try:
-        synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (base_dict, base_codes))
-    except NearSingularSylvester as exc:
-        # The analysis update's eigenvalue sums lie between rho3 and about
-        # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
-        raise ConfigError(
-            f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: a "
-            f"dictionary update's Sylvester system is near-singular ({exc}); "
-            "lower --rho2 or raise --rho3"
-        ) from None
+    synth, codes = ksvd_train(data, ksvd_cfg, init)
+    if args.method == "parseval":
+        try:
+            synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (synth, codes))
+        except NearSingularSylvester as exc:
+            # The analysis update's eigenvalue sums lie between rho3 and about
+            # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+            raise ConfigError(
+                f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: a "
+                f"dictionary update's Sylvester system is near-singular ({exc}); "
+                "lower --rho2 or raise --rho3"
+            ) from None
+        except SingularMetric as exc:
+            raise ConfigError(
+                f"--rho3 {cfg['rho3']:g} is too small for --rho1 {cfg['rho1']:g} and --rho2 "
+                f"{cfg['rho2']:g}: the synthesis update's metric 2 rho1 G + rho2 A^T A + "
+                f"rho3 I, which only its rho3 I term keeps definite, fails ({exc}); raise --rho3"
+            ) from None
+    try:  # before the first write: the frame bounds fail on a rank-deficient dictionary
+        _print_dictionary_summary(f"{args.method} dictionary", synth, codes)
+    except RankDeficient as exc:
+        penalties = ", ".join(f"--{key} {cfg[key]:g}" for key in _FLOAT_KEYS)
+        with_penalties = f", with {penalties}" if args.method == "parseval" else ""
+        raise RankDeficient(f"the trained dictionary is not a frame ({exc}){with_penalties}") from None
     formats.save_dictionary(synth, args.out)
-    dual_out = args.out_dual or _dual_path(args.out)
-    formats.save_dictionary(analysis, dual_out)
-    if args.trace:
-        formats.write_trace_csv(trace, args.trace)
+    written = [args.out]
+    if args.method == "parseval":
+        print(f"  final constraint residuals: "
+              f"log10 ||SA^T - I||_F^2 = {trace.log10_identity_residual[-1]:.2f}, "
+              f"log10 ||S - A||_F^2 = {trace.log10_match_residual[-1]:.2f}")
+        written.append(args.out_dual or _dual_path(args.out))
+        formats.save_dictionary(analysis, written[1])
+        if args.trace:
+            formats.write_trace_csv(trace, args.trace)
     if args.out_codes:
         formats.save_codes(codes, args.out_codes)
-    _print_dictionary_summary("parseval dictionary", synth, codes)
-    print(f"  final constraint residuals: "
-          f"log10 ||SA^T - I||_F^2 = {trace.log10_identity_residual[-1]:.2f}, "
-          f"log10 ||S - A||_F^2 = {trace.log10_match_residual[-1]:.2f}")
-    print(f"wrote {args.out} and {dual_out}")
+    print(f"wrote {' and '.join(written)}")
     return 0
 
 
@@ -248,10 +254,8 @@ def cmd_denoise(args):
     if not energy <= NOISY_ENERGY_MAX:
         raise ConfigError(f"--sigma {args.sigma:g} is too large: the noisy blocks' "
                           f"sum of squares exceeds {NOISY_ENERGY_MAX:g}")
-    restorations = [
-        imaging.from_blocks(out)
-        for out in applications.denoise_sweep(blocked, synth, analysis, eps_grid)
-    ]
+    restorations = [imaging.from_blocks(out)
+                    for out in applications.denoise(blocked, synth, analysis, eps_grid)]
     scores = [imaging.psnr(img, restored) for restored in restorations]
     best = int(np.argmax(scores))
     restored, value, eps_used = restorations[best], scores[best], eps_grid[best]
@@ -283,9 +287,11 @@ def cmd_inpaint(args):
     cfg = resolve_config(args)
     synth = formats.load_dictionary(args.dictionary)
     img = imaging.read_pgm(args.image)
-    mask = applications.random_mask(
-        img.shape, args.fraction, cfg["seed"], cfg["block_size"]
-    )
+    try:
+        mask = applications.random_mask(img.shape, args.fraction, cfg["seed"], cfg["block_size"])
+    except EmptyBlockMask as exc:
+        raise ConfigError(f"--fraction {args.fraction:g} is too large for --block_size "
+                          f"{cfg['block_size']}: {exc}") from None
     corrupted = np.where(mask.observed, img, 0.0)
     blocked = imaging.to_blocks(
         corrupted, cfg["block_size"], subtract_mean=True,

@@ -26,6 +26,10 @@ class SingularCoefficientGram(PksvdError, ArithmeticError):
     after regularization, or the Gram of a code column's support atoms."""
 
 
+class SingularMetric(PksvdError, ArithmeticError):
+    """The metric M of a symmetric-definite pencil (M, G) is numerically singular."""
+
+
 class SolverDidNotConverge(PksvdError, RuntimeError):
     """A solver exhausted its step budget or missed its constraint."""
 

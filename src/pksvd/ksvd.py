@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import _TIE_RTOL, _omp_columns, _refit_supports
+from .sparse_solvers import _TIE_RTOL, _refit_supports, omp
 
 _OMP_RESIDUAL_TOL = 1e-12
 # Residual-to-code-row norm ratio up to which an atom update takes one
@@ -58,7 +58,7 @@ def _code_columns(dict_mat, data, k, prev_codes):
     """
     gram = dict_mat.T @ dict_mat
     proj = data.T @ dict_mat
-    codes = _omp_columns(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj, gram)
+    codes = omp(dict_mat, data, k, _OMP_RESIDUAL_TOL, proj, gram)
     if prev_codes is None:
         return codes
     refit = _refit_supports(gram, proj.T, prev_codes)

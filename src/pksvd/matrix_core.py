@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadShape, NearSingularSylvester, TooLarge
+from .errors import BadShape, NearSingularSylvester, SingularMetric, TooLarge
 
 # Singular values below RCOND * sigma_max are treated as zero.
 RCOND = 1e-12
@@ -116,13 +116,19 @@ def generalized_eigh(m, g):
 
     With M = L L^T, one ``eigh`` of L^-1 G L^-T gives nu = 1/lam;
     factoring M, not G, keeps the result accurate for an ill-conditioned G
-    such as a ridged code Gram with an unused atom. Raises
-    ``np.linalg.LinAlgError`` when M or G is not positive definite.
+    such as a ridged code Gram with an unused atom. M and G positive
+    definite give every nu > 0; when one is not, or a factorization fails,
+    ``np.linalg.LinAlgError`` names G if G's own Cholesky fails, and
+    ``SingularMetric`` names M otherwise.
     """
-    chol_inv = np.linalg.inv(np.linalg.cholesky(m))
-    nu, w = np.linalg.eigh(chol_inv @ g @ chol_inv.T)
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(m))
+        nu, w = np.linalg.eigh(chol_inv @ g @ chol_inv.T)
+    except np.linalg.LinAlgError:
+        nu = np.zeros(1)
     if not nu[0] > 0.0:
-        raise np.linalg.LinAlgError("G is not positive definite")
+        np.linalg.cholesky(g)  # raises when G is not positive definite
+        raise SingularMetric("M is numerically singular while G is positive definite")
     return 1.0 / nu, (chol_inv.T @ w) / np.sqrt(nu)
 
 

@@ -72,11 +72,10 @@ class AdmmState:
 
     mult_id: np.ndarray
     mult_eq: np.ndarray
-    iteration: int = 0
 
     @classmethod
     def zeros(cls, n, m):
-        return cls(np.zeros((n, n)), np.zeros((n, m)), 0)
+        return cls(np.zeros((n, n)), np.zeros((n, m)))
 
 
 @dataclass
@@ -146,8 +145,10 @@ def update_synthesis(data, codes, analysis, state, cfg):
     ridge-regularized by 1e-8 * tr(G) / m. It is solved as
     A1 @ synth @ G + synth @ M = K from the eigenpairs of A1 and of the
     pencil (M, G), so G is never inverted; the update fails with
-    ``SingularCoefficientGram`` if G is not positive definite. The current
-    synthesis matrix does not enter the condition.
+    ``SingularCoefficientGram`` if G is not positive definite, and with
+    ``SingularMetric`` if M is numerically singular: rho3 I is its only
+    term definite by itself, and an atom that no code uses leaves a zero
+    row in G. The current synthesis matrix does not enter the condition.
     """
     m = analysis.shape[1]
     gram = codes @ codes.T
@@ -188,7 +189,6 @@ def update_multipliers(synth, analysis, state, cfg):
     return AdmmState(
         mult_id=state.mult_id + cfg.rho2 * (synth @ analysis.T - np.eye(n)),
         mult_eq=state.mult_eq + cfg.rho3 * (synth - analysis),
-        iteration=state.iteration + 1,
     )
 
 

@@ -1,20 +1,18 @@
-"""Sparse coding engines.
+"""Sparse coding engines, each run on many columns at once.
 
-* ``omp`` — greedy orthogonal matching pursuit; ``_omp_columns`` runs it
-  on many columns at once (Batch-OMP, used by K-SVD).
+* ``omp`` — greedy orthogonal matching pursuit with a budget of k atoms
+  (Batch-OMP, used by K-SVD).
 * ``bpdn`` — min ||w||_1 s.t. ||b - A w||_2 <= eps, solved exactly by the
-  LASSO homotopy ``_homotopy_columns``: one path per column gives the
-  code at every radius of a descending grid. Denoising runs it on the
-  n x m system R S from the thin QR A^T = QR of its analysis operator,
-  inpainting on per-block row subsets of the dictionary.
-* ``basis_pursuit`` — the eps = 0 end of the same path.
+  LASSO homotopy: one path per column gives the code at every radius of
+  a descending grid, down to basis pursuit at eps = 0. Denoising runs it
+  on the n x m system R S from the thin QR A^T = QR of its analysis
+  operator, inpainting on per-block row subsets of the dictionary.
 * ``bp_bruteforce_oracle`` — exact LP optimum by basic-solution enumeration,
   kept fully independent of the homotopy code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -58,47 +56,7 @@ _PATH_BATCH_ENTRIES = 2 ** 20
 _GRAM_PAD = 8
 
 
-@dataclass(frozen=True)
-class SparseVec:
-    """Coefficient vector plus its support under ZERO_THRESHOLD."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 1:
-            raise ValueError(f"entries must be 1-D, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries contain non-finite values")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def length(self):
-        return self.entries.size
-
-    @property
-    def support(self):
-        return np.flatnonzero(np.abs(self.entries) > ZERO_THRESHOLD)
-
-    @property
-    def l1(self):
-        return float(np.abs(self.entries).sum())
-
-
-def omp(d: Dictionary, y, k: int, residual_tol: float = 0.0) -> SparseVec:
-    """Orthogonal matching pursuit with budget ``k`` on one signal.
-
-    A one-column call of ``_omp_columns``, which states the rule.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != d.n:
-        raise ValueError(f"signal length {y.size} does not match dictionary rows {d.n}")
-    if k < 0 or k > d.n:
-        raise ValueError(f"budget k={k} must be in [0, n={d.n}]")
-    return SparseVec(_omp_columns(d.mat, y[:, None], k, residual_tol)[:, 0])
-
-
-def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
+def omp(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
     """Orthogonal matching pursuit on every column of ``data`` (Batch-OMP).
 
     Per column: add the unused atom most correlated with the residual
@@ -115,12 +73,15 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
     ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
     factors once, at full size k. ``proj``, the N x m projections Y^T D,
     and ``gram``, D^T D, are formed here once for all batches unless the
-    caller passes them. Returns the m x N codes.
+    caller passes them. Returns the m x N codes. Raises ``ValueError``
+    unless the budget satisfies 0 <= k <= n.
     """
     dict_mat = as_matrix(dict_mat, "dictionary")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != dict_mat.shape[0]:
         raise ValueError(f"data shape {data.shape} does not match {dict_mat.shape}")
+    if not 0 <= k <= dict_mat.shape[0]:
+        raise ValueError(f"budget k={k} must be in [0, n={dict_mat.shape[0]}]")
     if gram is None:
         gram = dict_mat.T @ dict_mat
     if proj is None:  # once: a one-column batch's product rounds differently
@@ -135,7 +96,7 @@ def _omp_columns(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
 
 
 def _omp_block(dict_mat, gram, y, proj, k, residual_tol):
-    """``_omp_columns`` on one batch: signals and their projections D^T y
+    """``omp`` on one batch: signals and their projections D^T y
     are the rows of ``y`` and ``proj``.
 
     Every array carries one lane (signal) per row; a lane leaves the batch
@@ -275,33 +236,7 @@ def _refit_supports(gram, proj, codes, slots=None):
     return target[:m]
 
 
-def bpdn(a, b, eps: float) -> SparseVec:
-    """min ||w||_1  s.t.  ||b - A w||_2 <= eps, solved exactly.
-
-    A one-column, one-radius call of ``_homotopy_columns``, which states
-    the method. Raises ``SolverDidNotConverge`` when no code meets the
-    radius (a system whose range misses ``b``).
-    """
-    a = as_matrix(a, "A")
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.size != a.shape[0]:
-        raise ValueError(f"b has length {b.size}, expected {a.shape[0]}")
-    return SparseVec(_homotopy_columns(a, b[:, None], [eps])[0, :, 0])
-
-
-def basis_pursuit(d: Dictionary, x) -> SparseVec:
-    """min ||u||_1 s.t. mat @ u = x: the eps = 0 end of the homotopy path.
-
-    Raises ``SolverDidNotConverge`` (from ``_homotopy_columns``) if the
-    constraint residual exceeds ``_RADIUS_RTOL * ||x||``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != d.n:
-        raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
-    return SparseVec(_homotopy_columns(d.mat, x[:, None], [0.0])[0, :, 0])
-
-
-def _homotopy_columns(system, data, radii, rank=None):
+def bpdn(system, data, radii, rank=None):
     """min ||w||_1 s.t. ||b - A w||_2 <= eps for every column b of ``data``
     and every radius eps of the descending grid ``radii``.
 
@@ -320,7 +255,8 @@ def _homotopy_columns(system, data, radii, rank=None):
     r - gamma u along it, the code is at the smaller root of
     ||r - gamma u||^2 = eps^2. A column with ||b|| <= eps gets the zero
     code, and a radius below the residual at the end of the path gets
-    the code at the end.
+    the code at the end; the radius 0 is basis pursuit, min ||w||_1 s.t.
+    A w = b.
 
     Returns the codes as a (K, m, N) array, one m x N block per radius.
     Raises ``ValueError`` for an empty grid or a radius that is NaN,
@@ -381,7 +317,7 @@ def _first_tied_min(times, rows):
 
 
 def _homotopy_block(atoms, b, radii, rank, width):
-    """``_homotopy_columns`` on one batch with the data as the rows of ``b``.
+    """``bpdn`` on one batch with the data as the rows of ``b``.
 
     ``atoms`` holds the transposed systems, (N, m, p), or one m x p matrix
     for a shared system, so that the atoms are rows; ``rank`` holds their
@@ -550,7 +486,7 @@ class _LaneFactors:
     slot), and d_S = R^T z.
 
     Every product on R has the batch's width: its lanes' ranks padded to a
-    multiple of ``_GRAM_PAD``, which ``_homotopy_columns`` makes equal for
+    multiple of ``_GRAM_PAD``, which ``bpdn`` makes equal for
     every lane of a batch. The width depends on the lane alone, so its
     codes do not depend on its batch-mates.
     """
@@ -629,13 +565,13 @@ class _LaneFactors:
         self.size[lanes] = last
 
 
-def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:
+def bp_bruteforce_oracle(d: Dictionary, x):
     """Exact l1-synthesis optimum by enumerating basic feasible solutions.
 
     Works on the split LP min 1.v s.t. [A | -A] v = x, v >= 0: every
     vertex is supported on n linearly independent columns, so checking
     all n-subsets of the 2m split columns finds the optimum. Limited to
-    m <= 12 atoms.
+    m <= 12 atoms. Returns the m-vector of codes.
     """
     if d.m > _ORACLE_MAX_ATOMS:
         raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}, got m={d.m}")
@@ -649,7 +585,7 @@ def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:
     best_u = None
     best_obj = np.inf
     if np.linalg.norm(x) == 0.0:
-        return SparseVec(np.zeros(m))
+        return np.zeros(m)
     for cols in combinations(range(2 * m), n):
         basis = split[:, cols]
         sv = np.linalg.svd(basis, compute_uv=False)
@@ -670,4 +606,4 @@ def bp_bruteforce_oracle(d: Dictionary, x) -> SparseVec:
             best_u = u
     if best_u is None:
         raise ValueError("no feasible basic solution found; is the frame full rank?")
-    return SparseVec(best_u)
+    return best_u

@@ -104,7 +104,7 @@ def proxy_trial(d: Dictionary, x, n_alt_duals: int, seed: int) -> ProxyTrial:
     the l1 minimizer. The oracle limits the frame to m <= 12 atoms.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    u1 = bp_bruteforce_oracle(d, x).entries
+    u1 = bp_bruteforce_oracle(d, x)
     u2 = canonical_dual(d).mat.T @ x
     rng = np.random.default_rng(seed)
     distances = []
@@ -162,9 +162,9 @@ def nonexistence_search(n, m, trials: int, seed: int) -> CounterexampleReport:
         frame = random_general_position_frame(n, m, rng)
         x1 = rng.standard_normal(n)
         x2 = rng.standard_normal(n)
-        u_a = bp_bruteforce_oracle(frame, x1).entries
-        u_b = bp_bruteforce_oracle(frame, x2).entries
-        u_ab = bp_bruteforce_oracle(frame, x1 + x2).entries
+        u_a = bp_bruteforce_oracle(frame, x1)
+        u_b = bp_bruteforce_oracle(frame, x2)
+        u_ab = bp_bruteforce_oracle(frame, x1 + x2)
         violation = float(np.linalg.norm(u_ab - u_a - u_b))
         best_violation = max(best_violation, violation)
         if violation > 1e-6:

@@ -33,11 +33,11 @@ Batch-OMP pass at the ``desk`` and ``full`` shapes (``support-desk``,
 32 x 256, and ``support-full``, 256 x 256), and the ``inpaint-desk`` mask
 of observed pixels (16 x 256).
 
-Times Batch-OMP, ``sparse_solvers._omp_columns``, alone at the same two
+Times Batch-OMP, ``sparse_solvers.omp``, alone at the same two
 shapes on the inputs of the first OMP pass of that K-SVD train: the
 blocks against the overcomplete DCT dictionary with budget k.
 
-Times the homotopy ``sparse_solvers._homotopy_columns`` alone on the
+Times the homotopy ``sparse_solvers.bpdn`` alone on the
 systems the recovery pipelines pose for ``texture(3)``, with the
 self-dual Parseval pair built from the DCT dictionary that the
 ``recover-desk`` workload uses, and the CLI's seed 0 for the noise and
@@ -102,9 +102,9 @@ from pksvd.parseval_ksvd import (
 )
 from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
-    _homotopy_columns,
-    _omp_columns,
     _support_slots,
+    bpdn,
+    omp,
 )
 
 SHAPES = {
@@ -177,11 +177,11 @@ def test_update_atoms(benchmark, shape):
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_omp_columns(benchmark, shape):
+def test_omp(benchmark, shape):
     block, side, m, k = SHAPES[shape]
     data = to_blocks(texture(3)[:side, :side].astype(float), block, subtract_mean=True).blocks
     init = dct_dictionary(block * block, m).mat
-    codes = benchmark(_omp_columns, init, data, k)
+    codes = benchmark(omp, init, data, k)
     assert (np.count_nonzero(codes, axis=0) <= k).all()
 
 
@@ -193,7 +193,7 @@ def test_support_slots(benchmark, case):
         block, side, m, k = SHAPES[case.split("-")[1]]
         data = to_blocks(texture(3)[:side, :side].astype(float), block,
                          subtract_mean=True).blocks
-        mask = _omp_columns(dct_dictionary(block * block, m).mat, data, k) != 0.0
+        mask = omp(dct_dictionary(block * block, m).mat, data, k) != 0.0
     slots = benchmark(_support_slots, mask)
     assert slots.shape == (mask.shape[1], int(mask.sum(axis=0).max()))
 
@@ -210,7 +210,7 @@ HOMOTOPY_CASES = {
 
 @pytest.fixture(scope="module", params=sorted(HOMOTOPY_CASES))
 def homotopy_inputs(request):
-    """(system, data, radii, rank) as ``denoise_sweep`` and ``inpaint`` pose
+    """(system, data, radii, rank) as ``denoise`` and ``inpaint`` pose
     them."""
     block, side, m, task = HOMOTOPY_CASES[request.param]
     img = texture(3)[:side, :side].astype(float)
@@ -231,9 +231,9 @@ def homotopy_inputs(request):
     return systems, data, [0.01], counts
 
 
-def test_homotopy_columns(benchmark, homotopy_inputs):
+def test_bpdn(benchmark, homotopy_inputs):
     system, data, radii, rank = homotopy_inputs
-    codes = benchmark(_homotopy_columns, system, data, radii, rank)
+    codes = benchmark(bpdn, system, data, radii, rank)
     assert codes.shape == (len(radii), system.shape[-1], data.shape[1])
 
 

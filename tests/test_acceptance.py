@@ -14,7 +14,7 @@ import pytest
 from pksvd.applications import (
     add_gaussian_noise,
     compress_rd,
-    denoise_sweep,
+    denoise,
     inpaint,
     random_mask,
 )
@@ -253,7 +253,7 @@ def best_denoise_psnr(image, noisy, pair):
     synth, analysis = pair
     blocked = to_blocks(noisy, BLOCK, subtract_mean=True,
                         mean_value=float(image.mean()))
-    results = denoise_sweep(blocked, synth, analysis, EPS_GRID)
+    results = denoise(blocked, synth, analysis, EPS_GRID)
     return max(psnr(image, from_blocks(blk)) for blk in results)
 
 

@@ -10,7 +10,6 @@ from pksvd.applications import (
     add_gaussian_noise,
     compress_rd,
     denoise,
-    denoise_sweep,
     inpaint,
     random_mask,
     reconstruct_roundtrip,
@@ -82,11 +81,12 @@ class TestRandomMask:
     @pytest.mark.parametrize("fraction", [0.0, 0.2, 0.5, 0.99])
     def test_matches_block_loop(self, fraction, block_size):
         # Non-square dims, so that the order of the blocks shows. At 0.99
-        # blocks of 2x2 and 4x4 lose every pixel, which Mask rejects.
+        # blocks of 2x2 and 4x4 would lose every pixel, which random_mask
+        # rejects before it draws.
         for seed in range(6):
             loop = block_loop_mask((16, 24), fraction, seed, block_size)
             if not loop.any():
-                with pytest.raises(BadShape, match="no pixels"):
+                with pytest.raises(EmptyBlockMask, match="removes all"):
                     random_mask((16, 24), fraction, seed, block_size)
                 continue
             mask = random_mask((16, 24), fraction, seed, block_size)
@@ -110,6 +110,15 @@ class TestRandomMask:
         with pytest.raises(ValueError):
             random_mask((8, 8), 1.0, seed=0, block_size=4)
 
+    def test_fraction_that_empties_every_block_fails_before_the_draw(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("random generator created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(EmptyBlockMask,
+                           match="missing fraction 0.99 removes all 16 pixels of every 4x4 block"):
+            random_mask((8, 8), 0.99, seed=0, block_size=4)
+
     def test_all_missing_mask_rejected(self):
         with pytest.raises(BadShape):
             Mask(np.zeros((4, 4), dtype=bool))
@@ -121,7 +130,7 @@ class TestDenoise:
         img = rng.uniform(50, 200, (8, 8))
         blocked = to_blocks(img, 2)
         d = identity_dict(4)
-        out = denoise(blocked, d, d, eps=1e-4)
+        out = denoise(blocked, d, d, [1e-4])[0]
         assert np.allclose(from_blocks(out), img, atol=1e-3)
 
     def test_huge_eps_gives_mean_image(self):
@@ -129,7 +138,7 @@ class TestDenoise:
         img = rng.uniform(50, 200, (8, 8))
         blocked = to_blocks(img, 2, subtract_mean=True)
         d = identity_dict(4)
-        out = denoise(blocked, d, d, eps=1e6)
+        out = denoise(blocked, d, d, [1e6])[0]
         assert np.allclose(from_blocks(out), img.mean(), atol=1e-9)
 
     def test_matches_per_column_bpdn(self):
@@ -139,14 +148,14 @@ class TestDenoise:
         synth = Dictionary(rng.standard_normal((16, 24)))
         analysis = canonical_dual(synth)
         eps = 10.0
-        out = denoise(blocked, synth, analysis, eps)
+        out = denoise(blocked, synth, analysis, [eps])[0]
         system = analysis.mat.T @ synth.mat
         for j in range(blocked.n_blocks):
             z = analysis.mat.T @ blocked.blocks[:, j]
-            ref = bpdn(system, z, eps)
+            ref = bpdn(system, z[:, None], [eps])[0, :, 0]
             # the same problem in m rows (A^T S) and in n rows (R S)
             assert np.linalg.norm(
-                out.blocks[:, j] - synth.mat @ ref.entries
+                out.blocks[:, j] - synth.mat @ ref
             ) <= 1e-9 * max(1.0, np.linalg.norm(out.blocks[:, j]))
 
     def test_sweep_matches_single_calls(self):
@@ -156,9 +165,9 @@ class TestDenoise:
         synth = Dictionary(rng.standard_normal((16, 24)))
         analysis = canonical_dual(synth)
         grid = [4.0, 8.0, 16.0]
-        swept = denoise_sweep(blocked, synth, analysis, grid)
+        swept = denoise(blocked, synth, analysis, grid)
         for eps, blk in zip(grid, swept):
-            single = denoise(blocked, synth, analysis, eps)
+            single = denoise(blocked, synth, analysis, [eps])[0]
             assert np.array_equal(blk.blocks, single.blocks)
 
     def test_block_locality(self):
@@ -166,17 +175,17 @@ class TestDenoise:
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, (8, 8))
         d = identity_dict(4)
-        base = denoise(to_blocks(img, 2), d, d, eps=5.0)
+        base = denoise(to_blocks(img, 2), d, d, [5.0])[0]
         bumped = img.copy()
         bumped[:2, :2] += 40.0
-        out = denoise(to_blocks(bumped, 2), d, d, eps=5.0)
+        out = denoise(to_blocks(bumped, 2), d, d, [5.0])[0]
         assert not np.allclose(out.blocks[:, 0], base.blocks[:, 0])
         assert np.allclose(out.blocks[:, 1:], base.blocks[:, 1:], atol=1e-9)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             denoise(to_blocks(np.zeros((4, 4)), 2), identity_dict(4),
-                    identity_dict(4), eps=0.0)
+                    identity_dict(4), [0.0])
 
 
 class TestRadiusValidation:
@@ -186,13 +195,13 @@ class TestRadiusValidation:
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
-        solve = applications._homotopy_columns
+        solve = applications.bpdn
 
         def spy(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(applications, "_homotopy_columns", spy)
+        monkeypatch.setattr(applications, "bpdn", spy)
         return calls
 
     @pytest.fixture
@@ -201,10 +210,10 @@ class TestRadiusValidation:
         return to_blocks(rng.uniform(0, 255, (8, 8)), 2, subtract_mean=True)
 
     @pytest.mark.parametrize("grid", [[], [float("nan")], [-1.0], [4.0, float("nan")]])
-    def test_denoise_sweep_rejects(self, blocked, solves, grid):
+    def test_denoise_rejects_grid(self, blocked, solves, grid):
         d = identity_dict(4)
         with pytest.raises(ValueError):
-            denoise_sweep(blocked, d, d, grid)
+            denoise(blocked, d, d, grid)
         assert solves == []
 
     @pytest.mark.parametrize("eps", [float("nan"), -1.0])
@@ -212,7 +221,7 @@ class TestRadiusValidation:
         d = identity_dict(4)
         mask = random_mask((8, 8), 0.25, seed=0, block_size=2)
         with pytest.raises(ValueError):
-            denoise(blocked, d, d, eps)
+            denoise(blocked, d, d, [eps])
         with pytest.raises(ValueError):
             inpaint(blocked, mask, d, eps)
         assert solves == []
@@ -221,7 +230,7 @@ class TestRadiusValidation:
         d = identity_dict(4)
         mask = random_mask((8, 8), 0.25, seed=0, block_size=2)
         mean = from_blocks(blocked.with_blocks(np.zeros_like(blocked.blocks)))
-        for out in (denoise(blocked, d, d, float("inf")),
+        for out in (denoise(blocked, d, d, [float("inf")])[0],
                     inpaint(blocked, mask, d, float("inf"))):
             assert np.array_equal(from_blocks(out), mean)
 
@@ -240,7 +249,7 @@ class TestFeasibilityAfterOneIteration:
         analysis = canonical_dual(synth) if dual else random_frame(rng)
         coeffs = analysis.mat.T @ blocked.blocks
         for eps in (4.0, 10.0):
-            out = denoise(blocked, synth, analysis, eps)
+            out = denoise(blocked, synth, analysis, [eps])[0]
             resid = np.linalg.norm(coeffs - analysis.mat.T @ out.blocks, axis=0)
             assert np.all(resid <= ball_limit(eps, coeffs))
 
@@ -281,10 +290,10 @@ class TestInpaint:
             if spark(d) <= 2:
                 continue
             oracle = bp_bruteforce_oracle(Dictionary(d.mat[keep]), truth[keep])
-            if np.allclose(oracle.entries, np.eye(12)[5] * 3.0, atol=1e-8):
+            if np.allclose(oracle, np.eye(12)[5] * 3.0, atol=1e-8):
                 break
-        solver = bpdn(d.mat[keep], truth[keep], eps=1e-6)
-        assert np.allclose(d.mat @ solver.entries, truth, atol=1e-4)
+        solver = bpdn(d.mat[keep], truth[keep][:, None], [1e-6])[0, :, 0]
+        assert np.allclose(d.mat @ solver, truth, atol=1e-4)
 
     def test_pipeline_one_sparse_block(self):
         rng = np.random.default_rng(10)
@@ -312,7 +321,7 @@ class TestInpaint:
                 rows = np.flatnonzero(masks[:, j])
                 reduced = Dictionary(d.mat[rows])
                 oracle = bp_bruteforce_oracle(reduced, blocks[rows, j])
-                if not np.allclose(oracle.entries, codes[:, j], atol=1e-8):
+                if not np.allclose(oracle, codes[:, j], atol=1e-8):
                     good = False
                     break
             if good:

@@ -645,10 +645,14 @@ class TestInputLimits:
         (["train", "{image}", "--method", "parseval", "--out", "{out}/d.pk",
           "--rho1", "1e308", "--block_size", "2", "--m", "4", "--k", "1"],
          "penalty rho1 must be finite and positive, at most 1e+250, got 1e+308"),
+        (["inpaint", "{image}", "--dict", "{eye}", "--fraction", "0.99", "--block_size", "4",
+          "--out-prefix", "{out}/ip"],
+         "--fraction 0.99 is too large for --block_size 4: missing fraction 0.99 removes all "
+         "16 pixels of every 4x4 block"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
-            "denoise-sigma-ssim", "train-rho1-huge"])
+            "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
@@ -717,6 +721,44 @@ class TestInputLimits:
             # The remedy the message names: a larger rho3.
             assert main(argv + ["--rho3", value]) == 0
         assert np.isfinite(load_dictionary(out / "d.pk").mat).all()
+
+    @pytest.mark.parametrize("penalties,head,tail,remedy", [
+        # The trained dictionary loses rank; its frame bounds failed only
+        # after both dictionaries were written.
+        (["--rho1", "1e-300", "--rho2", "1e-300", "--rho3", "1"],
+         "the trained dictionary is not a frame (lowest frame-operator eigenvalue ",
+         "is numerically zero), with --rho1 1e-300, --rho2 1e-300, --rho3 1", None),
+        # K-SVD leaves an atom unused, which only rho2 and rho3 hold in the
+        # synthesis update's metric; the code Gram was blamed.
+        (["--rho2", "1e-300", "--rho3", "1e-300"],
+         "--rho3 1e-300 is too small for --rho1 0.1 and --rho2 1e-300: the synthesis "
+         "update's metric 2 rho1 G + rho2 A^T A + rho3 I, which only its rho3 I term keeps "
+         "definite, fails (M is numerically singular while G is positive definite)",
+         "; raise --rho3", ["--rho3", "1e-3"]),
+        # With rho1 near zero the metric is about rho2 A^T A, of rank n < m,
+        # and its Cholesky factorization fails.
+        (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-300"],
+         "--rho3 1e-300 is too small for --rho1 1e-300 and --rho2 1: ",
+         "; raise --rho3", ["--rho3", "1"]),
+    ], ids=["not-a-frame", "singular-metric", "metric-not-definite"])
+    def test_degenerate_penalties_fail_naming_them(self, tmp_path, capsys, penalties,
+                                                   head, tail, remedy):
+        image = tmp_path / "img.pgm"
+        write_pgm(texture(0)[:32, :32], image)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", str(image), "--method", "parseval", "--block_size", "4",
+                "--m", "32", "--k", "4", "--ksvd_iters", "2", "--max_iters", "3",
+                "--out", str(out / "t.pk"), "--out-codes", str(out / "c.bin"),
+                "--trace", str(out / "t.csv")] + penalties
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {head}") and err.endswith(f"{tail}\n")
+            assert list(out.iterdir()) == []
+            if remedy:  # the remedy the message names
+                assert main(argv + remedy) == 0
 
 
 class TestScipyStaysUnloaded:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pksvd.errors import BadShape, NearSingularSylvester, TooLarge
+from pksvd.errors import BadShape, NearSingularSylvester, SingularMetric, TooLarge
 from pksvd.matrix_core import (
     SYLVESTER_MAX_UNKNOWNS,
     check_sylvester_residual,
@@ -213,6 +213,15 @@ class TestGeneralizedEigh:
     def test_rejects_gram_that_is_not_definite(self, gram):
         with pytest.raises(np.linalg.LinAlgError):
             generalized_eigh(np.eye(3), gram)
+
+    @pytest.mark.parametrize("metric", [np.zeros((3, 3)), -np.eye(3),
+                                        np.diag([1.0, 0.0, 1.0])])
+    def test_names_a_metric_that_is_not_definite(self, metric):
+        with pytest.raises(SingularMetric, match="M is numerically singular"):
+            generalized_eigh(metric, np.eye(3))
+        # A G that is not definite either is named first.
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigh(metric, -np.eye(3))
 
 
 class TestSolveSylvesterEig:

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from texture import texture
 
 from pksvd import matrix_core, parseval_ksvd, sparse_solvers
-from pksvd.errors import NearSingularSylvester, SingularCoefficientGram
+from pksvd.errors import NearSingularSylvester, SingularCoefficientGram, SingularMetric
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary, frame_bounds
+from pksvd.imaging import to_blocks
 from pksvd.ksvd import KsvdConfig, ksvd_train
 from pksvd.matrix_core import _sylvester_condition_estimate, solve_sylvester
 from pksvd.parseval_ksvd import (
@@ -305,6 +307,20 @@ class TestUpdateSynthesis:
         with pytest.raises(NearSingularSylvester, match="solution residual"):
             update_synthesis(data, codes, analysis, state, cfg)
 
+    def test_tiny_penalties_name_the_metric_not_the_code_gram(self):
+        # K-SVD leaves one atom of 32 unused on this crop, so its row of
+        # M = 2 rho1 G + rho2 A^T A + rho3 I holds about 1e-300 only. The
+        # ridged code Gram is positive definite all the same.
+        data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(m=32, k=4, iters=2), dct_dictionary(16, 32))
+        gram = init[1] @ init[1].T
+        assert np.count_nonzero(~init[1].any(axis=1)) == 1
+        ridged = gram + 1e-8 * np.trace(gram) / 32 * np.eye(32)
+        assert np.linalg.eigvalsh(ridged)[0] > 1e-4
+        cfg = PkvConfig(rho2=1e-300, rho3=1e-300, max_iters=3)
+        with pytest.raises(SingularMetric, match="M is numerically singular"):
+            pksvd_train(data, cfg, init)
+
     def test_solves_stated_sylvester_system(self):
         data, codes, _, analysis, state, cfg = small_problem(6)
         new = update_synthesis(data, codes, analysis, state, cfg)
@@ -323,7 +339,6 @@ class TestUpdateMultipliers:
         new = update_multipliers(synth, synth.copy(), state, cfg)
         assert np.allclose(new.mult_id, 0.0, atol=1e-12)
         assert np.allclose(new.mult_eq, 0.0, atol=1e-12)
-        assert new.iteration == 1
 
     def test_single_step_formula(self):
         rng = np.random.default_rng(8)
@@ -345,7 +360,6 @@ class TestUpdateMultipliers:
         state = update_multipliers(s2, a2, state, cfg)
         expect_id = 2.0 * ((s1 @ a1.T - np.eye(2)) + (s2 @ a2.T - np.eye(2)))
         assert np.allclose(state.mult_id, expect_id, atol=1e-12)
-        assert state.iteration == 2
 
 
 class TestUpdateCodes:

@@ -16,12 +16,8 @@ from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
 from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
-    SparseVec,
-    _homotopy_columns,
-    _omp_columns,
     _refit_supports,
     _support_slots,
-    basis_pursuit,
     bp_bruteforce_oracle,
     bpdn,
     omp,
@@ -30,6 +26,25 @@ from pksvd.sparse_solvers import (
 
 def random_frame(rng, n, m):
     return Dictionary(rng.standard_normal((n, m)))
+
+
+def support(u):
+    """The entries of ``u`` above the zero threshold."""
+    return np.flatnonzero(np.abs(u) > ZERO_THRESHOLD)
+
+
+def omp_one(d, y, k, residual_tol=0.0):
+    """``omp`` on the one signal ``y``."""
+    return omp(d.mat, np.asarray(y, dtype=float)[:, None], k, residual_tol)[:, 0]
+
+
+def bpdn_one(a, b, eps):
+    """``bpdn`` on the one column ``b`` at the one radius ``eps``."""
+    return bpdn(a, np.asarray(b, dtype=float)[:, None], [eps])[0, :, 0]
+
+
+def l1(u):
+    return float(np.abs(u).sum())
 
 
 def reference_omp(a, y, k, residual_tol=0.0):
@@ -52,7 +67,7 @@ def reference_omp(a, y, k, residual_tol=0.0):
     return coeffs
 
 
-def reference_omp_columns(a, data, k, residual_tol=0.0):
+def reference_omp_batch(a, data, k, residual_tol=0.0):
     return np.column_stack(
         [reference_omp(a, data[:, j], k, residual_tol) for j in range(data.shape[1])]
     )
@@ -115,7 +130,7 @@ def assert_kkt_certificate(a, b):
     scale = np.linalg.norm(b, axis=0).max()
     radii = scale * np.array(
         [1.1, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.001, 1e-9, 0.0])
-    codes = _homotopy_columns(a, b, radii)
+    codes = bpdn(a, b, radii)
     for eps, block in zip(radii, codes):
         for j in range(b.shape[1]):
             mat = a[j] if a.ndim == 3 else a
@@ -135,74 +150,68 @@ def assert_kkt_certificate(a, b):
     return codes
 
 
-class TestSparseVec:
-    def test_support_threshold_is_exact(self):
-        v = SparseVec(np.array([0.0, 2e-6, 1e-6, -5.0]))
-        # strictly greater than the threshold counts as support
-        assert list(v.support) == [1, 3]
-        assert v.length == 4
-        assert v.l1 == pytest.approx(5.0 + 3e-6)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseVec(np.array([np.inf, 0.0]))
-
-
 class TestOmp:
+    """One signal at a time, through the batched engine."""
+
     def test_single_atom_signal(self):
         rng = np.random.default_rng(0)
         d = random_frame(rng, 4, 8)
         y = 3.0 * d.mat[:, 5]
-        u = omp(d, y, k=1)
-        expected = np.zeros(8)
-        expected[5] = 3.0 * np.linalg.norm(d.mat[:, 5]) ** 0 * 1.0
-        # coefficient equals 3 only for unit atoms; check reconstruction
-        assert list(u.support) == [5]
-        assert np.linalg.norm(d.mat @ u.entries - y) <= 1e-10
+        u = omp_one(d, y, k=1)
+        assert list(support(u)) == [5]
+        assert np.linalg.norm(d.mat @ u - y) <= 1e-10
 
     def test_zero_signal(self):
         d = Dictionary(np.eye(4))
-        u = omp(d, np.zeros(4), k=2)
-        assert np.array_equal(u.entries, np.zeros(4))
+        u = omp_one(d, np.zeros(4), k=2)
+        assert np.array_equal(u, np.zeros(4))
 
     def test_greedy_order_on_identity(self):
         d = Dictionary(np.eye(4))
         y = np.array([1.0, -2.0, 0.0, 0.5])
-        one = omp(d, y, k=1)
-        assert np.allclose(one.entries, [0.0, -2.0, 0.0, 0.0])
-        two = omp(d, y, k=2)
-        assert np.allclose(two.entries, [1.0, -2.0, 0.0, 0.0])
+        one = omp_one(d, y, k=1)
+        assert np.allclose(one, [0.0, -2.0, 0.0, 0.0])
+        two = omp_one(d, y, k=2)
+        assert np.allclose(two, [1.0, -2.0, 0.0, 0.0])
 
     def test_least_squares_on_support(self):
         rng = np.random.default_rng(1)
         d = random_frame(rng, 5, 9)
         y = rng.standard_normal(5)
-        u = omp(d, y, k=3)
-        s = u.support
+        u = omp_one(d, y, k=3)
+        s = support(u)
         refit, *_ = np.linalg.lstsq(d.mat[:, s], y, rcond=None)
-        assert np.allclose(u.entries[s], refit, atol=1e-10)
+        assert np.allclose(u[s], refit, atol=1e-10)
 
     def test_residual_nonincreasing_in_budget(self):
         rng = np.random.default_rng(2)
         d = random_frame(rng, 6, 12)
         y = rng.standard_normal(6)
         resids = [
-            np.linalg.norm(y - d.mat @ omp(d, y, k).entries) for k in range(7)
+            np.linalg.norm(y - d.mat @ omp_one(d, y, k)) for k in range(7)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(resids, resids[1:]))
 
     def test_residual_tol_stops_early(self):
         d = Dictionary(np.eye(3))
-        u = omp(d, np.array([5.0, 1e-9, 0.0]), k=3, residual_tol=1e-6)
-        assert list(u.support) == [0]
+        u = omp_one(d, np.array([5.0, 1e-9, 0.0]), k=3, residual_tol=1e-6)
+        assert list(support(u)) == [0]
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_budget_outside_zero_to_n_rejected(self, k):
+        with pytest.raises(ValueError, match=f"budget k={k} must be in \\[0, n=3\\]"):
+            omp(np.eye(3), np.ones((3, 2)), k)
+
+    def test_zero_budget_gives_zero_codes(self):
+        assert not omp(np.eye(3), np.ones((3, 2)), 0).any()
 
 
 class TestOmpColumns:
     """The batched OMP against the per-column least-squares reference."""
 
     def assert_matches_reference(self, a, data, k, residual_tol=0.0):
-        got = _omp_columns(a, data, k, residual_tol)
-        ref = reference_omp_columns(a, data, k, residual_tol)
+        got = omp(a, data, k, residual_tol)
+        ref = reference_omp_batch(a, data, k, residual_tol)
         assert np.array_equal(got != 0.0, ref != 0.0)
         assert np.abs(got - ref).max(initial=0.0) <= 1e-10
         return got
@@ -308,7 +317,7 @@ class TestOmpColumns:
         whole = self.assert_matches_reference(a, data, n, residual_tol=1e-8)
         assert set((whole != 0.0).sum(axis=0)) == {0, 1, 2, n}
         monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", per_batch * n ** 2)
-        assert _omp_columns(a, data, n, residual_tol=1e-8).tobytes() == whole.tobytes()
+        assert omp(a, data, n, residual_tol=1e-8).tobytes() == whole.tobytes()
 
     def test_full_scale_memory(self):
         a = dct_dictionary(64, 256).mat
@@ -316,10 +325,10 @@ class TestOmpColumns:
         # K-SVD passes in the projections it shares with its refit, so the
         # peak counts the Gram, the codes and one batch's buffers.
         proj = data.T @ a
-        _omp_columns(a, data, 64, 0.0, proj)
+        omp(a, data, 64, 0.0, proj)
         tracemalloc.start()
         try:
-            _omp_columns(a, data, 64, 0.0, proj)
+            omp(a, data, 64, 0.0, proj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,16 +345,9 @@ class TestOmpColumns:
         plane = rng.standard_normal((3, 2))
         a = plane @ np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
         data = plane @ rng.standard_normal((2, 6))
-        got = _omp_columns(a, data, 3)
+        got = omp(a, data, 3)
         assert np.all((got != 0.0).sum(axis=0) == 2)
         assert np.abs(data - a @ got).max() <= 1e-12
-
-    def test_single_column_wrapper(self):
-        rng = np.random.default_rng(11)
-        d = random_frame(rng, 5, 9)
-        y = rng.standard_normal(5)
-        u = omp(d, y, 3)
-        assert np.array_equal(u.entries, _omp_columns(d.mat, y[:, None], 3)[:, 0])
 
 
 class TestSupportSlots:
@@ -449,18 +451,18 @@ class TestRefitSupports:
 class TestBruteforceOracle:
     def test_identity(self):
         u = bp_bruteforce_oracle(Dictionary(np.eye(2)), np.array([1.0, 1.0]))
-        assert np.allclose(u.entries, [1.0, 1.0], atol=1e-12)
-        assert u.l1 == pytest.approx(2.0)
+        assert np.allclose(u, [1.0, 1.0], atol=1e-12)
+        assert l1(u) == pytest.approx(2.0)
 
     def test_prefers_shared_atom(self):
         mat = np.hstack([np.eye(2), np.array([[1.0], [1.0]]) / np.sqrt(2)])
         u = bp_bruteforce_oracle(Dictionary(mat), np.array([1.0, 1.0]))
-        assert np.allclose(u.entries, [0.0, 0.0, np.sqrt(2)], atol=1e-12)
-        assert u.l1 == pytest.approx(np.sqrt(2))
+        assert np.allclose(u, [0.0, 0.0, np.sqrt(2)], atol=1e-12)
+        assert l1(u) == pytest.approx(np.sqrt(2))
 
     def test_zero_signal(self):
         u = bp_bruteforce_oracle(Dictionary(np.eye(3)), np.zeros(3))
-        assert np.array_equal(u.entries, np.zeros(3))
+        assert np.array_equal(u, np.zeros(3))
 
     def test_too_large(self):
         rng = np.random.default_rng(3)
@@ -469,31 +471,32 @@ class TestBruteforceOracle:
 
 
 class TestBasisPursuit:
+    """min ||u||_1 s.t. D u = x: ``bpdn`` at the radius 0."""
+
     def test_square_invertible_unique(self):
         rng = np.random.default_rng(4)
         mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        d = Dictionary(mat)
         x = rng.standard_normal(4)
-        u = basis_pursuit(d, x)
-        assert np.allclose(u.entries, np.linalg.solve(mat, x), atol=1e-7)
+        u = bpdn_one(mat, x, 0.0)
+        assert np.allclose(u, np.linalg.solve(mat, x), atol=1e-7)
 
     def test_recovers_single_atom(self):
         rng = np.random.default_rng(5)
         d = random_frame(rng, 3, 6)
         x = d.mat[:, 2].copy()
-        u = basis_pursuit(d, x)
+        u = bpdn_one(d.mat, x, 0.0)
         oracle = bp_bruteforce_oracle(d, x)
-        assert u.l1 == pytest.approx(oracle.l1, rel=1e-6)
+        assert l1(u) == pytest.approx(l1(oracle), rel=1e-6)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             d = random_frame(rng, 3, 6)
             x = rng.standard_normal(3)
-            u = basis_pursuit(d, x)
-            oracle = bp_bruteforce_oracle(d, x)
-            assert abs(u.l1 - oracle.l1) <= 1e-6 * max(1.0, oracle.l1)
-            assert np.linalg.norm(d.mat @ u.entries - x) <= 1e-9 * max(
+            u = bpdn_one(d.mat, x, 0.0)
+            oracle = l1(bp_bruteforce_oracle(d, x))
+            assert abs(l1(u) - oracle) <= 1e-6 * max(1.0, oracle)
+            assert np.linalg.norm(d.mat @ u - x) <= 1e-9 * max(
                 1.0, np.linalg.norm(x)
             )
 
@@ -502,15 +505,15 @@ class TestBasisPursuit:
         for _ in range(20):
             d = random_frame(rng, 3, 6)
             x = rng.standard_normal(3)
-            u = basis_pursuit(d, x)
+            u = bpdn_one(d.mat, x, 0.0)
             pinv_point = np.linalg.pinv(d.mat) @ x
-            assert u.l1 <= np.abs(pinv_point).sum() + 1e-8
+            assert l1(u) <= np.abs(pinv_point).sum() + 1e-8
 
 
 class TestBpdn:
     def test_zero_when_ball_contains_origin(self):
-        w = bpdn(np.eye(2), np.array([0.3, 0.1]), eps=1.0)
-        assert np.array_equal(w.entries, np.zeros(2))
+        w = bpdn_one(np.eye(2), np.array([0.3, 0.1]), 1.0)
+        assert np.array_equal(w, np.zeros(2))
 
     def test_identity_kkt_closed_form(self):
         # min ||w||_1 s.t. ||b - w|| <= eps has the soft-threshold solution
@@ -519,18 +522,19 @@ class TestBpdn:
         eps = 0.1
         t = eps / np.sqrt(2.0)
         expected = np.array([3.0 - t, 0.1 - t])
-        w = bpdn(np.eye(2), b, eps=eps)
-        assert np.allclose(w.entries, expected, atol=1e-6)
-        assert np.linalg.norm(b - w.entries) <= eps * (1 + 1e-6)
+        w = bpdn_one(np.eye(2), b, eps)
+        assert np.allclose(w, expected, atol=1e-6)
+        assert np.linalg.norm(b - w) <= eps * (1 + 1e-6)
 
-    def test_eps_zero_reduces_to_basis_pursuit(self):
+    def test_eps_zero_ends_every_grid(self):
+        # The radius 0 is the end of the path, whichever radii come first.
         rng = np.random.default_rng(8)
         for _ in range(10):
             d = random_frame(rng, 3, 6)
             x = rng.standard_normal(3)
-            w = bpdn(d.mat, x, eps=0.0)
-            u = basis_pursuit(d, x)
-            assert abs(w.l1 - u.l1) <= 1e-5 * max(1.0, u.l1)
+            scale = np.linalg.norm(x)
+            grid = bpdn(d.mat, x[:, None], [scale / 2, scale / 10, 0.0])[-1, :, 0]
+            assert grid.tobytes() == bpdn_one(d.mat, x, 0.0).tobytes()
 
     def test_feasibility_contract(self):
         rng = np.random.default_rng(9)
@@ -538,8 +542,8 @@ class TestBpdn:
             a = rng.standard_normal((5, 8))
             b = rng.standard_normal(5) * 3
             eps = 0.5
-            w = bpdn(a, b, eps=eps)
-            assert np.linalg.norm(b - a @ w.entries) <= eps * (1 + 1e-3)
+            w = bpdn_one(a, b, eps)
+            assert np.linalg.norm(b - a @ w) <= eps * (1 + 1e-3)
 
     def test_matches_cvxpy_reference(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -548,7 +552,7 @@ class TestBpdn:
             a = rng.standard_normal((4, 7))
             b = rng.standard_normal(4) * 2
             eps = 0.7
-            got = bpdn(a, b, eps=eps)
+            got = bpdn_one(a, b, eps)
             w = cvxpy.Variable(7)
             prob = cvxpy.Problem(
                 cvxpy.Minimize(cvxpy.norm1(w)),
@@ -556,8 +560,8 @@ class TestBpdn:
             )
             prob.solve(solver="CLARABEL")
             ref = float(prob.value)
-            assert got.l1 <= ref * (1 + 1e-4) + 1e-6
-            assert got.l1 >= ref * (1 - 1e-4) - 1e-6
+            assert l1(got) <= ref * (1 + 1e-4) + 1e-6
+            assert l1(got) >= ref * (1 - 1e-4) - 1e-6
 
     @pytest.mark.parametrize("kind", ["canonical", "non-dual", "stacked", "dct-ties"])
     def test_kkt_certificate(self, kind):
@@ -569,11 +573,11 @@ class TestBpdn:
         a, b = np.eye(2), np.ones(2)
         for eps in (float("nan"), -1.0):
             with pytest.raises(ValueError):
-                bpdn(a, b, eps)
+                bpdn_one(a, b, eps)
 
     def test_infinite_radius_gives_zero_code(self):
-        w = bpdn(np.eye(2), np.array([3.0, -4.0]), eps=float("inf"))
-        assert np.array_equal(w.entries, np.zeros(2))
+        w = bpdn_one(np.eye(2), np.array([3.0, -4.0]), float("inf"))
+        assert np.array_equal(w, np.zeros(2))
 
     @pytest.mark.parametrize("kind", ["canonical", "stacked"])
     def test_huge_radius_is_an_infinite_one(self, kind):
@@ -583,29 +587,19 @@ class TestBpdn:
         a, b = recovery_system(np.random.default_rng(27), kind, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = _homotopy_columns(a, b, [1e308, 10.0, 0.0])
-            inf = _homotopy_columns(a, b, [np.inf, 10.0, 0.0])
+            huge = bpdn(a, b, [1e308, 10.0, 0.0])
+            inf = bpdn(a, b, [np.inf, 10.0, 0.0])
         assert huge.tobytes() == inf.tobytes()
         assert not huge[0].any() and huge[1:].any()
 
-    def test_agrees_with_basis_pursuit_on_twenty_instances(self):
+    def test_eps_zero_agrees_with_oracle_on_twenty_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             d = random_frame(rng, 4, 7)
             x = rng.standard_normal(4)
-            w = bpdn(d.mat, x, eps=0.0)
-            u = basis_pursuit(d, x)
-            assert abs(w.l1 - u.l1) <= 1e-5 * max(1.0, u.l1)
-
-    def test_outputs_finite_and_threshold_support(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((4, 9))
-        b = rng.standard_normal(4)
-        w = bpdn(a, b, eps=0.2)
-        assert np.all(np.isfinite(w.entries))
-        assert set(w.support) == {
-            i for i, v in enumerate(w.entries) if abs(v) > ZERO_THRESHOLD
-        }
+            w = bpdn_one(d.mat, x, 0.0)
+            oracle = l1(bp_bruteforce_oracle(d, x))
+            assert abs(l1(w) - oracle) <= 1e-5 * max(1.0, oracle)
 
 
 class TestBpdnColumns:
@@ -618,9 +612,9 @@ class TestBpdnColumns:
         rng = np.random.default_rng(20)
         a, b = recovery_system(rng, kind, 40)
         radii = [10.0, 2.0, 0.1]
-        got = _homotopy_columns(a, b, radii)
+        got = bpdn(a, b, radii)
         for j in range(b.shape[1]):
-            one = _homotopy_columns(a[j : j + 1] if kind == "stacked" else a,
+            one = bpdn(a[j : j + 1] if kind == "stacked" else a,
                                     b[:, j : j + 1], radii)
             assert got[:, :, j].tobytes() == one[:, :, 0].tobytes()
 
@@ -641,7 +635,7 @@ class TestBpdnColumns:
             return block(atoms, data, radii, rank, width)
 
         monkeypatch.setattr(sparse_solvers, "_homotopy_block", spy)
-        _homotopy_columns(a, b, [10.0, 2.0, 0.1])
+        bpdn(a, b, [10.0, 2.0, 0.1])
         assert sorted(width for _, _, width in calls) == [8, 16]
         for cols, rank, width in calls:
             assert rank == ranks[cols].tolist()
@@ -652,10 +646,10 @@ class TestBpdnColumns:
         rng = np.random.default_rng(21)
         a = nonunit_frame(rng, 4, 8)
         b = rng.standard_normal((4, 10))
-        codes = _homotopy_columns(a, b, [0.0])[0]
+        codes = bpdn(a, b, [0.0])[0]
         for j in range(b.shape[1]):
             oracle = bp_bruteforce_oracle(Dictionary(a), b[:, j])
-            assert abs(np.abs(codes[:, j]).sum() - oracle.l1) <= 1e-9 * oracle.l1
+            assert abs(np.abs(codes[:, j]).sum() - l1(oracle)) <= 1e-9 * l1(oracle)
             assert np.linalg.norm(a @ codes[:, j] - b[:, j]) <= 1e-9 * np.linalg.norm(b[:, j])
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -670,7 +664,7 @@ class TestBpdnColumns:
         b = rng.standard_normal((6, 200))
         system = np.broadcast_to(a, (200, 6, 10)) if stacked else a
         radii = [2.0, 1.0, 0.3, 0.0]
-        codes = _homotopy_columns(system, b, radii)
+        codes = bpdn(system, b, radii)
         for eps, block in zip(radii, codes):
             resid = np.linalg.norm(b - a @ block, axis=0)
             inside = np.linalg.norm(b, axis=0) <= eps
@@ -686,11 +680,11 @@ class TestBpdnColumns:
         b = rng.standard_normal((4, 1))
         norm_b = np.linalg.norm(b)
         radii = norm_b * np.linspace(1.0, 0.0, 41)
-        codes = _homotopy_columns(a[None] if stacked else a, b, radii)[:, :, 0]
+        codes = bpdn(a[None] if stacked else a, b, radii)[:, :, 0]
         active = codes[:, 6] != 0
         assert active.any() and not active[np.argmax(active):].all()
         oracle = bp_bruteforce_oracle(Dictionary(a), b[:, 0])
-        assert abs(np.abs(codes[-1]).sum() - oracle.l1) <= 1e-9 * oracle.l1
+        assert abs(np.abs(codes[-1]).sum() - l1(oracle)) <= 1e-9 * l1(oracle)
         assert np.linalg.norm(a @ codes[-1] - b[:, 0]) <= 1e-9 * norm_b
         for eps, w in zip(radii[:-1], codes[:-1]):
             r = b[:, 0] - a @ w
@@ -763,7 +757,7 @@ class TestBpdnColumns:
         systems, data, counts = _observed_systems(mask.block_columns(block), blocked.blocks,
                                                   synth.mat)
         assert np.array_equal(np.linalg.matrix_rank(systems), counts)
-        expect = synth.mat @ _homotopy_columns(systems, data, [0.01])[0]
+        expect = synth.mat @ bpdn(systems, data, [0.01])[0]
 
         def no_svd(*args, **kwargs):
             raise AssertionError("matrix_rank called")
@@ -793,7 +787,7 @@ class TestBpdnColumns:
 
         monkeypatch.setattr(sparse_solvers, "_homotopy_block", spy)
         for j in range(8):
-            alone = _homotopy_columns(a[j : j + 1], b[:, j : j + 1], [0.0])[0]
+            alone = bpdn(a[j : j + 1], b[:, j : j + 1], [0.0])[0]
             assert np.count_nonzero(alone) <= expect[j]
         assert ranks == [[rank] for rank in expect]
         codes = assert_kkt_certificate(a, b)
@@ -804,7 +798,7 @@ class TestBpdnColumns:
         # Atoms 1 and 2 are equal, so they tie at every step; the code
         # goes to atom 1 alone.
         a = np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        w = _homotopy_columns(a, np.array([[0.0], [3.0]]), [1.0, 0.0])
+        w = bpdn(a, np.array([[0.0], [3.0]]), [1.0, 0.0])
         assert np.all(w[:, 1, 0] > 0) and not w[:, 2, 0].any()
 
     @pytest.mark.parametrize("swap", [False, True])
@@ -830,7 +824,7 @@ class TestBpdnColumns:
             return append(factors, system, lanes, new, sign)
 
         monkeypatch.setattr(sparse_solvers._LaneFactors, "append", record)
-        _homotopy_columns((tri @ pair)[:, order], tri @ blocks[:, [86]],
+        bpdn((tri @ pair)[:, order], tri @ blocks[:, [86]],
                           np.arange(24.0, 0.0, -2.0))
         assert [j for j in joins if j in (19, 31)] == [19, 31]
 
@@ -842,20 +836,20 @@ class TestBpdnColumns:
         pixels = rng.integers(0, 256, (3000, 4, 4)).astype(float)
         blocks = to_blocks(np.hstack(list(pixels)), 4, subtract_mean=True).blocks
         a = dct_dictionary(16, 32).mat
-        codes = _homotopy_columns(a, blocks, [0.0])[0]
+        codes = bpdn(a, blocks, [0.0])[0]
         resid = np.linalg.norm(blocks - a @ codes, axis=0)
         assert np.all(resid <= 1e-9 * np.linalg.norm(blocks, axis=0))
 
     def test_unreachable_radius_raises(self):
         a = np.array([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(SolverDidNotConverge, match="exceeds eps 0.5"):
-            _homotopy_columns(a, np.array([[1.0], [1.0]]), [0.5])
+            bpdn(a, np.array([[1.0], [1.0]]), [0.5])
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sparse_solvers, "_PATH_MAX_STEPS", 2)
         a, b = recovery_system(np.random.default_rng(23), "stacked", 5)
         with pytest.raises(SolverDidNotConverge, match="within 2 steps"):
-            _homotopy_columns(a, b, [0.0])
+            bpdn(a, b, [0.0])
 
     def test_nan_codes_fail_the_radius_check(self, monkeypatch):
         def nan_block(atoms, b, radii, rank, width):
@@ -863,9 +857,9 @@ class TestBpdnColumns:
 
         monkeypatch.setattr(sparse_solvers, "_homotopy_block", nan_block)
         with pytest.raises(SolverDidNotConverge, match="exceeds eps"):
-            _homotopy_columns(np.eye(2), np.ones((2, 1)), [0.5])
+            bpdn(np.eye(2), np.ones((2, 1)), [0.5])
 
     @pytest.mark.parametrize("radii", [[], [float("nan")], [-1.0], [1.0, 2.0]])
     def test_rejects_bad_grid(self, radii):
         with pytest.raises(ValueError):
-            _homotopy_columns(np.eye(2), np.ones((2, 1)), radii)
+            bpdn(np.eye(2), np.ones((2, 1)), radii)

@@ -137,9 +137,9 @@ class TestNonexistenceSearch:
 
         mat = np.hstack([np.eye(2), np.array([[1.0], [1.0]]) / np.sqrt(2)])
         d = Dictionary(mat)
-        u1 = bp_bruteforce_oracle(d, np.array([1.0, 0.0])).entries
-        u2 = bp_bruteforce_oracle(d, np.array([0.0, 1.0])).entries
-        u12 = bp_bruteforce_oracle(d, np.array([1.0, 1.0])).entries
+        u1 = bp_bruteforce_oracle(d, np.array([1.0, 0.0]))
+        u2 = bp_bruteforce_oracle(d, np.array([0.0, 1.0]))
+        u12 = bp_bruteforce_oracle(d, np.array([1.0, 1.0]))
         assert np.allclose(u1, [1, 0, 0], atol=1e-10)
         assert np.allclose(u2, [0, 1, 0], atol=1e-10)
         assert np.allclose(u12, [0, 0, np.sqrt(2)], atol=1e-10)
