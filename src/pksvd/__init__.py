@@ -26,9 +26,9 @@ from .frames import (
     FrameBounds,
     atom_distance_histogram,
     canonical_dual,
+    dct_dictionary,
     frame_bounds,
     is_parseval,
-    overcomplete_dct,
     random_dual,
 )
 from .matrix_core import kron, pseudo_inverse, solve_sylvester

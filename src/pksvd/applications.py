@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import BadShape, EmptyBlockMask
 from .frames import Dictionary
-from .imaging import BlockedImage, as_image, from_blocks, psnr, to_blocks
+from .imaging import BlockedImage, from_blocks, psnr, to_blocks
+from .matrix_core import as_matrix
 from .sparse_solvers import _support_slots, bpdn
 
 
@@ -27,10 +28,6 @@ class RdPoint:
     bits_per_pixel: float
     psnr_db: float
     quant_step: float
-
-    def __post_init__(self):
-        if self.bits_per_pixel < 0:
-            raise BadShape("bits per pixel must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,20 @@ class Mask:
         return to_blocks(self.observed.astype(float), block_size).blocks > 0.5
 
 
+def _check_pair(block_size, synth: Dictionary, analysis: Dictionary | None = None):
+    """Raise ``BadShape`` unless ``analysis``, when given, has the shape of
+    ``synth``, whose rows are the pixels of a block_size x block_size block."""
+    if analysis is not None and analysis.mat.shape != synth.mat.shape:
+        raise BadShape(f"dictionary shapes differ: synthesis {synth.mat.shape}, "
+                       f"analysis {analysis.mat.shape}")
+    if synth.n != block_size ** 2:
+        raise BadShape(f"dictionary rows {synth.n} do not match block size "
+                       f"{block_size} ({block_size ** 2} pixels per block)")
+
+
 def add_gaussian_noise(img, sigma, seed):
     """Add i.i.d. zero-mean Gaussian noise with standard deviation sigma."""
-    img = as_image(img)
+    img = as_matrix(img, "image")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
@@ -103,8 +111,7 @@ def denoise(noisy: BlockedImage, synth: Dictionary, analysis: Dictionary,
         raise ValueError("the eps grid is empty")
     if not (grid > 0).all():
         raise ValueError(f"eps must be positive, got {grid.tolist()}")
-    if synth.mat.shape != analysis.mat.shape or synth.n != noisy.n:
-        raise BadShape("dictionary shapes do not match the blocked image")
+    _check_pair(noisy.block_size, synth, analysis)
     tri = np.linalg.qr(analysis.mat.T, mode="r")
     order = np.argsort(-grid, kind="stable")
     codes = bpdn(tri @ synth.mat, tri @ noisy.blocks, grid[order])
@@ -120,8 +127,7 @@ def inpaint(observed: BlockedImage, mask: Mask, synth: Dictionary,
     observed pixels within ``eps``, then synthesize every pixel."""
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if synth.n != observed.n:
-        raise BadShape("dictionary rows do not match the block size")
+    _check_pair(observed.block_size, synth)
     masks = mask.block_columns(observed.block_size)
     if masks.shape != observed.blocks.shape:
         raise BadShape("mask dimensions do not match the blocked image")
@@ -191,8 +197,7 @@ def compress_rd(blocked: BlockedImage, synth: Dictionary, analysis: Dictionary,
         raise ValueError("the quantizer step list is empty")
     if not all(np.isfinite(s) and s > 0 for s in steps):
         raise ValueError(f"quantizer steps must be finite and positive, got {steps}")
-    if synth.mat.shape != analysis.mat.shape or synth.n != blocked.n:
-        raise BadShape("dictionary shapes do not match the blocked image")
+    _check_pair(blocked.block_size, synth, analysis)
     original = from_blocks(blocked)
     coeffs = analysis.mat.T @ blocked.blocks
     peak = np.abs(coeffs).max()  # the bit-plane counts cast magnitudes to int64
@@ -213,10 +218,8 @@ def compress_rd(blocked: BlockedImage, synth: Dictionary, analysis: Dictionary,
 def reconstruct_roundtrip(img, synth: Dictionary, analysis: Dictionary,
                           block_size=8):
     """Decompose-then-reconstruct flow; returns (image, PSNR vs input)."""
-    if synth.n != block_size ** 2:
-        raise BadShape(f"dictionary rows {synth.n} do not match block size "
-                       f"{block_size} ({block_size ** 2} pixels per block)")
+    _check_pair(block_size, synth, analysis)
     blocked = to_blocks(img, block_size, subtract_mean=True)
     recon_blocks = synth.mat @ (analysis.mat.T @ blocked.blocks)
     recon = from_blocks(blocked.with_blocks(recon_blocks))
-    return recon, psnr(as_image(img), recon)
+    return recon, psnr(img, recon)

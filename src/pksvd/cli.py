@@ -17,7 +17,7 @@ import numpy as np
 
 from . import applications, formats, frames, imaging, parseval_ksvd, theory_lab
 from .errors import (BadShape, ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
-                     RankDeficient, SingularMetric)
+                     RankDeficient, SingularCoefficientGram, SingularMetric)
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
 
@@ -29,12 +29,12 @@ DEFAULTS = {
     "block_size": 8,
     "m": 256,
     "k": 64,
-    "rho1": 0.1,
-    "rho2": 1e11,
-    "rho3": 1e11,
-    "max_iters": 200,
+    "rho1": PkvConfig.rho1,
+    "rho2": PkvConfig.rho2,
+    "rho3": PkvConfig.rho3,
+    "max_iters": PkvConfig.max_iters,
     "seed": 0,
-    "ksvd_iters": 20,
+    "ksvd_iters": KsvdConfig.iters,
 }
 
 DENOISE_EPS_GRID = "2,4,6,8,10,12,14,16,18,20,22,24"
@@ -104,10 +104,20 @@ def _add_config_flags(parser, keys):
                             help=f"override config key {key}")
 
 
+def _read_image(path, block_size):
+    """The PGM image at ``path``; fails naming --block_size unless its
+    blocks tile the image."""
+    img = imaging.read_pgm(path)
+    h, w = img.shape
+    if h % block_size or w % block_size:
+        raise ConfigError(f"--block_size {block_size} does not divide the {h}x{w} image {path}")
+    return img
+
+
 def _load_training_blocks(paths, block_size):
     columns = []
     for path in paths:
-        img = imaging.read_pgm(path)
+        img = _read_image(path, block_size)
         blocked = imaging.to_blocks(img, block_size, subtract_mean=True)
         columns.append(blocked.blocks)
     return np.hstack(columns)
@@ -153,18 +163,32 @@ def cmd_train(args):
             f"{data.shape[1]} training blocks < m={cfg['m']}; provide more data"
         )
     init = frames.dct_dictionary(cfg["block_size"] ** 2, cfg["m"])
-    ksvd_cfg = KsvdConfig(m=cfg["m"], k=cfg["k"], iters=cfg["ksvd_iters"])
+    ksvd_cfg = KsvdConfig(k=cfg["k"], iters=cfg["ksvd_iters"])
     synth, codes = ksvd_train(data, ksvd_cfg, init)
+    penalties = ", ".join(f"--{key} {cfg[key]:g}" for key in _FLOAT_KEYS)
     if args.method == "parseval":
         try:
             synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (synth, codes))
         except NearSingularSylvester as exc:
-            # The analysis update's eigenvalue sums lie between rho3 and about
-            # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+            if exc.update == "analysis":
+                # The analysis update's eigenvalue sums lie between rho3 and about
+                # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+                raise ConfigError(
+                    f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: the "
+                    f"analysis update's Sylvester system is near-singular ({exc}); "
+                    "lower --rho2 or raise --rho3"
+                ) from None
             raise ConfigError(
-                f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: a "
-                f"dictionary update's Sylvester system is near-singular ({exc}); "
-                "lower --rho2 or raise --rho3"
+                f"the synthesis update's Sylvester system is near-singular ({exc}), with "
+                f"{penalties}; raise --rho1 or --rho3"
+            ) from None
+        except SingularCoefficientGram as exc:
+            if exc.update != "codes":
+                raise  # the synthesis update's code Gram: singular for a flat image
+            # rho1 S^T S is the term of the refresh's Gram that keeps the
+            # Gram of independent support atoms definite.
+            raise ConfigError(
+                f"the code refresh failed ({exc}), with {penalties}; raise --rho1"
             ) from None
         except SingularMetric as exc:
             raise ConfigError(
@@ -175,7 +199,6 @@ def cmd_train(args):
     try:  # before the first write: the frame bounds fail on a rank-deficient dictionary
         _print_dictionary_summary(f"{args.method} dictionary", synth, codes)
     except RankDeficient as exc:
-        penalties = ", ".join(f"--{key} {cfg[key]:g}" for key in _FLOAT_KEYS)
         with_penalties = f", with {penalties}" if args.method == "parseval" else ""
         raise RankDeficient(f"the trained dictionary is not a frame ({exc}){with_penalties}") from None
     formats.save_dictionary(synth, args.out)
@@ -219,8 +242,6 @@ def _load_pair(args):
         analysis = synth  # a self-dual pair, read and checked once
     elif args.dual:
         analysis = formats.load_dictionary(args.dual)
-        if analysis.mat.shape != synth.mat.shape:
-            raise BadShape("dual dictionary shape mismatch")
     else:
         analysis = frames.canonical_dual(synth)
     return synth, analysis
@@ -229,7 +250,7 @@ def _load_pair(args):
 def cmd_reconstruct(args):
     cfg = resolve_config(args)
     synth, analysis = _load_pair(args)
-    img = imaging.read_pgm(args.image)
+    img = _read_image(args.image, cfg["block_size"])
     recon, value = applications.reconstruct_roundtrip(
         img, synth, analysis, cfg["block_size"]
     )
@@ -240,11 +261,27 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _write_metrics_row(args, sigma_or_fraction, img, restored, psnr_db, eps_used):
+    """Write a recovery's one ``METRIC_COLUMNS`` row to ``<out-prefix>.csv``
+    and return that path."""
+    out_csv = f"{args.out_prefix}.csv"
+    formats.write_csv(
+        METRIC_COLUMNS,
+        [(
+            os.path.basename(args.image), float(sigma_or_fraction),
+            os.path.basename(args.dictionary), float(psnr_db),
+            imaging.ssim(img, restored), float(eps_used),
+        )],
+        out_csv,
+    )
+    return out_csv
+
+
 def cmd_denoise(args):
     cfg = resolve_config(args)
     eps_grid = _float_list("--eps", args.eps)
     synth, analysis = _load_pair(args)
-    img = imaging.read_pgm(args.image)
+    img = _read_image(args.image, cfg["block_size"])
     noisy = applications.add_gaussian_noise(img, args.sigma, cfg["seed"])
     blocked = imaging.to_blocks(
         noisy, cfg["block_size"], subtract_mean=True, mean_value=float(img.mean())
@@ -260,17 +297,8 @@ def cmd_denoise(args):
     best = int(np.argmax(scores))
     restored, value, eps_used = restorations[best], scores[best], eps_grid[best]
     out_img = f"{args.out_prefix}.pgm"
-    out_csv = f"{args.out_prefix}.csv"
     imaging.write_pgm(restored, out_img)
-    formats.write_csv(
-        METRIC_COLUMNS,
-        [(
-            os.path.basename(args.image), float(args.sigma),
-            os.path.basename(args.dictionary), float(value),
-            imaging.ssim(img, restored), float(eps_used),
-        )],
-        out_csv,
-    )
+    out_csv = _write_metrics_row(args, args.sigma, img, restored, value, eps_used)
     print(f"noisy psnr {imaging.psnr(img, noisy):.2f} dB -> denoised "
           f"{value:.2f} dB (eps {eps_used:g})")
     print(f"wrote {out_img} and {out_csv}")
@@ -286,12 +314,14 @@ def cmd_denoise(args):
 def cmd_inpaint(args):
     cfg = resolve_config(args)
     synth = formats.load_dictionary(args.dictionary)
-    img = imaging.read_pgm(args.image)
+    img = _read_image(args.image, cfg["block_size"])
     try:
         mask = applications.random_mask(img.shape, args.fraction, cfg["seed"], cfg["block_size"])
     except EmptyBlockMask as exc:
         raise ConfigError(f"--fraction {args.fraction:g} is too large for --block_size "
                           f"{cfg['block_size']}: {exc}") from None
+    except ValueError as exc:  # _read_image has checked the block size
+        raise ConfigError(f"--fraction {args.fraction:g} is out of range: {exc}") from None
     corrupted = np.where(mask.observed, img, 0.0)
     blocked = imaging.to_blocks(
         corrupted, cfg["block_size"], subtract_mean=True,
@@ -303,18 +333,9 @@ def cmd_inpaint(args):
     value = imaging.psnr(img, restored)
     out_img = f"{args.out_prefix}.pgm"
     out_corrupt = f"{args.out_prefix}.corrupted.pgm"
-    out_csv = f"{args.out_prefix}.csv"
     imaging.write_pgm(restored, out_img)
     imaging.write_pgm(corrupted, out_corrupt)
-    formats.write_csv(
-        METRIC_COLUMNS,
-        [(
-            os.path.basename(args.image), float(args.fraction),
-            os.path.basename(args.dictionary), float(value),
-            imaging.ssim(img, restored), float(args.eps),
-        )],
-        out_csv,
-    )
+    out_csv = _write_metrics_row(args, args.fraction, img, restored, value, args.eps)
     print(f"corrupted psnr {imaging.psnr(img, corrupted):.2f} dB -> restored "
           f"{value:.2f} dB")
     print(f"wrote {out_img}, {out_corrupt} and {out_csv}")
@@ -325,7 +346,7 @@ def cmd_compress(args):
     cfg = resolve_config(args)
     steps = _float_list("--steps", args.steps)
     synth, analysis = _load_pair(args)
-    img = imaging.read_pgm(args.image)
+    img = _read_image(args.image, cfg["block_size"])
     blocked = imaging.to_blocks(img, cfg["block_size"], subtract_mean=True)
     points = applications.compress_rd(blocked, synth, analysis, steps)
     out_csv = f"{args.out_prefix}.csv"

@@ -58,12 +58,6 @@ class FrameBounds:
     lower: float
     upper: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise BadShape("frame bounds must be finite")
-        if not (0.0 < self.lower <= self.upper):
-            raise BadShape(f"need 0 < lower <= upper, got ({self.lower}, {self.upper})")
-
     @property
     def ratio(self):
         return self.upper / self.lower
@@ -121,44 +115,28 @@ def is_parseval(d: Dictionary, tol: float) -> bool:
     return bool(np.linalg.norm(gram_operator(d) - np.eye(n)) <= tol)
 
 
-def overcomplete_dct(n: int, m: int) -> Dictionary:
+def dct_dictionary(n: int, m: int) -> Dictionary:
     """Overcomplete separable DCT dictionary of shape n x m.
 
-    Both n and m must be perfect squares. A 1-D cosine grid of shape
-    sqrt(n) x sqrt(m) is built with entries cos(pi*i*j/sqrt(m)), its
-    columns mean-removed (except the constant one) and normalized; the
-    output is its Kronecker square with unit-norm atoms.
+    n must be a perfect square. A 1-D cosine grid of shape sqrt(n) x r,
+    r = ceil(sqrt(m)), has entries cos(pi*i*j/r), its columns mean-removed
+    (except the constant one) and normalized; the output is the first m
+    atoms of its Kronecker square, scaled to unit norm.
     """
-    rn = int(round(np.sqrt(n)))
-    rm = int(round(np.sqrt(m)))
-    if rn * rn != n or rm * rm != m:
-        raise BadShape(f"n and m must be perfect squares, got n={n}, m={m}")
     if m < n:
         raise BadShape(f"need m >= n, got n={n}, m={m}")
+    rn = int(round(np.sqrt(n)))
+    if rn * rn != n:
+        raise BadShape(f"n must be a perfect square, got n={n}")
+    r = int(np.ceil(np.sqrt(m)))
     i = np.arange(rn)[:, None]
-    j = np.arange(rm)[None, :]
-    d1 = np.cos(np.pi * i * j / rm)
+    j = np.arange(r)[None, :]
+    d1 = np.cos(np.pi * i * j / r)
     d1[:, 1:] -= d1[:, 1:].mean(axis=0, keepdims=True)
     d1 /= np.linalg.norm(d1, axis=0, keepdims=True)
     full = np.kron(d1, d1)
     full /= np.linalg.norm(full, axis=0, keepdims=True)
-    return Dictionary(full)
-
-
-def dct_dictionary(n: int, m: int) -> Dictionary:
-    """DCT-based initial dictionary for arbitrary atom counts.
-
-    When m is a perfect square this is exactly ``overcomplete_dct``;
-    otherwise the next-larger square grid is built and the first m atoms
-    kept (all unit norm either way).
-    """
-    if m < n:
-        raise BadShape(f"need m >= n, got n={n}, m={m}")
-    rm = int(np.ceil(np.sqrt(m)))
-    if rm * rm == m:
-        return overcomplete_dct(n, m)
-    full = overcomplete_dct(n, rm * rm)
-    return Dictionary(full.mat[:, :m])
+    return Dictionary(full[:, :m])
 
 
 def atom_distance_histogram(d: Dictionary, e: Dictionary, bins: int):

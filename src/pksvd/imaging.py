@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import BadShape, MalformedFile
 from .formats import atomic_write_bytes
+from .matrix_core import as_matrix
 
 DEFAULT_BLOCK = 8
 
@@ -21,15 +22,6 @@ _SSIM_C2 = (0.03 * 255.0) ** 2
 # Pixel magnitude above which ``ssim`` rejects its images: up to it, every
 # product of two window statistics in the SSIM ratio stays below 1e305.
 _SSIM_MAX_ABS = 1e76
-
-
-def as_image(a, name="image"):
-    img = np.asarray(a, dtype=float)
-    if img.ndim != 2 or img.size == 0:
-        raise BadShape(f"{name} must be a non-empty 2-D array, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise BadShape(f"{name} contains non-finite pixels")
-    return img
 
 
 @dataclass
@@ -78,7 +70,7 @@ def to_blocks(img, block_size=DEFAULT_BLOCK, subtract_mean=False,
     ``subtract_mean`` is set, ``mean_value`` (default: the image's own
     mean) is removed before blocking and recorded for reassembly.
     """
-    img = as_image(img)
+    img = as_matrix(img, "image")
     h, w = img.shape
     b = block_size
     if h % b or w % b:
@@ -106,8 +98,8 @@ def from_blocks(blk: BlockedImage):
 
 def psnr(a, b):
     """10 log10(255^2 / MSE) on unclamped reals; inf when images match."""
-    a = as_image(a, "first image")
-    b = as_image(b, "second image")
+    a = as_matrix(a, "first image")
+    b = as_matrix(b, "second image")
     if a.shape != b.shape:
         raise BadShape(f"shape mismatch {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
@@ -138,8 +130,8 @@ def ssim(a, b):
     when a pixel's magnitude exceeds ``_SSIM_MAX_ABS``, where the products
     of the window statistics would overflow.
     """
-    a = as_image(a, "first image")
-    b = as_image(b, "second image")
+    a = as_matrix(a, "first image")
+    b = as_matrix(b, "second image")
     if a.shape != b.shape:
         raise BadShape(f"shape mismatch {a.shape} vs {b.shape}")
     if min(a.shape) < _SSIM_WINDOW:
@@ -224,7 +216,7 @@ def read_pgm(path):
 def write_pgm(img, path):
     """Write a binary (P5) PGM, clamping to [0, 255] and rounding
     half away from zero."""
-    img = as_image(img)
+    img = as_matrix(img, "image")
     clamped = np.clip(img, 0.0, 255.0)
     quantized = np.floor(clamped + 0.5).astype(np.uint8)
     h, w = img.shape

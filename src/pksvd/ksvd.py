@@ -24,15 +24,14 @@ _POWER_STEP_TOL = 1e-5
 
 @dataclass(frozen=True)
 class KsvdConfig:
-    """Training configuration: atom count, per-column budget, sweeps."""
+    """Per-column budget and sweep count; the atom count is ``init``'s."""
 
-    m: int
     k: int
     iters: int = 20
 
     def __post_init__(self):
-        if self.m < 1 or self.k < 1 or self.iters < 0:
-            raise ValueError("m, k must be >= 1 and iters >= 0")
+        if self.k < 1 or self.iters < 0:
+            raise ValueError("k must be >= 1 and iters >= 0")
 
 
 def _canonical_sign(atom, row):
@@ -134,14 +133,14 @@ def _update_atoms(dict_mat, data, codes):
 def ksvd_train(data, cfg: KsvdConfig, init: Dictionary):
     """Train a dictionary on the columns of ``data``.
 
-    ``init`` must be n x cfg.m with unit-norm atoms. Returns the learned
-    ``Dictionary`` (unit-norm atoms) and the final codes matrix. The fit
-    objective ||data - dict @ codes||_F^2 never increases across sweeps.
+    ``init`` must have the rows of ``data`` and unit-norm atoms. Returns the
+    learned ``Dictionary`` (``init``'s atom count, unit-norm atoms) and the
+    final codes. The objective ||data - dict @ codes||_F^2 never increases.
     """
     data = as_matrix(data, "data")
     n = data.shape[0]
-    if init.mat.shape != (n, cfg.m):
-        raise ValueError(f"init must be {n}x{cfg.m}, got {init.mat.shape}")
+    if init.n != n:
+        raise ValueError(f"init must have {n} rows, got {init.mat.shape}")
     if not np.allclose(np.linalg.norm(init.mat, axis=0), 1.0, atol=1e-8):
         raise ValueError("init atoms must be unit norm")
     if cfg.k > n:

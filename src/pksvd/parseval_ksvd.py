@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularCoefficientGram
+from .errors import PksvdError, SingularCoefficientGram
 from .frames import Dictionary
 from .matrix_core import (
     as_matrix,
@@ -232,6 +232,9 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     never grow, so a refresh that leaves as many entries above the zero
     threshold as its slots hold leaves the support pattern unchanged; the
     slots are built again only after a refresh has zeroed an entry.
+
+    An error that an update raises carries the update's label, as above,
+    in its ``update`` attribute.
     """
     data = as_matrix(data, "data")
     init_dict, init_codes = init
@@ -252,15 +255,15 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
             )
 
     for _ in range(cfg.max_iters):
-        analysis = update_analysis(data, codes, synth, state, cfg)
+        analysis = _labelled("analysis", update_analysis, data, codes, synth, state, cfg)
         log_update("analysis")
-        synth = update_synthesis(data, codes, analysis, state, cfg)
+        synth = _labelled("synthesis", update_synthesis, data, codes, analysis, state, cfg)
         log_update("synthesis")
         state = update_multipliers(synth, analysis, state, cfg)
         if slots is None:
             present = np.abs(codes) > ZERO_THRESHOLD
             slots, held = _support_slots(present), np.count_nonzero(present)
-        codes = update_codes(data, codes, synth, analysis, cfg, slots)
+        codes = _labelled("codes", update_codes, data, codes, synth, analysis, cfg, slots)
         if np.count_nonzero(codes) < held:
             slots = None
         log_update("codes")
@@ -269,6 +272,15 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
         )
 
     return Dictionary(synth), Dictionary(analysis), codes, trace
+
+
+def _labelled(label, update, *args):
+    """``update(*args)``; an error it raises gets ``label`` as its ``update``."""
+    try:
+        return update(*args)
+    except PksvdError as exc:
+        exc.update = label
+        raise
 
 
 def support_histogram(codes):

@@ -51,9 +51,9 @@ def cosparsity_floor_check(d: Dictionary, trials: int, seed: int) -> int:
     """Minimum observed support of analysis coefficients over random signals.
 
     Alternates generic unit signals with adversarial ones chosen orthogonal
-    to n - 1 atoms (the constructions that reach the floor). Verifies the
-    columns are in general position first, and raises if any signal's
-    analysis support drops below m - n + 1.
+    to n - 1 atoms (the constructions that reach the floor). Raises
+    ``NotGeneralPosition`` unless the columns are in general position
+    and every signal's analysis support is at least m - n + 1.
     """
     _assert_general_position(d)
     rng = np.random.default_rng(seed)
@@ -72,8 +72,9 @@ def cosparsity_floor_check(d: Dictionary, trials: int, seed: int) -> int:
         support = int(np.count_nonzero(np.abs(d.mat.T @ x) > ZERO_THRESHOLD))
         min_support = min(min_support, support)
     if min_support < floor:
-        raise AssertionError(
-            f"observed analysis support {min_support} below the floor {floor}"
+        raise NotGeneralPosition(
+            f"observed analysis support {min_support} below the floor {floor}: the "
+            f"columns pass the spark test but not at the zero threshold {ZERO_THRESHOLD:g}"
         )
     return min_support
 

@@ -123,7 +123,7 @@ def code_refresh_inputs(request):
     img = texture(seed)[:side, :side].astype(float)
     data = to_blocks(img, block, subtract_mean=True).blocks
     n = block * block
-    base, codes = ksvd_train(data, KsvdConfig(m=m, k=k, iters=1), dct_dictionary(n, m))
+    base, codes = ksvd_train(data, KsvdConfig(k=k, iters=1), dct_dictionary(n, m))
     cfg = PkvConfig()
     state = AdmmState.zeros(n, m)
     analysis = update_analysis(data, codes, base.mat, state, cfg)
@@ -145,7 +145,7 @@ def trained_desk():
     block, side, m, k = SHAPES["desk"]
     data = to_blocks(texture(3)[:side, :side].astype(float), block,
                      subtract_mean=True).blocks
-    init = ksvd_train(data, KsvdConfig(m=m, k=k, iters=20), dct_dictionary(block * block, m))
+    init = ksvd_train(data, KsvdConfig(k=k, iters=20), dct_dictionary(block * block, m))
     cfg = PkvConfig(max_iters=100)
     synth, analysis, codes, _ = pksvd_train(data, cfg, init)
     return data, codes, synth.mat, analysis.mat, cfg

@@ -37,7 +37,7 @@ def desk_run(test_image):
     data = to_blocks(test_image[:64, :64], BLOCK, subtract_mean=True).blocks
     assert data.shape == (N_DIM, 256)
     base = ksvd_train(
-        data, KsvdConfig(m=N_ATOMS, k=BUDGET, iters=20),
+        data, KsvdConfig(k=BUDGET, iters=20),
         dct_dictionary(N_DIM, N_ATOMS),
     )
     cfg = PkvConfig(rho1=0.1, rho2=1e11, rho3=1e11, max_iters=200)
@@ -64,7 +64,7 @@ def app_dictionaries(test_image):
     """
     data = to_blocks(test_image, BLOCK, subtract_mean=True).blocks
     ksvd_dict, ksvd_codes = ksvd_train(
-        data, KsvdConfig(m=N_ATOMS, k=BUDGET, iters=20),
+        data, KsvdConfig(k=BUDGET, iters=20),
         dct_dictionary(N_DIM, N_ATOMS),
     )
     cfg = PkvConfig(max_iters=200)

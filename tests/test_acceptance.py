@@ -72,7 +72,7 @@ def test_criterion_01_runtime(test_image):
 
     data = to_blocks(test_image[:64, :64], BLOCK, subtract_mean=True).blocks
     t0 = time.time()
-    base = ksvd_train(data, KsvdConfig(m=32, k=4, iters=20),
+    base = ksvd_train(data, KsvdConfig(k=4, iters=20),
                       dct_dictionary(16, 32))
     cfg = PkvConfig(rho2=1e11, rho3=1e11, max_iters=200)
     pksvd_train(data, cfg, base)

@@ -480,3 +480,17 @@ class TestReconstructRoundtrip:
         d = identity_dict(16)
         with pytest.raises(BadShape, match="block size 8"):
             reconstruct_roundtrip(np.zeros((16, 16)), d, d, 8)
+
+    # Every pipeline that takes a pair checks it alike; the round trip
+    # failed inside its matmul.
+    @pytest.mark.parametrize("run", [
+        lambda img, synth, analysis: reconstruct_roundtrip(img, synth, analysis, 4),
+        lambda img, synth, analysis: denoise(to_blocks(img, 4), synth, analysis, [1.0]),
+        lambda img, synth, analysis: compress_rd(to_blocks(img, 4), synth, analysis, [1.0]),
+    ], ids=["reconstruct", "denoise", "compress"])
+    def test_mismatched_analysis_dictionary_names_both_shapes(self, run):
+        rng = np.random.default_rng(16)
+        synth = Dictionary(rng.standard_normal((16, 32)))
+        analysis = Dictionary(rng.standard_normal((16, 24)))
+        with pytest.raises(BadShape, match=r"synthesis \(16, 32\), analysis \(16, 24\)$"):
+            run(rng.uniform(0, 255, (16, 16)), synth, analysis)

@@ -65,6 +65,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'n'"):
             resolve_config(argparse.Namespace(config=str(cfile)))
 
+    @pytest.fixture
+    def denoise_run(self, tmp_path):
+        """A denoise argv on an 8x8 image with the 4x4 identity, which
+        needs block_size 2, and its empty output directory."""
+        image, eye = tmp_path / "img.pgm", tmp_path / "eye.pk"
+        write_pgm(np.random.default_rng(0).integers(0, 256, (8, 8)).astype(float), image)
+        save_dictionary(Dictionary(np.eye(4)), eye)
+        out = tmp_path / "out"
+        out.mkdir()
+        return ["denoise", str(image), "--dict", str(eye), "--sigma", "5",
+                "--out-prefix", str(out / "dn")], out
+
+    def test_comments_and_blank_lines_parse(self, tmp_path, denoise_run):
+        argv, out = denoise_run
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("# desk run\n\n   \nblock_size = 2  # one atom per pixel\n\n")
+        assert main(argv + ["--config", str(cfile)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["dn.csv", "dn.pgm"]
+
+    @pytest.mark.parametrize("text,message", [
+        ("block_size = 2\nseed 3\n", "{path}:2: expected key=value, got 'seed 3\\n'"),
+        ("# run\nblock_size = 2\nseed = three\n",
+         "config key 'seed' has non-numeric value 'three'"),
+    ], ids=["no-equals-sign", "non-numeric"])
+    def test_bad_line_fails_naming_it(self, tmp_path, capsys, denoise_run, text, message):
+        argv, out = denoise_run
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(text)
+        assert main(argv + ["--config", str(cfile)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=cfile)}\n"
+        assert list(out.iterdir()) == []
+
 
 class TestTrain:
     def test_ksvd_writes_only_synthesis(self, train_image, tmp_path):
@@ -649,17 +681,32 @@ class TestInputLimits:
           "--out-prefix", "{out}/ip"],
          "--fraction 0.99 is too large for --block_size 4: missing fraction 0.99 removes all "
          "16 pixels of every 4x4 block"),
+        (["inpaint", "{image}", "--dict", "{eye}", "--fraction", "1.0", "--block_size", "2",
+          "--out-prefix", "{out}/ip"],
+         "--fraction 1 is out of range: missing fraction must be in [0, 0.99]"),
+        (["inpaint", "{image}", "--dict", "{eye}", "--fraction", "0.5", "--block_size", "3",
+          "--out-prefix", "{out}/ip"],
+         "--block_size 3 does not divide the 8x8 image {image}"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "5", "--block_size", "3",
+          "--out-prefix", "{out}/dn"],
+         "--block_size 3 does not divide the 8x8 image {image}"),
+        (["compress", "{image}", "--dict", "{eye}", "--block_size", "3",
+          "--out-prefix", "{out}/rd"],
+         "--block_size 3 does not divide the 8x8 image {image}"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
-            "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks"])
+            "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks",
+            "inpaint-fraction-range", "inpaint-block-size", "denoise-block-size",
+            "compress-block-size"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message.format(out=out)}")
+        assert capsys.readouterr().err.startswith(
+            f"error: {message.format(image=image, out=out)}")
         assert list(out.iterdir()) == []
 
     def test_huge_radius_keeps_the_zero_code(self, small, capsys):
@@ -718,31 +765,43 @@ class TestInputLimits:
             assert capsys.readouterr().err.startswith(
                 f"error: --rho2 {float(value):g} is too large against --rho3 1e+11")
             assert list(out.iterdir()) == []
-            # The remedy the message names: a larger rho3.
-            assert main(argv + ["--rho3", value]) == 0
-        assert np.isfinite(load_dictionary(out / "d.pk").mat).all()
+            # Both remedies the message names: a smaller rho2, a larger rho3.
+            for remedy in (["--rho2", "1e11"], ["--rho3", value]):
+                assert main(argv + remedy) == 0
+                assert np.isfinite(load_dictionary(out / "d.pk").mat).all()
 
-    @pytest.mark.parametrize("penalties,head,tail,remedy", [
+    @pytest.mark.parametrize("penalties,head,tail,remedies", [
         # The trained dictionary loses rank; its frame bounds failed only
         # after both dictionaries were written.
         (["--rho1", "1e-300", "--rho2", "1e-300", "--rho3", "1"],
          "the trained dictionary is not a frame (lowest frame-operator eigenvalue ",
-         "is numerically zero), with --rho1 1e-300, --rho2 1e-300, --rho3 1", None),
+         "is numerically zero), with --rho1 1e-300, --rho2 1e-300, --rho3 1", []),
         # K-SVD leaves an atom unused, which only rho2 and rho3 hold in the
         # synthesis update's metric; the code Gram was blamed.
         (["--rho2", "1e-300", "--rho3", "1e-300"],
          "--rho3 1e-300 is too small for --rho1 0.1 and --rho2 1e-300: the synthesis "
          "update's metric 2 rho1 G + rho2 A^T A + rho3 I, which only its rho3 I term keeps "
          "definite, fails (M is numerically singular while G is positive definite)",
-         "; raise --rho3", ["--rho3", "1e-3"]),
+         "; raise --rho3", [["--rho3", "1e-3"]]),
         # With rho1 near zero the metric is about rho2 A^T A, of rank n < m,
         # and its Cholesky factorization fails.
         (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-300"],
          "--rho3 1e-300 is too small for --rho1 1e-300 and --rho2 1: ",
-         "; raise --rho3", ["--rho3", "1"]),
-    ], ids=["not-a-frame", "singular-metric", "metric-not-definite"])
+         "; raise --rho3", [["--rho3", "1"]]),
+        # The synthesis update's residual check fails; rho2 was blamed.
+        (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-3"],
+         "the synthesis update's Sylvester system is near-singular (solution residual ",
+         "), with --rho1 1e-300, --rho2 1, --rho3 0.001; raise --rho1 or --rho3",
+         [["--rho1", "1"], ["--rho3", "1"]]),
+        # rho1 S^T S underflows out of the code refresh's Gram; no flag was named.
+        (["--rho1", "1e-300", "--rho2", "1e-3", "--rho3", "1e-3"],
+         "the code refresh failed (the support Gram of code column ",
+         " is singular), with --rho1 1e-300, --rho2 0.001, --rho3 0.001; raise --rho1",
+         [["--rho1", "1"]]),
+    ], ids=["not-a-frame", "singular-metric", "metric-not-definite", "synthesis-near-singular",
+            "code-refresh-singular"])
     def test_degenerate_penalties_fail_naming_them(self, tmp_path, capsys, penalties,
-                                                   head, tail, remedy):
+                                                   head, tail, remedies):
         image = tmp_path / "img.pgm"
         write_pgm(texture(0)[:32, :32], image)
         out = tmp_path / "out"
@@ -757,7 +816,7 @@ class TestInputLimits:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {head}") and err.endswith(f"{tail}\n")
             assert list(out.iterdir()) == []
-            if remedy:  # the remedy the message names
+            for remedy in remedies:  # each remedy the message names
                 assert main(argv + remedy) == 0
 
 

@@ -9,7 +9,6 @@ from pksvd.frames import (
     dct_dictionary,
     frame_bounds,
     is_parseval,
-    overcomplete_dct,
     random_dual,
 )
 
@@ -158,8 +157,8 @@ class TestIsParseval:
     def test_scaled_identity_false(self):
         assert not is_parseval(Dictionary(2.0 * np.eye(4)), tol=1e-10)
 
-    def test_overcomplete_dct_not_parseval(self):
-        d = overcomplete_dct(64, 256)
+    def test_dct_dictionary_not_parseval(self):
+        d = dct_dictionary(64, 256)
         gap = np.linalg.norm(d.mat @ d.mat.T - np.eye(64))
         assert gap > 1e-6
         assert not is_parseval(d, tol=1e-6)
@@ -167,32 +166,30 @@ class TestIsParseval:
 
 class TestOvercompleteDct:
     def test_complete_case_orthogonal(self):
-        d = overcomplete_dct(4, 4)
+        d = dct_dictionary(4, 4)
         gram = d.mat.T @ d.mat
         assert np.allclose(np.abs(gram), np.eye(4), atol=1e-10)
 
     def test_unit_atom_norms(self):
-        d = overcomplete_dct(64, 256)
+        d = dct_dictionary(64, 256)
         norms = np.linalg.norm(d.mat, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_dc_atom(self):
         for n, m in ((4, 16), (16, 64), (64, 256)):
-            d = overcomplete_dct(n, m)
+            d = dct_dictionary(n, m)
             assert np.allclose(d.mat[:, 0], 1.0 / np.sqrt(n), atol=1e-12)
 
     def test_rejects_non_squares(self):
-        with pytest.raises(BadShape):
-            overcomplete_dct(15, 64)
-        with pytest.raises(BadShape):
-            overcomplete_dct(16, 60)
+        with pytest.raises(BadShape, match="n must be a perfect square, got n=15$"):
+            dct_dictionary(15, 64)
 
     def test_truncated_variant(self):
         d = dct_dictionary(16, 32)
         assert d.mat.shape == (16, 32)
         assert np.allclose(np.linalg.norm(d.mat, axis=0), 1.0, atol=1e-12)
-        full = dct_dictionary(16, 64)
-        assert np.allclose(full.mat, overcomplete_dct(16, 64).mat)
+        # The first m atoms of the next square grid, 6 x 6 for m = 32.
+        assert np.array_equal(d.mat, dct_dictionary(16, 36).mat[:, :32])
 
     @pytest.mark.parametrize("m", [8, 9, 15])
     def test_too_few_atoms_named_as_requested(self, m):
@@ -202,7 +199,7 @@ class TestOvercompleteDct:
 
 class TestAtomDistanceHistogram:
     def test_self_match_all_zero(self):
-        d = overcomplete_dct(16, 64)
+        d = dct_dictionary(16, 64)
         counts, edges = atom_distance_histogram(d, d, bins=10)
         assert counts[0] == 64 and counts[1:].sum() == 0
         assert edges[0] == 0.0 and edges[-1] == 1.0

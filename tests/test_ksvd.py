@@ -191,7 +191,7 @@ class TestKsvdTrain:
         scales = rng.uniform(1.0, 3.0, size=32)
         atoms = rng.integers(0, 8, size=32)
         data = init.mat[:, atoms] * scales
-        d, codes = ksvd_train(data, KsvdConfig(m=8, k=1, iters=1), init)
+        d, codes = ksvd_train(data, KsvdConfig(k=1, iters=1), init)
         assert fit_error(data, d, codes) <= 1e-18
         # learned atoms match the originals up to sign and permutation
         corr = np.abs(d.mat.T @ init.mat)
@@ -201,7 +201,7 @@ class TestKsvdTrain:
         rng = np.random.default_rng(8)
         init = Dictionary(normalized_columns(rng, 6, 10))
         data = rng.standard_normal((6, 40))
-        d, codes = ksvd_train(data, KsvdConfig(m=10, k=2, iters=0), init)
+        d, codes = ksvd_train(data, KsvdConfig(k=2, iters=0), init)
         assert np.array_equal(d.mat, init.mat)
         assert np.array_equal(codes, ksvd._code_columns(init.mat, data, 2, None))
         assert np.all(np.count_nonzero(codes, axis=0) <= 2)
@@ -210,7 +210,7 @@ class TestKsvdTrain:
         rng = np.random.default_rng(1)
         init = Dictionary(normalized_columns(rng, 4, 4))
         data = rng.standard_normal((4, 1))
-        d, codes = ksvd_train(data, KsvdConfig(m=4, k=4, iters=1), init)
+        d, codes = ksvd_train(data, KsvdConfig(k=4, iters=1), init)
         assert fit_error(data, d, codes) <= 1e-18
 
     def test_objective_nonincreasing_per_sweep(self):
@@ -222,7 +222,7 @@ class TestKsvdTrain:
         init = Dictionary(normalized_columns(rng, 8, 16))
         objs = []
         for sweeps in range(1, 11):
-            d, codes = ksvd_train(data, KsvdConfig(m=16, k=3, iters=sweeps), init)
+            d, codes = ksvd_train(data, KsvdConfig(k=3, iters=sweeps), init)
             objs.append(fit_error(data, d, codes))
         assert all(a >= b - 1e-9 for a, b in zip(objs, objs[1:]))
         assert objs[-1] <= objs[0]
@@ -235,7 +235,7 @@ class TestKsvdTrain:
         slack = data.size * (np.finfo(float).eps * np.abs(data).max()) ** 2
         objs = []
         for sweeps in range(1, 6):
-            d, codes = ksvd_train(data, KsvdConfig(m=32, k=16, iters=sweeps),
+            d, codes = ksvd_train(data, KsvdConfig(k=16, iters=sweeps),
                                   dct_dictionary(16, 32))
             objs.append(fit_error(data, d, codes))
         assert all(b <= a + slack for a, b in zip(objs, objs[1:]))
@@ -244,7 +244,7 @@ class TestKsvdTrain:
     def test_dct_init_desk_shapes(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((16, 64))
-        d, codes = ksvd_train(data, KsvdConfig(m=32, k=4, iters=3),
+        d, codes = ksvd_train(data, KsvdConfig(k=4, iters=3),
                               dct_dictionary(16, 32))
         assert d.mat.shape == (16, 32)
         assert codes.shape == (32, 64)
@@ -253,14 +253,14 @@ class TestKsvdTrain:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((6, 30))
         init = Dictionary(normalized_columns(rng, 6, 12))
-        d, _ = ksvd_train(data, KsvdConfig(m=12, k=2, iters=5), init)
+        d, _ = ksvd_train(data, KsvdConfig(k=2, iters=5), init)
         assert np.allclose(np.linalg.norm(d.mat, axis=0), 1.0, atol=1e-12)
 
     def test_budget_respected(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((6, 30))
         init = Dictionary(normalized_columns(rng, 6, 12))
-        _, codes = ksvd_train(data, KsvdConfig(m=12, k=3, iters=4), init)
+        _, codes = ksvd_train(data, KsvdConfig(k=3, iters=4), init)
         assert (np.abs(codes) > 0).sum(axis=0).max() <= 3
 
     def test_rejects_unnormalized_init(self):
@@ -268,18 +268,18 @@ class TestKsvdTrain:
         data = rng.standard_normal((4, 10))
         bad = Dictionary(2.0 * np.eye(4))
         with pytest.raises(ValueError):
-            ksvd_train(data, KsvdConfig(m=4, k=2, iters=1), bad)
+            ksvd_train(data, KsvdConfig(k=2, iters=1), bad)
 
     def test_rejects_shape_mismatch(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((4, 10))
-        init = Dictionary(normalized_columns(rng, 4, 8))
-        with pytest.raises(ValueError):
-            ksvd_train(data, KsvdConfig(m=6, k=2, iters=1), init)
+        init = Dictionary(normalized_columns(rng, 5, 8))
+        with pytest.raises(ValueError, match=r"init must have 4 rows, got \(5, 8\)"):
+            ksvd_train(data, KsvdConfig(k=2, iters=1), init)
 
     def test_budget_cannot_exceed_dimension(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((4, 10))
         init = Dictionary(normalized_columns(rng, 4, 8))
         with pytest.raises(ValueError):
-            ksvd_train(data, KsvdConfig(m=8, k=5, iters=1), init)
+            ksvd_train(data, KsvdConfig(k=5, iters=1), init)

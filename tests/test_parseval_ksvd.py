@@ -312,7 +312,7 @@ class TestUpdateSynthesis:
         # M = 2 rho1 G + rho2 A^T A + rho3 I holds about 1e-300 only. The
         # ridged code Gram is positive definite all the same.
         data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
-        init = ksvd_train(data, KsvdConfig(m=32, k=4, iters=2), dct_dictionary(16, 32))
+        init = ksvd_train(data, KsvdConfig(k=4, iters=2), dct_dictionary(16, 32))
         gram = init[1] @ init[1].T
         assert np.count_nonzero(~init[1].any(axis=1)) == 1
         ridged = gram + 1e-8 * np.trace(gram) / 32 * np.eye(32)
@@ -538,7 +538,7 @@ def desk_training(seed=0, n=16, m=32, n_cols=256, k=4, iters=50, rho=1e11,
         idx = rng.choice(m, k, replace=False)
         codes[idx, i] = rng.standard_normal(k) * 5
     data = hidden @ codes + 0.05 * rng.standard_normal((n, n_cols))
-    init = ksvd_train(data, KsvdConfig(m=m, k=k, iters=10), dct_dictionary(n, m))
+    init = ksvd_train(data, KsvdConfig(k=k, iters=10), dct_dictionary(n, m))
     cfg = PkvConfig(rho1=0.1, rho2=rho, rho3=rho, max_iters=iters)
     return data, cfg, pksvd_train(data, cfg, init, track_updates=track)
 

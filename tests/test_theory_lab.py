@@ -68,6 +68,16 @@ class TestCosparsityFloor:
         with pytest.raises(NotGeneralPosition):
             cosparsity_floor_check(Dictionary(mat), trials=10, seed=0)
 
+    def test_spark_passing_frame_below_the_floor_rejected(self):
+        # Atoms 0 and 1 are 1e-8 apart: above the spark test's 1e-10, so
+        # the frame is in general position by its spark, but a signal
+        # orthogonal to one of them meets the other below the zero threshold.
+        t = 1e-8
+        d = Dictionary(np.array([[1.0, np.cos(t), 0.0], [0.0, np.sin(t), 1.0]]))
+        assert spark(d) == 3
+        with pytest.raises(NotGeneralPosition, match="support 1 below the floor 2"):
+            cosparsity_floor_check(d, trials=10, seed=0)
+
 
 class TestProxyTrial:
     def test_canonical_never_worse_than_sampled_duals(self):
