@@ -48,10 +48,6 @@ class BlockedImage:
             )
 
     @property
-    def n(self):
-        return self.block_size * self.block_size
-
-    @property
     def n_blocks(self):
         return self.blocks.shape[1]
 

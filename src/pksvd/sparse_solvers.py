@@ -26,9 +26,22 @@ ZERO_THRESHOLD = 1e-6
 
 _ORACLE_MAX_ATOMS = 12
 
-# Entries of the support Grams' inverse Cholesky factors (columns x k x k)
-# one Batch-OMP batch may hold: 16 columns at k = 64, 4096 at k = 4.
-_OMP_BATCH_ENTRIES = 2 ** 16
+
+def _omp_lane_entries(n, m, k):
+    """Entries of one Batch-OMP lane's buffers: its inverse Cholesky
+    factor (k x k); its codes, correlations and scores (m each); its
+    residual and data (n each) and its projections (m)."""
+    return k * k + 4 * m + 2 * n
+
+
+# Entries of the lane buffers one Batch-OMP batch may hold: 64 lanes at
+# the full shape (n = 64, m = 256, k = 64), 1908 at the desk shape
+# (n = 16, m = 32, k = 4).
+_OMP_BATCH_ENTRIES = 64 * _omp_lane_entries(64, 256, 64)
+
+# Entries of the support systems (columns x w x w, for the support width
+# w) one batch of the least-squares refit may hold: 16 columns at w = 64.
+_REFIT_BATCH_ENTRIES = 2 ** 16
 
 # Atom scores within this fraction of the largest, or homotopy event
 # times within it of the smallest, count as tied; the lowest index wins
@@ -69,12 +82,17 @@ def omp(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
     row per new atom (Rubinstein, Zibulevsky & Elad 2008). A column whose new atom is
     numerically dependent on its support already has a residual at
     rounding level; it keeps its codes and stops. Residuals are explicit,
-    Y - D X, and columns go in batches whose factors hold at most
-    ``_OMP_BATCH_ENTRIES`` entries; each batch allocates its supports and
-    factors once, at full size k. ``proj``, the N x m projections Y^T D,
-    and ``gram``, D^T D, are formed here once for all batches unless the
-    caller passes them. Returns the m x N codes. Raises ``ValueError``
-    unless the budget satisfies 0 <= k <= n.
+    Y - D X. Columns go in batches whose lane buffers, as
+    ``_omp_lane_entries`` counts them, hold at most ``_OMP_BATCH_ENTRIES``
+    entries: 64 lanes at n = 64, m = 256, k = 64. Each batch allocates its
+    supports and factors once, at full size k. The residual's products,
+    and so the scores, round differently by batch height; the tie window
+    keeps rounding-level score differences from picking between tied
+    atoms. The codes come from per-lane products of R and z, so a lane's
+    codes depend on its batch only through its support. ``proj``, the
+    N x m projections Y^T D, and ``gram``, D^T D, are formed here once for
+    all batches unless the caller passes them. Returns the m x N codes.
+    Raises ``ValueError`` unless the budget satisfies 0 <= k <= n.
     """
     dict_mat = as_matrix(dict_mat, "dictionary")
     data = np.asarray(data, dtype=float)
@@ -87,7 +105,7 @@ def omp(dict_mat, data, k, residual_tol=0.0, proj=None, gram=None):
     if proj is None:  # once: a one-column batch's product rounds differently
         proj = data.T @ dict_mat
     codes = np.zeros((dict_mat.shape[1], data.shape[1]))
-    width = max(1, _OMP_BATCH_ENTRIES // max(k, 1) ** 2)
+    width = max(1, _OMP_BATCH_ENTRIES // _omp_lane_entries(*dict_mat.shape, k))
     for start in range(0, data.shape[1], width):
         block = slice(start, start + width)
         codes[:, block] = _omp_block(dict_mat, gram, data[:, block].T, proj[block], k,
@@ -200,9 +218,10 @@ def _refit_supports(gram, proj, codes, slots=None):
     which is dropped. An atom whose diagonal entry of ``gram`` is not
     positive (a zero atom) keeps its code: it gets an identity row and
     column of the padded Gram too, and its value in ``codes`` as its
-    projection. Columns are solved in batched calls sized like the
-    Batch-OMP batches. Raises ``SingularCoefficientGram``, naming the
-    column, when a support system is singular.
+    projection. Columns are solved in batched calls whose support systems
+    hold at most ``_REFIT_BATCH_ENTRIES`` entries. Raises
+    ``SingularCoefficientGram``, naming the column, when a support system
+    is singular.
     """
     m, n_cols = codes.shape
     if slots is None:
@@ -217,7 +236,7 @@ def _refit_supports(gram, proj, codes, slots=None):
     target = np.zeros((m + width, n_cols))
     target[:m] = proj
     target[zero] = codes[zero]
-    batch = max(1, _OMP_BATCH_ENTRIES // max(width, 1) ** 2)
+    batch = max(1, _REFIT_BATCH_ENTRIES // max(width, 1) ** 2)
     for start in range(0, n_cols, batch):
         block = slice(start, start + batch)
         cols = np.arange(n_cols)[block, None]

@@ -61,7 +61,6 @@ class TestBlocks:
     def test_block_count_invariant(self):
         blk = to_blocks(np.zeros((16, 24)), 8)
         assert blk.n_blocks == (16 // 8) * (24 // 8)
-        assert blk.n == 64
 
     def test_inconsistent_blocked_image_rejected(self):
         with pytest.raises(BadShape):

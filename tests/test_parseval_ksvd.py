@@ -490,7 +490,7 @@ class TestUpdateCodes:
     def test_batches_do_not_change_results(self, per_batch, monkeypatch):
         data, codes, synth, analysis, cfg = self.wide_problem(63)
         one = update_codes(data, codes, synth, analysis, cfg)
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", per_batch * 10 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_REFIT_BATCH_ENTRIES", per_batch * 10 ** 2)
         split = update_codes(data, codes, synth, analysis, cfg)
         assert -(-codes.shape[1] // per_batch) >= 3
         assert one.tobytes() == split.tobytes()
@@ -500,10 +500,10 @@ class TestUpdateCodes:
             70, n=64, m=256, n_cols=256, k=64
         )
         assert (np.count_nonzero(codes, axis=0) == 64).all()
-        assert sparse_solvers._OMP_BATCH_ENTRIES // 64 ** 2 == 16
+        assert sparse_solvers._REFIT_BATCH_ENTRIES // 64 ** 2 == 16
         wide = update_codes(data, codes, synth, analysis, cfg)
         # 5 columns per batch, the last batch short
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 5 * 64 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_REFIT_BATCH_ENTRIES", 5 * 64 ** 2)
         narrow = update_codes(data, codes, synth, analysis, cfg)
         assert wide.tobytes() == narrow.tobytes()
 

@@ -296,7 +296,8 @@ class TestOmpColumns:
 
     def test_column_count_not_a_batch_multiple(self, monkeypatch):
         # Batches of 3 columns at k = 4, so 11 columns end in a short batch.
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 3 * 4 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES",
+                            3 * sparse_solvers._omp_lane_entries(8, 20, 4))
         rng = np.random.default_rng(10)
         a = rng.standard_normal((8, 20)) * rng.uniform(0.5, 2.0, size=20)
         data = rng.standard_normal((8, 11))
@@ -316,8 +317,22 @@ class TestOmpColumns:
         data[:, [6, 14, 20]] = a[:, [1, 8]] @ rng.standard_normal((2, 3))
         whole = self.assert_matches_reference(a, data, n, residual_tol=1e-8)
         assert set((whole != 0.0).sum(axis=0)) == {0, 1, 2, n}
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", per_batch * n ** 2)
+        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES",
+                            per_batch * sparse_solvers._omp_lane_entries(n, 14, n))
         assert omp(a, data, n, residual_tol=1e-8).tobytes() == whole.tobytes()
+
+    def test_lanes_do_not_change_codes_at_full_scale(self, monkeypatch):
+        # The explicit residual's products round differently by batch
+        # height, but the codes must not. One lane also catches projections
+        # formed per batch. 1e-12 is K-SVD's stopping tolerance.
+        a = dct_dictionary(64, 256).mat
+        data = to_blocks(texture(3).astype(float), 8, subtract_mean=True).blocks
+        per_lane = sparse_solvers._omp_lane_entries(64, 256, 64)
+        codes = []
+        for lanes in (1, 16, 32, 64, 256):
+            monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", lanes * per_lane)
+            codes.append(omp(a, data, 64, 1e-12).tobytes())
+        assert codes[1:] == codes[:1] * 4
 
     def test_full_scale_memory(self):
         a = dct_dictionary(64, 256).mat
@@ -332,11 +347,14 @@ class TestOmpColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Deterministic: 1.74 MiB, of which the Gram, the codes and the
-        # batch's inverse Cholesky factors take 0.5 MiB each. Support-Gram
-        # inverses grown in place by a rank-1 update, which needs a
-        # temporary the size of the inverses, peak at 2.33 MiB.
-        assert peak <= 2.0 * 2 ** 20
+        # Deterministic: 3.95 MiB at 64 lanes. The Gram and the codes take
+        # 0.5 MiB each, and the batch's lane buffers, as the budget counts
+        # them, 2.56 MiB. The batch's output rows, the previous step's
+        # correlations, the supports and the product temporaries take the
+        # other 0.39 MiB, of the 0.5 MiB the pin allows them.
+        budget = sparse_solvers._OMP_BATCH_ENTRIES
+        assert budget // sparse_solvers._omp_lane_entries(64, 256, 64) == 64
+        assert peak <= 2 ** 20 + 8 * budget + 0.5 * 2 ** 20
 
     def test_dependent_atom_stops_the_column(self):
         # Three atoms in a plane: once two are in use the residual is at
@@ -381,7 +399,7 @@ class TestRefitSupports:
                               [[0, 3, 4], [2, 6, 7], [5, 6, 7], [1, 4, 7]])
 
     def test_kept_slots_give_the_same_codes(self, monkeypatch):
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 3 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_REFIT_BATCH_ENTRIES", 2 * 3 ** 2)
         rng = np.random.default_rng(12)
         dict_mat = rng.standard_normal((6, 10))
         data = rng.standard_normal((6, 7))
@@ -394,7 +412,7 @@ class TestRefitSupports:
 
     def test_matches_per_column_lstsq_across_batches(self, monkeypatch):
         # Batches of 2 columns at support width 3; 7 columns end short.
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 3 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_REFIT_BATCH_ENTRIES", 2 * 3 ** 2)
         rng = np.random.default_rng(9)
         dict_mat = rng.standard_normal((6, 10))
         data = rng.standard_normal((6, 7))
@@ -433,7 +451,7 @@ class TestRefitSupports:
 
     def test_singular_support_names_its_column_in_a_later_batch(self, monkeypatch):
         # Batches of 2 columns at support width 2; column 5 is in the third.
-        monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", 2 * 2 ** 2)
+        monkeypatch.setattr(sparse_solvers, "_REFIT_BATCH_ENTRIES", 2 * 2 ** 2)
         # Integer entries keep the Gram exact: atoms 1 and 2 are equal.
         dict_mat = np.array([[1.0, 2.0, 2.0, 0.0],
                              [0.0, 1.0, 1.0, 1.0],
