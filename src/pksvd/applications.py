@@ -51,11 +51,12 @@ class Mask:
 
 def _check_pair(block_size, synth: Dictionary, analysis: Dictionary | None = None):
     """Raise ``BadShape`` unless ``analysis``, when given, has the shape of
-    ``synth``, whose rows are the pixels of a block_size x block_size block."""
+    ``synth``, whose rows, when ``block_size`` is given, are the pixels of
+    a block_size x block_size block."""
     if analysis is not None and analysis.mat.shape != synth.mat.shape:
         raise BadShape(f"dictionary shapes differ: synthesis {synth.mat.shape}, "
                        f"analysis {analysis.mat.shape}")
-    if synth.n != block_size ** 2:
+    if block_size is not None and synth.n != block_size ** 2:
         raise BadShape(f"dictionary rows {synth.n} do not match block size "
                        f"{block_size} ({block_size ** 2} pixels per block)")
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import applications, formats, frames, imaging, parseval_ksvd, theory_lab
-from .errors import (BadShape, ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
+from .errors import (ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
                      RankDeficient, SingularCoefficientGram, SingularMetric)
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
@@ -226,10 +226,7 @@ def cmd_verify(args):
           f"symmetry {res.symmetry:.3e}, rank gap {res.rank_gap}")
     if args.dual:
         dual = formats.load_dictionary(args.dual)
-        if dual.mat.shape != d.mat.shape:
-            raise BadShape(
-                f"dual shape {dual.mat.shape} does not match {d.mat.shape}"
-            )
+        applications._check_pair(None, d, dual)
         ident, trace_gap, match = parseval_ksvd.pair_residuals(d.mat, dual.mat)
         print(f"  pair residuals: ||SA^T - I||_F^2 = {ident:.3e}, "
               f"trace gap {trace_gap:.3e}, ||S - A||_F^2 = {match:.3e}")

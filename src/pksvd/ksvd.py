@@ -98,10 +98,14 @@ def _update_atoms(dict_mat, data, codes):
     resid = data - dict_mat @ codes
     row_sq = np.einsum("ij,ij->i", codes, codes)
     bound_sq = _POWER_STEP_TOL ** 2 * row_sq
-    fits = (codes != 0) @ np.einsum("ij,ij->j", resid, resid) <= bound_sq
+    present = codes != 0
+    fits = present @ np.einsum("ij,ij->j", resid, resid) <= bound_sq
+    # Atom j's update rewrites row j on its own columns only, so every
+    # atom's columns are listed once, up front.
+    rows, cols = np.nonzero(present)
+    users = np.split(cols, np.cumsum(np.bincount(rows, minlength=codes.shape[0]))[:-1])
     taken = set()
-    for j in range(dict_mat.shape[1]):
-        used = np.flatnonzero(codes[j, :])
+    for j, used in enumerate(users):
         if used.size == 0:
             errs = np.linalg.norm(resid, axis=0)
             for worst in np.argsort(errs)[::-1]:
@@ -114,7 +118,7 @@ def _update_atoms(dict_mat, data, codes):
                 dict_mat[:, j] = col / nrm
             continue
         rest = resid[:, used]
-        restricted = rest + np.outer(dict_mat[:, j], codes[j, used])
+        restricted = rest + dict_mat[:, j, None] * codes[j, used]
         if fits[j] and np.vdot(rest, rest) <= bound_sq[j]:
             top = restricted @ (dict_mat[:, j] @ restricted)
             top /= np.linalg.norm(top)
@@ -126,7 +130,7 @@ def _update_atoms(dict_mat, data, codes):
         atom, row = _canonical_sign(top, top @ restricted)
         dict_mat[:, j] = atom
         codes[j, used] = row
-        resid[:, used] = restricted - np.outer(atom, row)
+        resid[:, used] = restricted - atom[:, None] * row
     return dict_mat, codes
 
 

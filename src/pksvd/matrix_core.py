@@ -9,6 +9,8 @@ the eigen route is checked against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadShape, NearSingularSylvester, SingularMetric, TooLarge
@@ -89,21 +91,41 @@ def _check_condition(cond):
 
 def _frobenius(x):
     """Frobenius norm of ``x``, scaled by its largest entry so that the
-    squares cannot overflow; inf or NaN when ``x`` holds one."""
+    squares cannot overflow; inf or NaN when ``x`` holds one. A plain norm
+    between 1e-100 and inf is kept: its squares neither overflowed nor
+    lost more than rounding to underflow. The plain norm overflows on huge
+    entries, so callers run this with overflow warnings off."""
+    norm = np.linalg.norm(x)
+    if 1e-100 < norm < np.inf:
+        return norm
     scale = np.abs(x).max()
     if not 0.0 < scale < np.inf:
         return scale
     return scale * np.linalg.norm(x / scale)
 
 
-def check_sylvester_residual(residual, c):
-    """Raise ``NearSingularSylvester`` unless ``residual``, the matrix
-    A @ beta + beta @ B - C of a solve of A @ beta + beta @ B = C, is
-    finite with Frobenius norm at most
-    ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``."""
-    residual = _frobenius(residual)
-    bound = SYLVESTER_RESIDUAL_TOL * max(1.0, _frobenius(c))
-    if not (np.isfinite(residual) and residual <= bound):
+def check_sylvester_residual(residual, c, *products):
+    """Raise ``NearSingularSylvester`` unless ``residual``, the matrix left
+    over by a Sylvester solve, is finite and small.
+
+    For a solve of A @ beta + beta @ B = C, ``residual`` is
+    A @ beta + beta @ B - C and ``c`` is C; its Frobenius norm may be at
+    most ``SYLVESTER_RESIDUAL_TOL * max(1, ||C||)``. ``products`` state
+    the solved form's terms instead: for A @ beta @ G + beta @ M = K pass
+    ``c`` = K with ``products`` (A, beta, G) and (beta, M), and the norm
+    may be at most ``SYLVESTER_RESIDUAL_TOL`` times
+    ||A|| ||beta|| ||G|| + ||beta|| ||M|| + ||K||, the solve's normwise
+    backward error (Higham 2002, "Accuracy and Stability of Numerical
+    Algorithms", 16.2). Every norm is formed without overflow.
+    """
+    with np.errstate(over="ignore"):
+        scale = _frobenius(c)
+        if products:
+            scale += sum(math.prod(map(_frobenius, term)) for term in products)
+        else:
+            scale = max(1.0, scale)
+        residual = _frobenius(residual)
+    if not (np.isfinite(residual) and residual <= SYLVESTER_RESIDUAL_TOL * scale):
         raise NearSingularSylvester(
             f"solution residual {residual:.3e} exceeds tolerance; "
             "spectra of A and -B likely overlap"
@@ -135,19 +157,41 @@ def generalized_eigh(m, g):
 def solve_sylvester_eig(a_eig, b_eig, k):
     """Solve A @ beta @ G + beta @ M = K from eigenpairs.
 
-    ``a_eig = (sigma, U)`` is ``np.linalg.eigh(A)`` of a symmetric A and
+    ``a_eig = (sigma, U)`` is ``np.linalg.eigh(A)`` of a symmetric A.
     ``b_eig = (lam, V)`` is ``generalized_eigh(M, G)``, or
     ``np.linalg.eigh(M)`` when G = I. This is the Sylvester equation with
     B = M G^-1 (spectrum lam) and C = K G^-1, and
-    beta = U [(U^T K V) / (sigma_i + lam_j)] V^T. Raises
-    ``NearSingularSylvester`` when the condition estimate from sigma and
-    lam exceeds ``SYLVESTER_COND_LIMIT``; the residual check of the
-    stated system is the caller's (``check_sylvester_residual``).
+    beta = U [(U^T K V) / (sigma_i + lam_j)] V^T.
+
+    ``b_eig = (lam, V, rest)``, with G = I, states B by its eigenpairs on
+    the span of V's orthonormal columns (there may be fewer than B's
+    order) and the eigenvalue ``rest`` on their orthogonal complement:
+    B = V diag(lam) V^T + rest (I - V V^T). With K~ = U^T K and
+    P = K~ V, beta = U [(P / (sigma_i + lam_j)) V^T
+    + (K~ - P V^T) / (sigma_i + rest)], so B's complement is never
+    factored. K~ - P V^T is projected off V's span a second time (Kahan's
+    "twice is enough", in Parlett 1980, "The Symmetric Eigenvalue
+    Problem"): the first subtraction leaves rounding of the size of K~ on
+    that span, which would be divided by sigma_i + rest in place of
+    sigma_i + lam_j and, when lam_j is far above rest, fail the residual.
+
+    Raises ``NearSingularSylvester`` when the condition estimate from
+    sigma and B's spectrum (lam, and ``rest`` when V's columns do not
+    span the space) exceeds ``SYLVESTER_COND_LIMIT``; the residual check
+    of the stated system is the caller's (``check_sylvester_residual``).
     """
     sigma, u = a_eig
-    lam, v = b_eig
-    _check_condition(_spectral_condition(sigma, lam))
-    return u @ ((u.T @ k @ v) / (sigma[:, None] + lam[None, :])) @ v.T
+    lam, v, *rest = b_eig
+    if v.shape[1] == v.shape[0]:
+        rest = []  # V spans the space: B has no complement
+    _check_condition(_spectral_condition(sigma, np.concatenate((lam, rest))))
+    left = u.T @ k
+    if not rest:
+        return u @ ((left @ v) / (sigma[:, None] + lam)) @ v.T
+    proj = left @ v
+    other = left - proj @ v.T
+    other -= (other @ v) @ v.T
+    return u @ ((proj / (sigma[:, None] + lam)) @ v.T + other / (sigma[:, None] + rest[0]))
 
 
 def solve_sylvester(a, b, c):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PksvdError, SingularCoefficientGram
-from .frames import Dictionary
+from .frames import _RANK_TOL, Dictionary
 from .matrix_core import (
     as_matrix,
     check_sylvester_residual,
@@ -125,15 +125,30 @@ def update_analysis(data, codes, synth, state, cfg):
     The condition is the Sylvester equation A1 @ phi + phi @ B1 = C1 with
     A1 = 2 (Y - synth X)(Y - synth X)^T, B1 = rho2 synth^T synth + rho3 I,
     C1 = -mult_id^T synth + rho2 synth + mult_eq + rho3 synth. The current
-    analysis matrix does not enter the condition; it is solved from the
-    eigendecompositions of the symmetric A1 and B1.
+    analysis matrix does not enter the condition. B1 is rho3 I plus a term
+    of rank n, so it is never formed: with synth synth^T = W diag(lam) W^T
+    (an n x n ``eigh``), V1 = synth^T W diag(lam)^-1/2 has orthonormal
+    columns, B1 has eigenvalue rho2 lam + rho3 on them and rho3 on their
+    complement, and ``solve_sylvester_eig`` solves from that and the
+    eigendecomposition of the symmetric A1. Directions of synth synth^T
+    whose eigenvalue is at or below the rank floor of ``Dictionary``
+    (``frames._RANK_TOL`` times the largest) join the complement: there
+    lam carries an absolute rounding of about 1e-16 of the largest, which
+    1 / sqrt(lam) would blow up in V1, and rho2 lam is at most 1e-10 of
+    B1's largest eigenvalue. The residual of the stated system is checked
+    against max(1, ||C1||).
     """
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
-    b1 = cfg.rho2 * (synth.T @ synth) + cfg.rho3 * np.eye(synth.shape[1])
     c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
-    analysis = solve_sylvester_eig(np.linalg.eigh(a1), np.linalg.eigh(b1), c1)
-    check_sylvester_residual(a1 @ analysis + analysis @ b1 - c1, c1)
+    lam, w = np.linalg.eigh(synth @ synth.T)  # ascending: the floor cuts a prefix
+    low = np.searchsorted(lam, _RANK_TOL * lam[-1], side="right")
+    lam, w = lam[low:], w[:, low:]
+    frame = (synth.T @ w) / np.sqrt(lam)
+    analysis = solve_sylvester_eig(np.linalg.eigh(a1),
+                                   (cfg.rho2 * lam + cfg.rho3, frame, cfg.rho3), c1)
+    b1_term = cfg.rho2 * ((analysis @ synth.T) @ synth) + cfg.rho3 * analysis
+    check_sylvester_residual(a1 @ analysis + b1_term - c1, c1)
     return analysis
 
 
@@ -149,6 +164,10 @@ def update_synthesis(data, codes, analysis, state, cfg):
     ``SingularMetric`` if M is numerically singular: rho3 I is its only
     term definite by itself, and an atom that no code uses leaves a zero
     row in G. The current synthesis matrix does not enter the condition.
+    The solve is checked in the form it solved, by its normwise backward
+    error ||A1 synth G + synth M - K|| / (||A1|| ||synth|| ||G||
+    + ||synth|| ||M|| + ||K||) (``check_sylvester_residual``), so an
+    ill-conditioned G does not amplify the rounding of an accurate solve.
     """
     m = analysis.shape[1]
     gram = codes @ codes.T
@@ -174,12 +193,8 @@ def update_synthesis(data, codes, analysis, state, cfg):
             "code Gram matrix is singular even after regularization"
         ) from None
     synth = solve_sylvester_eig(np.linalg.eigh(a1), pencil, rhs)
-    # The stated system's residual is (A1 @ synth @ G + synth @ M - K) G^-1
-    # and C1 = K G^-1; one solve with G (symmetric) right-divides both.
-    n = synth.shape[0]
-    stacked = np.vstack([a1 @ synth @ gram_reg + synth @ metric - rhs, rhs])
-    divided = np.linalg.solve(gram_reg, stacked.T).T
-    check_sylvester_residual(divided[:n], divided[n:])
+    check_sylvester_residual(a1 @ synth @ gram_reg + synth @ metric - rhs, rhs,
+                             (a1, synth, gram_reg), (synth, metric))
     return synth
 
 

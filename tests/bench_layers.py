@@ -14,6 +14,13 @@ one analysis and one synthesis update. Three shapes:
   32x32 top-left crop of its probe image ``texture(0)`` (64 columns of
   width 4).
 
+Times the two dictionary updates, each one Sylvester solve, alone on the
+same three inputs: ``parseval_ksvd.update_analysis`` (from the n x n
+frame operator of the synthesis dictionary) and
+``parseval_ksvd.update_synthesis`` (from the pencil of the metric and the
+ridged code Gram, checked by its backward error), with zero multipliers,
+as in the first iteration.
+
 Times a run of 10 consecutive code refreshes on fixed supports
 (``test_update_codes_run``), as the Parseval K-SVD loop makes them: the
 support slots built once (``sparse_solvers._support_slots``) and passed to
@@ -135,6 +142,20 @@ def test_update_codes(benchmark, code_refresh_inputs):
     data, codes, synth, analysis, cfg = code_refresh_inputs
     refreshed = benchmark(update_codes, data, codes, synth, analysis, cfg)
     assert refreshed.shape == codes.shape
+
+
+def test_update_analysis(benchmark, code_refresh_inputs):
+    data, codes, synth, _, cfg = code_refresh_inputs
+    state = AdmmState.zeros(*synth.shape)
+    analysis = benchmark(update_analysis, data, codes, synth, state, cfg)
+    assert analysis.shape == synth.shape
+
+
+def test_update_synthesis(benchmark, code_refresh_inputs):
+    data, codes, _, analysis, cfg = code_refresh_inputs
+    state = AdmmState.zeros(*analysis.shape)
+    synth = benchmark(update_synthesis, data, codes, analysis, state, cfg)
+    assert synth.shape == analysis.shape
 
 
 REFRESH_RUN = 10

@@ -249,7 +249,10 @@ class TestVerify:
 
         other = tmp_path / "o.pk"
         save_dictionary(Dictionary(np.eye(4)), other)
+        capsys.readouterr()
         assert main(["verify", str(trained["synth"]), str(other)]) != 0
+        assert capsys.readouterr().err == (
+            "error: dictionary shapes differ: synthesis (16, 24), analysis (4, 4)\n")
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.pk"
@@ -788,10 +791,13 @@ class TestInputLimits:
         (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-300"],
          "--rho3 1e-300 is too small for --rho1 1e-300 and --rho2 1: ",
          "; raise --rho3", [["--rho3", "1"]]),
-        # The synthesis update's residual check fails; rho2 was blamed.
-        (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-3"],
+        # The synthesis update's solve is inaccurate: M = rho2 A^T A + rho3 I
+        # has condition about 1e16, and the solve from the pencil (M, G)
+        # has backward error 3e-4 where a vec-form LU solve has 2e-17;
+        # rho2 was blamed.
+        (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-20"],
          "the synthesis update's Sylvester system is near-singular (solution residual ",
-         "), with --rho1 1e-300, --rho2 1, --rho3 0.001; raise --rho1 or --rho3",
+         "), with --rho1 1e-300, --rho2 1, --rho3 1e-20; raise --rho1 or --rho3",
          [["--rho1", "1"], ["--rho3", "1"]]),
         # rho1 S^T S underflows out of the code refresh's Gram; no flag was named.
         (["--rho1", "1e-300", "--rho2", "1e-3", "--rho3", "1e-3"],

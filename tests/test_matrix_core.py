@@ -160,6 +160,24 @@ class TestCheckSylvesterResidual:
     def test_zero_residual_passes(self):
         check_sylvester_residual(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_products_make_it_a_backward_error(self):
+        # A beta G + beta M = K with ||A|| ||beta|| ||G|| about 6e6: a
+        # residual of 2.4e-6 is 4e-13 of the backward error's scale, but
+        # 1e-6 of ||K||.
+        a, beta, g, m, k = 1e6 * np.eye(2), np.ones((2, 3)), np.eye(3), np.eye(3), np.ones((2, 3))
+        residual = 1e-6 * np.ones((2, 3))
+        check_sylvester_residual(residual, k, (a, beta, g), (beta, m))
+        with pytest.raises(NearSingularSylvester):
+            check_sylvester_residual(residual, k)
+        with pytest.raises(NearSingularSylvester, match="solution residual"):
+            check_sylvester_residual(1e4 * residual, k, (a, beta, g), (beta, m))
+
+    def test_products_of_huge_norms_do_not_overflow(self):
+        huge = np.full((4, 4), 1e200)
+        check_sylvester_residual(1e-12 * huge, huge, (np.eye(4), huge), (huge, np.eye(4)))
+        with pytest.raises(NearSingularSylvester):
+            check_sylvester_residual(1e-6 * huge, huge, (np.eye(4), huge), (huge, np.eye(4)))
+
 
 class TestSylvesterProperties:
     """Seeded, well-conditioned systems: the eigen route gives the
@@ -189,6 +207,22 @@ class TestSylvesterProperties:
         gram_inv = np.linalg.inv(gram)
         ref = solve_sylvester(a, metric @ gram_inv, k @ gram_inv)
         assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @PROPERTY
+    @given(SEEDS, SIZES, SIZES, SIZES)
+    def test_eig_matches_kron_with_a_complement(self, seed, n, m, r):
+        # B = V diag(lam) V^T + rest (I - V V^T) for r <= m orthonormal columns.
+        rng = np.random.default_rng(seed)
+        r = min(r, m)
+        a = random_spd(rng, n)
+        v = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        lam = rng.uniform(0.5, 3.0, r)
+        rest = rng.uniform(0.5, 3.0)
+        c = rng.standard_normal((n, m))
+        got = solve_sylvester_eig(np.linalg.eigh(a), (lam, v, rest), c)
+        b = (v * lam) @ v.T + rest * (np.eye(m) - v @ v.T)
+        ref = solve_sylvester(a, b, c)
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 class TestGeneralizedEigh:
@@ -237,3 +271,14 @@ class TestSolveSylvesterEig:
         expected = np.array([[1 / 4, 1 / 5], [1 / 5, 1 / 6]])
         got = solve_sylvester_eig(a_eig, b_eig, np.ones((2, 2)))
         assert np.allclose(got, expected, atol=1e-15)
+
+    def test_complement_eigenvalue_enters_the_condition_estimate(self):
+        a_eig = (np.array([1.0, 2.0]), np.eye(2))
+        v = np.eye(3)[:, :2]
+        # sigma_1 + rest = 0 on the complement, the third axis.
+        with pytest.raises(NearSingularSylvester, match="condition estimate"):
+            solve_sylvester_eig(a_eig, (np.array([3.0, 4.0]), v, -1.0), np.ones((2, 3)))
+        # With no complement, rest is no eigenvalue of B.
+        got = solve_sylvester_eig(a_eig, (np.array([3.0, 4.0]), np.eye(2), -1.0),
+                                  np.ones((2, 2)))
+        assert np.allclose(got, [[1 / 4, 1 / 5], [1 / 5, 1 / 6]], atol=1e-15)

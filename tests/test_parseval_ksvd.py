@@ -282,6 +282,24 @@ class TestUpdateAnalysis:
         scale = 1.0 + abs(lagrangian(data, codes, synth, new, state, cfg))
         assert np.linalg.norm(grad) <= 1e-5 * scale
 
+    def test_rank_deficient_synthesis(self):
+        # S S^T has a zero eigenvalue; its direction joins rho3's complement.
+        data, codes, synth, _, state, cfg = small_problem(3, n=3, m=5, n_cols=10)
+        synth[2] = synth[0] - 2.0 * synth[1]
+        new = update_analysis(data, codes, synth, state, cfg)
+        a1, b1, c1 = stated_analysis_system(data, codes, synth, state, cfg)
+        assert np.linalg.norm(new - solve_sylvester(a1, b1, c1)) <= 1e-8 * np.linalg.norm(new)
+
+    def test_penalty_ratio_far_above_residual_energies(self):
+        # rho2 / rho3 = 1e10: B1's eigenvalues rho2 lam + rho3 on the span
+        # of synth^T sit far above A1's, so rounding left on that span by
+        # the complement's part of C1 would fail the residual check.
+        data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(k=4, iters=2), dct_dictionary(16, 32))
+        synth, _, _, trace = pksvd_train(data, PkvConfig(rho1=1e3, rho2=1e10, rho3=1.0,
+                                                         max_iters=3), init)
+        assert len(trace) == 3 and np.isfinite(synth.mat).all()
+
 
 class TestUpdateSynthesis:
     def test_cross_solver_agreement(self):
@@ -320,6 +338,16 @@ class TestUpdateSynthesis:
         cfg = PkvConfig(rho2=1e-300, rho3=1e-300, max_iters=3)
         with pytest.raises(SingularMetric, match="M is numerically singular"):
             pksvd_train(data, cfg, init)
+
+    def test_ill_conditioned_code_gram_trains(self):
+        # By iteration 595 of this train the ridged code Gram has condition
+        # about 1.8e8. The solve's backward error stays near 1e-17, but the
+        # residual right-divided by G read 5.6e-6 there and failed it.
+        data = to_blocks(texture(0)[:64, :64], 4, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(k=4, iters=20), dct_dictionary(16, 32))
+        synth, _, _, trace = pksvd_train(data, PkvConfig(rho2=10.0, rho3=10.0,
+                                                         max_iters=600), init)
+        assert len(trace) == 600 and np.isfinite(synth.mat).all()
 
     def test_solves_stated_sylvester_system(self):
         data, codes, _, analysis, state, cfg = small_problem(6)

@@ -334,6 +334,18 @@ class TestOmpColumns:
             codes.append(omp(a, data, 64, 1e-12).tobytes())
         assert codes[1:] == codes[:1] * 4
 
+    def test_exact_ties_do_not_depend_on_lanes(self, monkeypatch):
+        # Transposed DCT atoms tie exactly in exact arithmetic on
+        # transpose-symmetric blocks. Their scores come from the residual's
+        # products, which round differently at one lane and in a batch of
+        # 16 or all 300; a plain argmax then picks by batch height.
+        a, data = kkt_system(np.random.default_rng(0), "dct-ties")
+        whole = omp(a, data, 4).tobytes()  # one batch of all 300 columns
+        per_lane = sparse_solvers._omp_lane_entries(*a.shape, 4)
+        for lanes in (1, 16):
+            monkeypatch.setattr(sparse_solvers, "_OMP_BATCH_ENTRIES", lanes * per_lane)
+            assert omp(a, data, 4).tobytes() == whole
+
     def test_full_scale_memory(self):
         a = dct_dictionary(64, 256).mat
         data = np.random.default_rng(13).standard_normal((64, 256))
