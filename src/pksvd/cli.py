@@ -397,9 +397,9 @@ def cmd_theory(args):
         rows.append(("-", "linearity_violation", float(report.violation)))
         print(f"sparse-producing dual ruled out: additivity violated by "
               f"{report.violation:.3f} (trial {report.trial})")
-    except theory_lab.NoViolationFound as exc:  # pragma: no cover
+    except theory_lab.NoViolationFound as exc:
         rows.append(("-", "linearity_violation", 0.0))
-        print(f"warning: {exc}")
+        print(f"warning: {exc}", file=sys.stderr)
 
     if args.out:
         formats.write_csv(("trial", "quantity", "value"), rows, args.out)

@@ -19,6 +19,7 @@ together with the constraint residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,25 +131,28 @@ def update_analysis(data, codes, synth, state, cfg):
     (an n x n ``eigh``), V1 = synth^T W diag(lam)^-1/2 has orthonormal
     columns, B1 has eigenvalue rho2 lam + rho3 on them and rho3 on their
     complement, and ``solve_sylvester_eig`` solves from that and the
-    eigendecomposition of the symmetric A1. Directions of synth synth^T
-    whose eigenvalue is at or below the rank floor of ``Dictionary``
-    (``frames._RANK_TOL`` times the largest) join the complement: there
-    lam carries an absolute rounding of about 1e-16 of the largest, which
-    1 / sqrt(lam) would blow up in V1, and rho2 lam is at most 1e-10 of
-    B1's largest eigenvalue. The residual of the stated system is checked
-    against max(1, ||C1||).
+    eigendecomposition of the symmetric A1. Directions whose lam is at or
+    below ``frames._RANK_TOL`` times the largest join the complement
+    (``Dictionary`` applies that tolerance to singular values, here it is
+    applied to their squares): there lam carries an absolute rounding of
+    about 1e-16 of the largest, which 1 / sqrt(lam) would blow up in V1,
+    and rho2 lam is at most 1e-10 of B1's largest eigenvalue. The solve is
+    checked by its backward error (``check_sylvester_residual``), with
+    ||B1|| from all n eigenvalues rho2 lam + rho3 and the m - n of rho3.
     """
+    n, m = synth.shape
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
     c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
     lam, w = np.linalg.eigh(synth @ synth.T)  # ascending: the floor cuts a prefix
+    b1_norm = math.hypot(*(cfg.rho2 * lam + cfg.rho3).tolist(), cfg.rho3 * math.sqrt(m - n))
     low = np.searchsorted(lam, _RANK_TOL * lam[-1], side="right")
     lam, w = lam[low:], w[:, low:]
     frame = (synth.T @ w) / np.sqrt(lam)
     analysis = solve_sylvester_eig(np.linalg.eigh(a1),
                                    (cfg.rho2 * lam + cfg.rho3, frame, cfg.rho3), c1)
     b1_term = cfg.rho2 * ((analysis @ synth.T) @ synth) + cfg.rho3 * analysis
-    check_sylvester_residual(a1 @ analysis + b1_term - c1, c1)
+    check_sylvester_residual(a1 @ analysis + b1_term - c1, c1, (a1, analysis), (analysis, b1_norm))
     return analysis
 
 
@@ -165,9 +169,8 @@ def update_synthesis(data, codes, analysis, state, cfg):
     term definite by itself, and an atom that no code uses leaves a zero
     row in G. The current synthesis matrix does not enter the condition.
     The solve is checked in the form it solved, by its normwise backward
-    error ||A1 synth G + synth M - K|| / (||A1|| ||synth|| ||G||
-    + ||synth|| ||M|| + ||K||) (``check_sylvester_residual``), so an
-    ill-conditioned G does not amplify the rounding of an accurate solve.
+    error (``check_sylvester_residual``), so an ill-conditioned G does not
+    amplify the rounding of an accurate solve.
     """
     m = analysis.shape[1]
     gram = codes @ codes.T

@@ -615,6 +615,17 @@ class TestTheory:
         assert "ruled out" in text
         assert out.exists()
 
+    def test_no_violation_warns_on_stderr(self, tmp_path, capsys):
+        # Seed 0's single trial stays additive (largest violation 2.7e-16),
+        # so the search finds no counterexample and the run records 0.
+        out = tmp_path / "theory.csv"
+        assert main(["theory", "--trials", "1", "--seed", "0", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "warning: no additivity violation above 1e-6 in 1 trials")
+        assert "warning" not in captured.out
+        assert "-,linearity_violation,0.0" in out.read_text().splitlines()
+
 
 class TestInputLimits:
     """Inputs at the edges of their range: a seed below 0, no trials, a

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pksvd.errors import BadShape, NearSingularSylvester, SingularMetric, TooLarge
 from pksvd.matrix_core import (
     SYLVESTER_MAX_UNKNOWNS,
+    _frobenius,
     check_sylvester_residual,
     generalized_eigh,
     kron,
@@ -140,14 +141,41 @@ class TestSolveSylvester:
         assert peak < 64 * 1024
 
 
+class TestFrobenius:
+    def test_plain_norm_is_numpys(self):
+        # Same sum in the same order as np.linalg.norm on a C-ordered array.
+        x = np.random.default_rng(3).standard_normal((16, 32))
+        assert _frobenius(x) == np.linalg.norm(x)
+        assert _frobenius(-2.5) == 2.5
+
+    def test_scaled_norm_of_huge_and_tiny_entries(self):
+        for value in (1e200, 1e-200):
+            assert np.isclose(_frobenius(np.full((4, 4), value)), 4.0 * value, rtol=1e-15)
+
+
 class TestCheckSylvesterResidual:
     def test_huge_entries_are_checked_without_overflow(self):
         # ||C||^2 overflows from about 1e154 per entry; the check still
         # tells a small relative residual from a large one.
+        # A beta + beta B = C with A = B = I and beta = C / 2.
         c = np.full((4, 4), 1e200)
-        check_sylvester_residual(1e-12 * c, c)
+        terms = (np.eye(4), 0.5 * c), (0.5 * c, np.eye(4))
+        check_sylvester_residual(1e-12 * c, c, *terms)
         with pytest.raises(NearSingularSylvester):
-            check_sylvester_residual(1e-6 * c, c)
+            check_sylvester_residual(1e-6 * c, c, *terms)
+
+    def test_zero_solution_of_a_tiny_system_fails(self, monkeypatch):
+        # ||C|| is 1.9e-12, so a bound of 1e-9 max(1, ||C||) would accept
+        # beta = 0, whose residual is C itself: its backward error is 1.
+        rng = np.random.default_rng(0)
+        a, b = random_spd(rng, 3), random_spd(rng, 4)
+        c = 1e-12 * rng.standard_normal((3, 4))
+        zero = np.zeros((3, 4))
+        with pytest.raises(NearSingularSylvester, match="solution residual"):
+            check_sylvester_residual(-c, c, (a, zero), (zero, b))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda op, rhs, rcond: (np.zeros_like(rhs),))
+        with pytest.raises(NearSingularSylvester, match="solution residual"):
+            solve_sylvester(a, b, c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_residual_fails(self, bad):

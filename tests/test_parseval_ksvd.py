@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,53 @@ class TestUpdateAnalysis:
         synth, _, _, trace = pksvd_train(data, PkvConfig(rho1=1e3, rho2=1e10, rho3=1.0,
                                                          max_iters=3), init)
         assert len(trace) == 3 and np.isfinite(synth.mat).all()
+
+    def test_accurate_ill_conditioned_solve_trains(self, monkeypatch):
+        # The third analysis solve has condition estimate 1.1e7, a residual
+        # of 6.1e-9 (rounding times the condition, above 1e-9 ||C1||) and
+        # a backward error of 1.3e-16; the vec-form reference agrees to 4.4e-10.
+        data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(k=4, iters=2), dct_dictionary(16, 32))
+        solves = []
+
+        def spy(*args):
+            solves.append((args, update_analysis(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(parseval_ksvd, "update_analysis", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, _, trace = pksvd_train(data, PkvConfig(rho1=1e-20, rho2=1e-3, rho3=1.0,
+                                                         max_iters=3), init)
+        assert len(trace) == len(solves) == 3
+        args, analysis = solves[-1]
+        assert rel_diff(analysis, solve_sylvester(*stated_analysis_system(*args))) <= 1e-8
+
+    def test_residual_check_states_the_solved_form(self, monkeypatch):
+        # A1 phi + phi B1 = C1, with ||B1|| from B1's spectrum (m - n = 2
+        # of its eigenvalues are rho3): the formed B1 has the same norm.
+        data, codes, synth, _, state, cfg = small_problem(6)
+        seen = []
+        monkeypatch.setattr(parseval_ksvd, "check_sylvester_residual",
+                            lambda residual, c, *terms: seen.append((c, terms)))
+        new = update_analysis(data, codes, synth, state, cfg)
+        a1, b1, c1 = stated_analysis_system(data, codes, synth, state, cfg)
+        [(c, ((a, left), (right, b1_norm)))] = seen
+        assert np.allclose(c, c1, rtol=1e-14, atol=0.0)
+        assert np.allclose(a, a1, rtol=1e-14, atol=0.0)
+        assert left is new and right is new
+        assert np.isclose(b1_norm, np.linalg.norm(b1), rtol=1e-14, atol=0.0)
+
+    def test_zero_solution_at_tiny_penalties_fails(self, monkeypatch):
+        # With zero multipliers C1 = (rho2 + rho3) synth, about 1e-19 here:
+        # a bound of 1e-9 max(1, ||C1||) would accept phi = 0.
+        data, codes, synth, _, _, _ = small_problem(5)
+        state = AdmmState.zeros(*synth.shape)
+        cfg = PkvConfig(rho2=1e-20, rho3=1e-20)
+        monkeypatch.setattr(parseval_ksvd, "solve_sylvester_eig",
+                            lambda a_eig, b_eig, k: np.zeros_like(k))
+        with pytest.raises(NearSingularSylvester, match="solution residual"):
+            update_analysis(data, codes, synth, state, cfg)
 
 
 class TestUpdateSynthesis:
