@@ -31,13 +31,8 @@ from .frames import (
     is_parseval,
     random_dual,
 )
-from .matrix_core import kron, pseudo_inverse, solve_sylvester
-from .sparse_solvers import (
-    ZERO_THRESHOLD,
-    bp_bruteforce_oracle,
-    bpdn,
-    omp,
-)
+from .matrix_core import pseudo_inverse, solve_sylvester
+from .sparse_solvers import ZERO_THRESHOLD, bpdn, omp
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import (
     AdmmState,
@@ -65,6 +60,7 @@ from .theory_lab import (
     CounterexampleReport,
     ProjectionResiduals,
     ProxyTrial,
+    bp_bruteforce_oracle,
     cosparsity_floor_check,
     nonexistence_search,
     projection_identity_check,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadShape, EmptyBlockMask
 from .frames import Dictionary
-from .imaging import BlockedImage, from_blocks, psnr, to_blocks
+from .imaging import BlockedImage, check_tiling, from_blocks, psnr, to_blocks
 from .matrix_core import as_matrix
 from .sparse_solvers import _support_slots, bpdn
 
@@ -77,8 +77,7 @@ def random_mask(dims, missing_fraction, seed, block_size=8) -> Mask:
     h, w = dims
     if not 0.0 <= missing_fraction <= 0.99:
         raise ValueError("missing fraction must be in [0, 0.99]")
-    if h % block_size or w % block_size:
-        raise BadShape(f"dims {dims} not divisible by block size {block_size}")
+    check_tiling(dims, block_size)
     b = block_size
     n_missing = int(round(missing_fraction * b * b))
     if n_missing == b * b:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import applications, formats, frames, imaging, parseval_ksvd, theory_lab
-from .errors import (ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
+from .errors import (BadShape, ConfigError, EmptyBlockMask, NearSingularSylvester, PksvdError,
                      RankDeficient, SingularCoefficientGram, SingularMetric)
 from .ksvd import KsvdConfig, ksvd_train
 from .parseval_ksvd import PkvConfig, pksvd_train, support_histogram
@@ -108,9 +108,13 @@ def _read_image(path, block_size):
     """The PGM image at ``path``; fails naming --block_size unless its
     blocks tile the image."""
     img = imaging.read_pgm(path)
-    h, w = img.shape
-    if h % block_size or w % block_size:
-        raise ConfigError(f"--block_size {block_size} does not divide the {h}x{w} image {path}")
+    try:
+        imaging.check_tiling(img.shape, block_size)
+    except BadShape:
+        h, w = img.shape
+        raise ConfigError(
+            f"--block_size {block_size} does not divide the {h}x{w} image {path}"
+        ) from None
     return img
 
 
@@ -235,13 +239,9 @@ def cmd_verify(args):
 
 def _load_pair(args):
     synth = formats.load_dictionary(args.dictionary)
-    if args.dual and os.path.realpath(args.dual) == os.path.realpath(args.dictionary):
-        analysis = synth  # a self-dual pair, read and checked once
-    elif args.dual:
-        analysis = formats.load_dictionary(args.dual)
-    else:
-        analysis = frames.canonical_dual(synth)
-    return synth, analysis
+    if args.dual:
+        return synth, formats.load_dictionary(args.dual)
+    return synth, frames.canonical_dual(synth)
 
 
 def cmd_reconstruct(args):

@@ -58,6 +58,14 @@ class BlockedImage:
         )
 
 
+def check_tiling(dims, block_size):
+    """Raise ``BadShape`` unless block_size x block_size blocks tile an
+    image of shape ``dims``."""
+    h, w = dims
+    if h % block_size or w % block_size:
+        raise BadShape(f"image {h}x{w} not divisible into {block_size}x{block_size} blocks")
+
+
 def to_blocks(img, block_size=DEFAULT_BLOCK, subtract_mean=False,
               mean_value=None) -> BlockedImage:
     """Partition an image into non-overlapping blocks.
@@ -67,10 +75,9 @@ def to_blocks(img, block_size=DEFAULT_BLOCK, subtract_mean=False,
     mean) is removed before blocking and recorded for reassembly.
     """
     img = as_matrix(img, "image")
+    check_tiling(img.shape, block_size)
     h, w = img.shape
     b = block_size
-    if h % b or w % b:
-        raise BadShape(f"image {h}x{w} not divisible into {b}x{b} blocks")
     removed = 0.0
     if subtract_mean:
         removed = float(img.mean()) if mean_value is None else float(mean_value)

@@ -1,10 +1,10 @@
 """Dense linear-algebra substrate.
 
-Factorization-backed pseudo-inverse, a hand-rolled Kronecker product, the
-eigenpairs of a symmetric-definite pencil, a symmetric Sylvester solver
-working from eigenpairs (the Parseval dictionary updates run on it), and
-a general Sylvester solver by vec/Kronecker least squares, the reference
-the eigen route is checked against.
+Factorization-backed pseudo-inverse, the eigenpairs of a
+symmetric-definite pencil, a symmetric Sylvester solver working from
+eigenpairs (the Parseval dictionary updates run on it), and a general
+Sylvester solver by vec/Kronecker least squares, the reference the eigen
+route is checked against.
 """
 
 from __future__ import annotations
@@ -47,20 +47,6 @@ def pseudo_inverse(mat):
     ``RCOND * sigma_max`` truncated."""
     m = as_matrix(mat)
     return np.linalg.pinv(m, rcond=RCOND)
-
-
-def kron(a, b):
-    """Kronecker product of two matrices.
-
-    Built from broadcasting rather than delegated, so the vec-form
-    Sylvester path below does not share code with any library solver.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = a[:, np.newaxis, :, np.newaxis] * b[np.newaxis, :, np.newaxis, :]
-    return out.reshape(ra * rb, ca * cb)
 
 
 def _spectral_condition(eva, evb):
@@ -214,7 +200,7 @@ def solve_sylvester(a, b, c):
                        f"got {n}*{m}")
 
     _check_condition(_sylvester_condition_estimate(a, b))
-    op = kron(np.eye(m), a) + kron(b.T, np.eye(n))
+    op = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
     sol, *_ = np.linalg.lstsq(op, c.reshape(-1, order="F"), rcond=None)
     beta = sol.reshape((n, m), order="F")
     check_sylvester_residual(a @ beta + beta @ b - c, c, (a, beta), (beta, b))

@@ -7,24 +7,17 @@
   a descending grid, down to basis pursuit at eps = 0. Denoising runs it
   on the n x m system R S from the thin QR A^T = QR of its analysis
   operator, inpainting on per-block row subsets of the dictionary.
-* ``bp_bruteforce_oracle`` — exact LP optimum by basic-solution enumeration,
-  kept fully independent of the homotopy code path.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
-from .errors import SingularCoefficientGram, SolverDidNotConverge, TooLarge
-from .frames import Dictionary
+from .errors import SingularCoefficientGram, SolverDidNotConverge
 from .matrix_core import as_matrix
 
 # Entries with absolute value at or below this are counted as zero.
 ZERO_THRESHOLD = 1e-6
-
-_ORACLE_MAX_ATOMS = 12
 
 
 def _omp_lane_entries(n, m, k):
@@ -582,47 +575,3 @@ class _LaneFactors:
         self.z[lanes] = z
         self.d_s[lanes] = (z[:, None, :] @ factor)[:, 0]
         self.size[lanes] = last
-
-
-def bp_bruteforce_oracle(d: Dictionary, x):
-    """Exact l1-synthesis optimum by enumerating basic feasible solutions.
-
-    Works on the split LP min 1.v s.t. [A | -A] v = x, v >= 0: every
-    vertex is supported on n linearly independent columns, so checking
-    all n-subsets of the 2m split columns finds the optimum. Limited to
-    m <= 12 atoms. Returns the m-vector of codes.
-    """
-    if d.m > _ORACLE_MAX_ATOMS:
-        raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}, got m={d.m}")
-    a = d.mat
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != d.n:
-        raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
-    n, m = a.shape
-    split = np.hstack([a, -a])
-
-    best_u = None
-    best_obj = np.inf
-    if np.linalg.norm(x) == 0.0:
-        return np.zeros(m)
-    for cols in combinations(range(2 * m), n):
-        basis = split[:, cols]
-        sv = np.linalg.svd(basis, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-            continue
-        v = np.linalg.solve(basis, x)
-        if np.any(v < -1e-10):
-            continue
-        obj = float(np.abs(v).sum())
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            u = np.zeros(m)
-            for ci, vi in zip(cols, v):
-                if ci < m:
-                    u[ci] += vi
-                else:
-                    u[ci - m] -= vi
-            best_u = u
-    if best_u is None:
-        raise ValueError("no feasible basic solution found; is the frame full rank?")
-    return best_u

@@ -1,6 +1,7 @@
 """Executable checks of the frame-theory claims behind the trainer.
 
-Exhaustive spark, the co-sparsity floor of analysis coefficients, the
+Exhaustive spark, the exact l1-synthesis code by enumeration of atom
+bases, the co-sparsity floor of analysis coefficients, the
 optimal-proxy comparison between the canonical dual and sampled duals,
 a linearity-violation search certifying that no universal sparse-producing
 dual exists, and the projection identity of the canonical kernel.
@@ -16,9 +17,17 @@ import numpy as np
 from .errors import NoViolationFound, NotGeneralPosition, TooLarge
 from .frames import Dictionary, canonical_dual, random_dual
 from .matrix_core import pseudo_inverse
-from .sparse_solvers import ZERO_THRESHOLD, bp_bruteforce_oracle
+from .sparse_solvers import ZERO_THRESHOLD
 
 _SPARK_MAX_ATOMS = 14
+_ORACLE_MAX_ATOMS = 12
+
+
+def _dependent(cols):
+    """True when the columns of ``cols`` are numerically dependent: the
+    smallest singular value is at most 1e-10 of max(sigma_max, 1)."""
+    sv = np.linalg.svd(cols, compute_uv=False)
+    return sv[-1] <= 1e-10 * max(sv[0], 1.0)
 
 
 def spark(d: Dictionary) -> int:
@@ -34,10 +43,41 @@ def spark(d: Dictionary) -> int:
     # to min(m, n) need a rank test.
     for size in range(1, min(d.m, d.n) + 1):
         for cols in combinations(range(d.m), size):
-            sv = np.linalg.svd(a[:, cols], compute_uv=False)
-            if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+            if _dependent(a[:, cols]):
                 return size
     return min(d.m, d.n) + 1
+
+
+def bp_bruteforce_oracle(d: Dictionary, x):
+    """Exact l1-synthesis optimum, min ||u||_1 s.t. D u = x, by enumeration.
+
+    Basis pursuit is a linear program whose optimum sits at a basis of n
+    independent atoms (Chen, Donoho & Saunders 1998), so solving
+    D_S u = x on every such n-subset S and keeping the least l1 finds it;
+    of codes tied within 1e-15, the first subset in lexicographic order
+    wins. Limited to m <= 12 atoms. Returns the m-vector of codes.
+    """
+    if d.m > _ORACLE_MAX_ATOMS:
+        raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}, got m={d.m}")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != d.n:
+        raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
+    best_u = None
+    best_obj = np.inf
+    for cols in combinations(range(d.m), d.n):
+        basis = d.mat[:, cols]
+        if _dependent(basis):
+            continue
+        v = np.linalg.solve(basis, x)
+        obj = float(np.abs(v).sum())
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_u = np.zeros(d.m)
+            best_u[list(cols)] = v
+    if best_u is None:
+        raise ValueError("no n atoms form an independent basis: every n-subset has "
+                         "sigma_min <= 1e-10 * max(sigma_max, 1)")
+    return best_u
 
 
 def _assert_general_position(d: Dictionary):

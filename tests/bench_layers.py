@@ -77,6 +77,10 @@ Times ``applications.compress_rd`` alone on the ``recover-desk`` compress:
 4x4 blocks of the 64x64 crop, the self-dual pair, and the CLI's 9-step
 quantizer grid.
 
+Times the exact l1 oracle ``theory_lab.bp_bruteforce_oracle``, which
+solves every n-subset of atoms, on a seeded Gaussian frame and signal at
+3x6 (20 bases) and at its 4x12 limit (495 bases).
+
 The file name does not match ``test_*.py``, so a plain ``pytest`` run
 skips it. Run it by name, with one BLAS thread:
 
@@ -113,6 +117,7 @@ from pksvd.sparse_solvers import (
     bpdn,
     omp,
 )
+from pksvd.theory_lab import bp_bruteforce_oracle
 
 SHAPES = {
     # name: (block size, crop side, m, k)
@@ -285,3 +290,13 @@ def test_compress_rd(benchmark):
     steps = [float(tok) for tok in COMPRESS_STEP_GRID.split(",")]
     points = benchmark(compress_rd, blocked, pair, pair, steps)
     assert len(points) == len(steps)
+
+
+@pytest.mark.parametrize("n,m", [(3, 6), (4, 12)])
+def test_bp_bruteforce_oracle(benchmark, n, m):
+    rng = np.random.default_rng(0)
+    frame = Dictionary(rng.standard_normal((n, m)))
+    x = rng.standard_normal(n)
+    codes = benchmark(bp_bruteforce_oracle, frame, x)
+    assert np.count_nonzero(codes) <= n
+    assert np.allclose(frame.mat @ codes, x, atol=1e-12)

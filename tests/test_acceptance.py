@@ -22,7 +22,6 @@ from pksvd.errors import NoViolationFound
 from pksvd.frames import Dictionary, canonical_dual, frame_bounds, random_dual
 from pksvd.imaging import from_blocks, psnr, to_blocks, write_pgm
 from pksvd.matrix_core import pseudo_inverse, solve_sylvester, solve_sylvester_eig
-from pksvd.sparse_solvers import bp_bruteforce_oracle
 from pksvd.theory_lab import (
     cosparsity_floor_check,
     nonexistence_search,

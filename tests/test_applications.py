@@ -17,7 +17,8 @@ from pksvd.applications import (
 from pksvd.errors import BadShape, EmptyBlockMask
 from pksvd.frames import Dictionary, canonical_dual
 from pksvd.imaging import from_blocks, psnr, to_blocks
-from pksvd.sparse_solvers import bp_bruteforce_oracle, bpdn
+from pksvd.sparse_solvers import bpdn
+from pksvd.theory_lab import bp_bruteforce_oracle
 
 
 def identity_dict(n):
@@ -110,6 +111,14 @@ class TestRandomMask:
         with pytest.raises(ValueError):
             random_mask((8, 8), 1.0, seed=0, block_size=4)
 
+    def test_blocks_must_tile_the_image(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("random generator created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(BadShape, match="image 8x12 not divisible into 8x8 blocks"):
+            random_mask((8, 12), 0.5, seed=0, block_size=8)
+
     def test_fraction_that_empties_every_block_fails_before_the_draw(self, monkeypatch):
         def no_draw(seed):
             raise AssertionError("random generator created")
@@ -122,6 +131,11 @@ class TestRandomMask:
     def test_all_missing_mask_rejected(self):
         with pytest.raises(BadShape):
             Mask(np.zeros((4, 4), dtype=bool))
+
+    @pytest.mark.parametrize("observed", [np.ones(4, dtype=bool), np.ones((0, 4), dtype=bool)])
+    def test_mask_must_be_a_non_empty_image(self, observed):
+        with pytest.raises(BadShape, match="mask must be a non-empty 2-D boolean array"):
+            Mask(observed)
 
 
 class TestDenoise:
@@ -266,6 +280,12 @@ class TestFeasibilityAfterOneIteration:
 
 
 class TestInpaint:
+    def test_mask_must_match_the_image(self):
+        blocked = to_blocks(np.ones((8, 8)), 2)
+        mask = random_mask((8, 4), 0.0, seed=0, block_size=2)
+        with pytest.raises(BadShape, match="mask dimensions do not match the blocked image"):
+            inpaint(blocked, mask, identity_dict(4), eps=1e-4)
+
     def test_all_observed_identity(self):
         rng = np.random.default_rng(8)
         img = rng.uniform(50, 200, (8, 8))

@@ -552,21 +552,6 @@ class TestOneCommandParser:
         assert capsys.readouterr().err.endswith(f"pksvd: error: {message}\n")
 
 
-class TestSelfDualPair:
-    def test_pair_loaded_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "pair.pk"
-        save_dictionary(Dictionary(np.eye(4)), path)
-        loads = []
-        load = cli.formats.load_dictionary
-        monkeypatch.setattr(cli.formats, "load_dictionary",
-                            lambda p: loads.append(p) or load(p))
-        args = argparse.Namespace(dictionary=str(path),
-                                  dual=os.path.join(str(tmp_path), ".", "pair.pk"))
-        synth, analysis = cli._load_pair(args)
-        assert analysis is synth
-        assert loads == [str(path)]
-
-
 class TestCanonicalDualFallback:
     """Without --dual, reconstruct, denoise and compress use the canonical
     dual of the dictionary."""
@@ -632,8 +617,8 @@ class TestInputLimits:
     step so fine that the quantized magnitudes leave int64, a radius
     whose square overflows, a noise level whose restoration's SSIM terms
     would overflow, a penalty above the cap, huge penalties under it, a
-    rho2 too large against rho3, and Parseval-only outputs asked of a K-SVD
-    train. A failure exits 1 naming
+    rho2 too large against rho3, Parseval-only outputs asked of a K-SVD
+    train, and fewer training blocks than atoms. A failure exits 1 naming
     the input, prints no warning and writes nothing; a success prints no
     warning and writes finite outputs."""
 
@@ -707,12 +692,15 @@ class TestInputLimits:
         (["compress", "{image}", "--dict", "{eye}", "--block_size", "3",
           "--out-prefix", "{out}/rd"],
          "--block_size 3 does not divide the 8x8 image {image}"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--block_size", "2", "--m", "17", "--k", "1"],
+         "16 training blocks < m=17; provide more data"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
             "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks",
             "inpaint-fraction-range", "inpaint-block-size", "denoise-block-size",
-            "compress-block-size"])
+            "compress-block-size", "train-too-few-blocks"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]

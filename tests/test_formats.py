@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,15 @@ class TestDictionaryFormat:
         blob = path.read_bytes()
         assert blob.startswith(DICT_MAGIC + b"2 2\n")
         assert len(blob) == len(DICT_MAGIC) + 4 + 4 * 8
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            save_dictionary(Dictionary(np.eye(2)), tmp_path / "d.pk")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pk"

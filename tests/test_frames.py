@@ -226,3 +226,7 @@ class TestAtomDistanceHistogram:
             atom_distance_histogram(
                 Dictionary(2 * np.eye(2)), Dictionary(np.eye(2)), bins=4
             )
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(BadShape, match="dimension mismatch: 2 vs 3"):
+            atom_distance_histogram(Dictionary(np.eye(2)), Dictionary(np.eye(3)), bins=4)

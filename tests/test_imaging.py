@@ -55,7 +55,7 @@ class TestBlocks:
         assert blk.removed_mean == 4.0
 
     def test_indivisible_rejected(self):
-        with pytest.raises(BadShape):
+        with pytest.raises(BadShape, match="image 10x8 not divisible into 4x4 blocks"):
             to_blocks(np.zeros((10, 8)), 4)
 
     def test_block_count_invariant(self):
@@ -127,6 +127,10 @@ class TestSsim:
     def test_too_small_rejected(self):
         with pytest.raises(BadShape):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(BadShape, match=r"shape mismatch \(8, 8\) vs \(8, 9\)"):
+            ssim(np.zeros((8, 8)), np.zeros((8, 9)))
 
     def test_range(self):
         rng = np.random.default_rng(5)

@@ -277,6 +277,11 @@ class TestKsvdTrain:
         with pytest.raises(ValueError, match=r"init must have 4 rows, got \(5, 8\)"):
             ksvd_train(data, KsvdConfig(k=2, iters=1), init)
 
+    @pytest.mark.parametrize("k,iters", [(0, 1), (1, -1)])
+    def test_config_rejects_bad_counts(self, k, iters):
+        with pytest.raises(ValueError, match="k must be >= 1 and iters >= 0"):
+            KsvdConfig(k=k, iters=iters)
+
     def test_budget_cannot_exceed_dimension(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((4, 10))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from pksvd.matrix_core import (
     _frobenius,
     check_sylvester_residual,
     generalized_eigh,
-    kron,
     pseudo_inverse,
     solve_sylvester,
     solve_sylvester_eig,
@@ -59,38 +59,11 @@ class TestPseudoInverse:
         with pytest.raises(BadShape):
             pseudo_inverse(np.array([[np.nan, 1.0]]))
 
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_expansion(self):
-        got = kron(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert np.array_equal(got, np.array([[3.0, 6.0], [4.0, 8.0]]))
-
-    def test_vec_identity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            a = rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2))
-            beta = rng.standard_normal((2, 2))
-            lhs = kron(a, b) @ beta.reshape(-1, order="F")
-            rhs = (b @ beta @ a.T).reshape(-1, order="F")
-            assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(3)
-        a, c = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
-        b, d = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
-        assert np.allclose(
-            kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
-        )
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((2, 5))
-        assert np.allclose(kron(a, b), np.kron(a, b), atol=1e-14)
+    @pytest.mark.parametrize("mat", [np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))])
+    def test_rejects_non_matrix(self, mat):
+        with pytest.raises(BadShape, match=re.escape(f"matrix must be 2-D and non-empty, "
+                                                     f"got shape {mat.shape}")):
+            pseudo_inverse(mat)
 
 
 class TestSolveSylvester:
@@ -125,6 +98,11 @@ class TestSolveSylvester:
     def test_shape_validation(self):
         with pytest.raises(BadShape):
             solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("a,b", [(np.ones((2, 3)), np.eye(2)), (np.eye(2), np.ones((3, 2)))])
+    def test_non_square_coefficients_rejected(self, a, b):
+        with pytest.raises(BadShape, match="A and B must be square"):
+            solve_sylvester(a, b, np.ones((2, 3)))
 
     @pytest.mark.parametrize("n,m", [(33, 32), (32, 33)])
     def test_too_large_fails_before_allocating(self, n, m):

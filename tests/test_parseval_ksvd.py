@@ -262,6 +262,10 @@ class TestPkvConfig:
         with pytest.raises(ValueError, match=f"penalty {name} must be finite"):
             PkvConfig(**{name: value})
 
+    def test_max_iters_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            PkvConfig(max_iters=0)
+
     def test_defaults_accepted(self):
         cfg = PkvConfig()
         assert (cfg.rho1, cfg.rho2, cfg.rho3) == (0.1, 1e11, 1e11)
@@ -644,6 +648,11 @@ def count_slot_builds(monkeypatch):
 
 
 class TestPksvdTrain:
+    def test_codes_must_match_dictionary_and_data(self):
+        data, codes, synth, _, _, cfg = small_problem(0)
+        with pytest.raises(ValueError, match=r"codes must be 6x12, got \(6, 11\)"):
+            pksvd_train(data, cfg, (Dictionary(synth), codes[:, :11]))
+
     def test_fixed_supports_build_slots_once(self, monkeypatch):
         data, codes, synth, _, _, _ = small_problem(1)
         cfg = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=6)

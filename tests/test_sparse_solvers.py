@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -11,17 +12,17 @@ from workloads import self_dual_pair
 
 from pksvd import sparse_solvers
 from pksvd.applications import Mask, _observed_systems, add_gaussian_noise, inpaint, random_mask
-from pksvd.errors import SingularCoefficientGram, SolverDidNotConverge, TooLarge
+from pksvd.errors import SingularCoefficientGram, SolverDidNotConverge
 from pksvd.frames import Dictionary, canonical_dual, dct_dictionary
 from pksvd.imaging import to_blocks
 from pksvd.sparse_solvers import (
     ZERO_THRESHOLD,
     _refit_supports,
     _support_slots,
-    bp_bruteforce_oracle,
     bpdn,
     omp,
 )
+from pksvd.theory_lab import bp_bruteforce_oracle
 
 
 def random_frame(rng, n, m):
@@ -201,6 +202,12 @@ class TestOmp:
     def test_budget_outside_zero_to_n_rejected(self, k):
         with pytest.raises(ValueError, match=f"budget k={k} must be in \\[0, n=3\\]"):
             omp(np.eye(3), np.ones((3, 2)), k)
+
+    @pytest.mark.parametrize("data", [np.ones(3), np.ones((2, 4))])
+    def test_data_must_be_columns_of_dictionary_height(self, data):
+        with pytest.raises(ValueError, match=re.escape(f"data shape {data.shape} does not "
+                                                       "match (3, 3)")):
+            omp(np.eye(3), data, 1)
 
     def test_zero_budget_gives_zero_codes(self):
         assert not omp(np.eye(3), np.ones((3, 2)), 0).any()
@@ -476,28 +483,6 @@ class TestRefitSupports:
         gram = dict_mat.T @ dict_mat
         with pytest.raises(SingularCoefficientGram, match="code column 5 is singular"):
             _refit_supports(gram, dict_mat.T @ data, codes)
-
-
-class TestBruteforceOracle:
-    def test_identity(self):
-        u = bp_bruteforce_oracle(Dictionary(np.eye(2)), np.array([1.0, 1.0]))
-        assert np.allclose(u, [1.0, 1.0], atol=1e-12)
-        assert l1(u) == pytest.approx(2.0)
-
-    def test_prefers_shared_atom(self):
-        mat = np.hstack([np.eye(2), np.array([[1.0], [1.0]]) / np.sqrt(2)])
-        u = bp_bruteforce_oracle(Dictionary(mat), np.array([1.0, 1.0]))
-        assert np.allclose(u, [0.0, 0.0, np.sqrt(2)], atol=1e-12)
-        assert l1(u) == pytest.approx(np.sqrt(2))
-
-    def test_zero_signal(self):
-        u = bp_bruteforce_oracle(Dictionary(np.eye(3)), np.zeros(3))
-        assert np.array_equal(u, np.zeros(3))
-
-    def test_too_large(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(TooLarge):
-            bp_bruteforce_oracle(random_frame(rng, 3, 13), np.ones(3))
 
 
 class TestBasisPursuit:
@@ -893,3 +878,14 @@ class TestBpdnColumns:
     def test_rejects_bad_grid(self, radii):
         with pytest.raises(ValueError):
             bpdn(np.eye(2), np.ones((2, 1)), radii)
+
+    @pytest.mark.parametrize("system,data", [
+        (np.eye(2), np.ones((3, 1))),        # rows differ from the data's
+        (np.ones((3, 2, 2)), np.ones((2, 1))),  # one stacked system per column
+        (np.ones(2), np.ones((2, 1))),       # neither one system nor a stack
+        (np.eye(2), np.ones(2)),             # data not a matrix of columns
+    ])
+    def test_rejects_mismatched_system(self, system, data):
+        with pytest.raises(ValueError, match=re.escape(f"system shape {system.shape} does "
+                                                       f"not match data {data.shape}")):
+            bpdn(system, data, [0.0])

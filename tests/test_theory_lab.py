@@ -1,14 +1,19 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from pksvd.errors import NoViolationFound, NotGeneralPosition, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, random_dual
 from pksvd.theory_lab import (
+    ProxyTrial,
+    bp_bruteforce_oracle,
     cosparsity_floor_check,
     min_norm_codes,
     nonexistence_search,
     projection_identity_check,
     proxy_trial,
+    random_general_position_frame,
     spark,
 )
 
@@ -39,6 +44,89 @@ class TestSpark:
         rng = np.random.default_rng(0)
         with pytest.raises(TooLarge):
             spark(Dictionary(rng.standard_normal((3, 15))))
+
+
+def split_lp_oracle(d, x):
+    """Reference l1 optimum from the split LP min 1.v s.t. [D | -D] v = x,
+    v >= 0: every vertex is supported on n independent split columns, so
+    the best of all n-subsets of the 2m columns is the optimum."""
+    a = d.mat
+    n, m = a.shape
+    split = np.hstack([a, -a])
+    best_u = None
+    best_obj = np.inf
+    for cols in combinations(range(2 * m), n):
+        basis = split[:, cols]
+        sv = np.linalg.svd(basis, compute_uv=False)
+        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+            continue
+        v = np.linalg.solve(basis, x)
+        if np.any(v < -1e-10):
+            continue
+        obj = float(np.abs(v).sum())
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            u = np.zeros(m)
+            for ci, vi in zip(cols, v):
+                if ci < m:
+                    u[ci] += vi
+                else:
+                    u[ci - m] -= vi
+            best_u = u
+    return best_u
+
+
+def l1(u):
+    return float(np.abs(u).sum())
+
+
+class TestBruteforceOracle:
+    def test_identity(self):
+        u = bp_bruteforce_oracle(Dictionary(np.eye(2)), np.array([1.0, 1.0]))
+        assert np.allclose(u, [1.0, 1.0], atol=1e-12)
+        assert l1(u) == pytest.approx(2.0)
+
+    def test_prefers_shared_atom(self):
+        mat = np.hstack([np.eye(2), np.array([[1.0], [1.0]]) / np.sqrt(2)])
+        u = bp_bruteforce_oracle(Dictionary(mat), np.array([1.0, 1.0]))
+        assert np.allclose(u, [0.0, 0.0, np.sqrt(2)], atol=1e-12)
+        assert l1(u) == pytest.approx(np.sqrt(2))
+
+    def test_zero_signal(self):
+        u = bp_bruteforce_oracle(Dictionary(np.eye(3)), np.zeros(3))
+        assert np.array_equal(u, np.zeros(3))
+
+    def test_too_large(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(TooLarge, match="oracle limited to m <= 12, got m=13"):
+            bp_bruteforce_oracle(Dictionary(rng.standard_normal((3, 13))), np.ones(3))
+
+    def test_signal_length_mismatch(self):
+        with pytest.raises(ValueError, match="signal length 2 does not match dictionary rows 3"):
+            bp_bruteforce_oracle(Dictionary(np.eye(3)), np.ones(2))
+
+    def test_no_independent_basis(self):
+        # A frame by Dictionary's relative floor (1e-12 > 1e-10 * 1e-3),
+        # but its only basis fails the subset test, whose floor is
+        # 1e-10 * max(sigma_max, 1).
+        d = Dictionary(np.diag([1e-3, 1e-12]))
+        with pytest.raises(ValueError, match="no n atoms form an independent basis"):
+            bp_bruteforce_oracle(d, np.ones(2))
+
+    def test_matches_split_lp_reference(self):
+        # 100 seeded frames from 2x3 to 4x12: the atom bases give the
+        # split LP's codes and l1 to rounding.
+        cases = [(n, m, seed) for n, m in ((2, 3), (2, 5), (2, 8), (3, 4), (3, 6),
+                                          (3, 9), (4, 5), (4, 8))
+                 for seed in range(12)] + [(4, 12, seed) for seed in range(4)]
+        for n, m, seed in cases:
+            rng = np.random.default_rng([n, m, seed])
+            d = Dictionary(rng.standard_normal((n, m)))
+            x = rng.standard_normal(n)
+            got = bp_bruteforce_oracle(d, x)
+            ref = split_lp_oracle(d, x)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (n, m, seed)
+            assert l1(got) == pytest.approx(l1(ref), rel=1e-12, abs=0), (n, m, seed)
 
 
 class TestCosparsityFloor:
@@ -140,11 +228,18 @@ class TestProxyTrial:
         with pytest.raises(TooLarge):
             proxy_trial(d, np.ones(3), 1, 0)
 
+    @pytest.mark.parametrize("label", ["l1", "l2"])
+    def test_codes_that_miss_the_signal_rejected(self, label):
+        d = Dictionary(np.eye(2))
+        x = np.array([1.0, 2.0])
+        codes = {"l1": x, "l2": x}
+        codes[label] = x + 1e-6
+        with pytest.raises(ValueError, match=f"{label} codes do not synthesize the signal"):
+            ProxyTrial(d, x, codes["l1"], codes["l2"], 0.0, [])
+
 
 class TestNonexistenceSearch:
     def test_hand_built_frame_violation(self):
-        from pksvd.sparse_solvers import bp_bruteforce_oracle
-
         mat = np.hstack([np.eye(2), np.array([[1.0], [1.0]]) / np.sqrt(2)])
         d = Dictionary(mat)
         u1 = bp_bruteforce_oracle(d, np.array([1.0, 0.0]))
@@ -167,6 +262,20 @@ class TestNonexistenceSearch:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             nonexistence_search(3, 11, trials=1, seed=0)
+
+    def test_undercomplete_rejected(self):
+        with pytest.raises(ValueError, match="need m >= n"):
+            nonexistence_search(3, 2, trials=1, seed=0)
+
+    def test_sampler_without_general_position_gives_up(self):
+        class DuplicateColumns:
+            """Draws a frame whose first and last atoms coincide."""
+
+            def standard_normal(self, shape):
+                return np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+        with pytest.raises(NotGeneralPosition, match="could not sample a general-position frame"):
+            random_general_position_frame(2, 3, DuplicateColumns())
 
 
 class TestProjectionIdentity:
