@@ -63,18 +63,13 @@ class FrameBounds:
         return self.upper / self.lower
 
 
-def gram_operator(d: Dictionary):
-    """Frame operator mat @ mat.T (n x n, symmetric positive definite)."""
-    return d.mat @ d.mat.T
-
-
 def frame_bounds(d: Dictionary) -> FrameBounds:
     """Extreme eigenvalues of the frame operator.
 
     Raises ``RankDeficient`` when the smallest eigenvalue is numerically
     zero relative to the largest (the columns do not span the space).
     """
-    eig = np.linalg.eigvalsh(gram_operator(d))
+    eig = np.linalg.eigvalsh(d.mat @ d.mat.T)
     lo, hi = float(eig[0]), float(eig[-1])
     if lo <= 1e-12 * hi:
         raise RankDeficient(f"lowest frame-operator eigenvalue {lo:.3e} is numerically zero")
@@ -89,7 +84,7 @@ def canonical_dual(d: Dictionary) -> Dictionary:
     under the same rule as ``frame_bounds``.
     """
     frame_bounds(d)
-    return Dictionary(np.linalg.solve(gram_operator(d), d.mat))
+    return Dictionary(np.linalg.solve(d.mat @ d.mat.T, d.mat))
 
 
 def random_dual(d: Dictionary, seed: int) -> Dictionary:
@@ -112,7 +107,7 @@ def random_dual(d: Dictionary, seed: int) -> Dictionary:
 def is_parseval(d: Dictionary, tol: float) -> bool:
     """True iff || mat @ mat.T - I ||_F <= tol."""
     n = d.n
-    return bool(np.linalg.norm(gram_operator(d) - np.eye(n)) <= tol)
+    return bool(np.linalg.norm(d.mat @ d.mat.T - np.eye(n)) <= tol)
 
 
 def dct_dictionary(n: int, m: int) -> Dictionary:

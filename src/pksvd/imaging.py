@@ -112,17 +112,17 @@ def psnr(a, b):
 
 
 def _window_means(img, size):
-    """Means of all size x size windows (stride 1, fully inside)."""
-    csum = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    padded = np.zeros((img.shape[0] + 1, img.shape[1] + 1))
-    padded[1:, 1:] = csum
-    s = (
-        padded[size:, size:]
-        - padded[:-size, size:]
-        - padded[size:, :-size]
-        + padded[:-size, :-size]
-    )
-    return s / (size * size)
+    """Means of all size x size windows (stride 1, fully inside): the sums
+    of ``size`` shifted row slices, then of ``size`` shifted column slices."""
+    rows = img.shape[0] - size + 1
+    cols = img.shape[1] - size + 1
+    col_sums = img[:rows].copy()
+    for i in range(1, size):
+        col_sums += img[i:i + rows]
+    sums = col_sums[:, :cols].copy()
+    for j in range(1, size):
+        sums += col_sums[:, j:j + cols]
+    return sums / (size * size)
 
 
 def ssim(a, b):
@@ -143,15 +143,17 @@ def ssim(a, b):
     if peak > _SSIM_MAX_ABS:
         raise BadShape(f"a pixel of magnitude {peak:g} exceeds {_SSIM_MAX_ABS:g}; "
                        "the SSIM terms would overflow")
-    mu_a = _window_means(a, _SSIM_WINDOW)
-    mu_b = _window_means(b, _SSIM_WINDOW)
     # The variances and the covariance do not change under a shift of
     # either image; from mean-centred copies, E[x^2] - E[x]^2 does not
-    # cancel when the pixels share a large offset.
-    a = a - a.mean()
-    b = b - b.mean()
+    # cancel when the pixels share a large offset. The raw window means
+    # are the centred ones plus the image mean.
+    mean_a, mean_b = a.mean(), b.mean()
+    a = a - mean_a
+    b = b - mean_b
     mc_a = _window_means(a, _SSIM_WINDOW)
     mc_b = _window_means(b, _SSIM_WINDOW)
+    mu_a = mc_a + mean_a
+    mu_b = mc_b + mean_b
     var_a = _window_means(a * a, _SSIM_WINDOW) - mc_a * mc_a
     var_b = _window_means(b * b, _SSIM_WINDOW) - mc_b * mc_b
     cov = _window_means(a * b, _SSIM_WINDOW) - mc_a * mc_b

@@ -11,10 +11,10 @@ the weighted objective
 
 solved by the batched support refit that K-SVD uses: the support systems
 are gathered from the weighted Gram padded with an identity block. The
-supports never grow, so the trainer builds their slots at the first
-refresh and keeps them, and builds them again only after a refresh has
-zeroed an entry. The objective is traced once per outer iteration
-together with the constraint residuals.
+supports are the exact nonzeros of the K-SVD start, as in K-SVD's own
+refit, and they hold for the whole run: the trainer builds their slots
+once. The objective is traced once per outer iteration together with the
+constraint residuals.
 """
 
 from __future__ import annotations
@@ -218,22 +218,17 @@ def update_codes(data, codes, synth, analysis, cfg, slots=None):
     analysis^T and H = synth^T W synth, column j solves
     H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``, which
     gathers the systems from H padded with an identity block).
-    The supports are the entries above the zero threshold; ``slots``, the
+    The supports are the nonzero entries of ``codes``; ``slots``, the
     padded support slots of ``_support_slots``, gives them when the caller
-    kept them from an earlier refresh, and they are built here otherwise.
-    Entries at or below the zero threshold after the solve are zeroed, so
-    supports never grow. An atom whose weighted norm is zero keeps its
-    codes.
+    kept them from an earlier refresh. The refresh minimizes the objective
+    exactly on these supports, and an entry off a support stays 0. An atom
+    whose weighted norm is zero keeps its codes.
     """
     kernel = analysis.T @ synth
     hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
     target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
     del kernel
-    if slots is None:
-        slots = _support_slots(np.abs(codes) > ZERO_THRESHOLD)
-    codes = _refit_supports(hess, target, codes, slots)
-    codes[np.abs(codes) <= ZERO_THRESHOLD] = 0.0
-    return codes
+    return _refit_supports(hess, target, codes, slots)
 
 
 def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
@@ -245,11 +240,9 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
     every primal update: three entries per iteration, labeled "analysis",
     "synthesis" and "codes".
 
-    The support slots of the code refresh (``_support_slots``) are built
-    at the first refresh and kept from one refresh to the next. Supports
-    never grow, so a refresh that leaves as many entries above the zero
-    threshold as its slots hold leaves the support pattern unchanged; the
-    slots are built again only after a refresh has zeroed an entry.
+    The code supports are the nonzero entries of the initial codes, as in
+    K-SVD's refit, and hold for the whole run: their slots
+    (``_support_slots``) are built once, before the loop.
 
     An error that an update raises carries the update's label, as above,
     in its ``update`` attribute.
@@ -264,7 +257,7 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
 
     state = AdmmState.zeros(n, m)
     trace = ConvergenceTrace()
-    slots, held = None, 0
+    slots = _support_slots(codes != 0)
 
     def log_update(label):
         if track_updates:
@@ -278,12 +271,7 @@ def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):
         synth = _labelled("synthesis", update_synthesis, data, codes, analysis, state, cfg)
         log_update("synthesis")
         state = update_multipliers(synth, analysis, state, cfg)
-        if slots is None:
-            present = np.abs(codes) > ZERO_THRESHOLD
-            slots, held = _support_slots(present), np.count_nonzero(present)
         codes = _labelled("codes", update_codes, data, codes, synth, analysis, cfg, slots)
-        if np.count_nonzero(codes) < held:
-            slots = None
         log_update("codes")
         trace.record(
             synth, analysis, objective_value(data, codes, synth, analysis, cfg.rho1)

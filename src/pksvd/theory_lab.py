@@ -81,9 +81,10 @@ def bp_bruteforce_oracle(d: Dictionary, x):
 
 
 def _assert_general_position(d: Dictionary):
-    if spark(d) != d.n + 1:
+    found = spark(d)
+    if found != d.n + 1:
         raise NotGeneralPosition(
-            f"spark is {spark(d)}, need n + 1 = {d.n + 1} for general position"
+            f"spark is {found}, need n + 1 = {d.n + 1} for general position"
         )
 
 

@@ -111,12 +111,7 @@ from pksvd.parseval_ksvd import (
     update_codes,
     update_synthesis,
 )
-from pksvd.sparse_solvers import (
-    ZERO_THRESHOLD,
-    _support_slots,
-    bpdn,
-    omp,
-)
+from pksvd.sparse_solvers import _support_slots, bpdn, omp
 from pksvd.theory_lab import bp_bruteforce_oracle
 
 SHAPES = {
@@ -178,7 +173,7 @@ def trained_desk():
 
 
 def refresh_run(data, codes, synth, analysis, cfg):
-    slots = _support_slots(np.abs(codes) > ZERO_THRESHOLD)
+    slots = _support_slots(codes != 0)
     for _ in range(REFRESH_RUN):
         codes = update_codes(data, codes, synth, analysis, cfg, slots)
     return codes

@@ -75,6 +75,11 @@ class TestCodesFormat:
         save_codes(codes, path)
         assert np.array_equal(load_codes(path), codes)
 
+    def test_codes_must_be_2d(self, tmp_path):
+        with pytest.raises(ValueError, match=r"codes must be 2-D, got shape \(2, 2, 2\)"):
+            save_codes(np.ones((2, 2, 2)), tmp_path / "c.pkx")
+        assert list(tmp_path.iterdir()) == []
+
     def test_magic_differs_from_dictionary(self, tmp_path):
         save_codes(np.ones((2, 2)), tmp_path / "c.pkx")
         blob = (tmp_path / "c.pkx").read_bytes()

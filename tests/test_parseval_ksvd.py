@@ -48,7 +48,6 @@ def reference_update_codes(data, codes, synth, analysis, cfg):
     support: ||analysis.T r||^2 + rho1 ||r||^2 = ||B r||^2 for the stacked
     B = [analysis.T; sqrt(rho1) I], solved by ``lstsq``. Atoms of zero
     weighted norm keep their codes."""
-    codes = np.where(np.abs(codes) > ZERO_THRESHOLD, codes, 0.0)
     weight = np.vstack([analysis.T, np.sqrt(cfg.rho1) * np.eye(synth.shape[0])])
     design = weight @ synth
     live = np.linalg.norm(design, axis=0) > 0.0
@@ -58,7 +57,6 @@ def reference_update_codes(data, codes, synth, analysis, cfg):
         if support.size:
             refit[support, j] = np.linalg.lstsq(
                 design[:, support], weight @ data[:, j], rcond=None)[0]
-    refit[np.abs(refit) <= ZERO_THRESHOLD] = 0.0
     return refit
 
 
@@ -493,7 +491,7 @@ class TestUpdateCodes:
         # a zero atom in both dictionaries: its weighted norm is zero
         synth[:, 6] = 0.0
         analysis[:, 6] = 0.0
-        # tiny data drive some entries through the threshold
+        # tiny data drive some entries below the threshold
         data[:, 20:] *= 1e-7
         return data, codes, synth, analysis, cfg
 
@@ -509,15 +507,15 @@ class TestUpdateCodes:
     def test_row_order_problems_match_reference(self, seed):
         data, codes, synth, analysis, cfg = self.row_order_problem(seed)
         got = self.assert_matches_reference(data, codes, synth, analysis, cfg)
-        # the zero atom keeps its codes, and the threshold removed entries
+        # the zero atom keeps its codes, and every support entry stays nonzero
         assert np.array_equal(got[6], np.where(codes[6] != 0.0, 1.0, 0.0))
-        assert np.count_nonzero(got) < np.count_nonzero(codes)
+        assert np.count_nonzero(got) == np.count_nonzero(codes)
 
     @staticmethod
     def wide_problem(seed):
         """Supports of width 10 with a zero atom in a middle slot, and small
         codes on tiny data in the last columns, which the refresh drives
-        through the zero threshold."""
+        below the zero threshold."""
         data, codes, synth, analysis, _, cfg = small_problem(
             seed, n=12, m=24, n_cols=30, k=10
         )
@@ -537,7 +535,7 @@ class TestUpdateCodes:
         middle = present[11] & present[:11].any(axis=0) & present[12:].any(axis=0)
         assert middle.any()
         got = self.assert_matches_reference(data, codes, synth, analysis, cfg)
-        assert np.count_nonzero(got) < np.count_nonzero(codes)
+        assert np.count_nonzero(got) == np.count_nonzero(codes)
         assert np.array_equal(got[11], codes[11])
 
     def test_full_width_fits_like_reference(self):
@@ -623,18 +621,6 @@ def desk_training(seed=0, n=16, m=32, n_cols=256, k=4, iters=50, rho=1e11,
     return data, cfg, pksvd_train(data, cfg, init, track_updates=track)
 
 
-def fresh_slot_train(data, codes, synth, cfg):
-    """``pksvd_train``'s loop with the support slots built at every code
-    refresh: (synth, analysis, codes)."""
-    state = AdmmState.zeros(*synth.shape)
-    for _ in range(cfg.max_iters):
-        analysis = update_analysis(data, codes, synth, state, cfg)
-        synth = update_synthesis(data, codes, analysis, state, cfg)
-        state = update_multipliers(synth, analysis, state, cfg)
-        codes = update_codes(data, codes, synth, analysis, cfg)
-    return synth, analysis, codes
-
-
 def count_slot_builds(monkeypatch):
     builds = []
     build = parseval_ksvd._support_slots
@@ -660,23 +646,20 @@ class TestPksvdTrain:
         _, _, got, _ = pksvd_train(data, cfg, (Dictionary(synth), codes))
         assert builds == [np.count_nonzero(codes)] == [np.count_nonzero(got)]
 
-    def test_entry_falling_to_zero_rebuilds_slots(self, monkeypatch):
-        # Column 0 scaled so that its codes sit near the zero threshold:
-        # one of them falls to it at the fourth of eight refreshes.
-        data, codes, synth, _, _, _ = small_problem(0)
-        scale = 7.5e-6 / np.abs(codes[:, 0]).max()
-        data[:, 0] *= scale
-        codes[:, 0] *= scale
-        cfg = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=8)
-        early = PkvConfig(rho1=0.1, rho2=7.0, rho3=5.0, max_iters=3)
-        assert np.count_nonzero(fresh_slot_train(data, codes, synth, early)[2]) == 24
-        want = fresh_slot_train(data, codes, synth, cfg)
-        builds = count_slot_builds(monkeypatch)
-        got = pksvd_train(data, cfg, (Dictionary(synth), codes))
-        assert builds == [24, 23]
-        assert np.count_nonzero(got[2]) == 23
-        for mat, ref in zip((got[0].mat, got[1].mat, got[2]), want):
-            assert mat.tobytes() == ref.tobytes()
+    def test_small_ksvd_codes_stay_on_their_supports(self):
+        # texture(202) at full scale: K-SVD leaves code -4.26e-7 at row 169
+        # of column 181, below the zero threshold. It stays on the refresh
+        # support, so that column's 64 atoms fit it to rounding.
+        data = to_blocks(texture(202).astype(float), 8, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(k=64, iters=1), dct_dictionary(64, 256))
+        small = (init[1] != 0.0) & (np.abs(init[1]) <= ZERO_THRESHOLD)
+        assert small[169, 181]
+        synth, _, codes, _ = pksvd_train(data, PkvConfig(max_iters=1), init)
+        assert np.array_equal(codes != 0.0, init[1] != 0.0)
+        assert np.count_nonzero(codes) == 16384
+        column = data[:, 181]
+        fit = np.linalg.norm(column - synth.mat @ codes[:, 181])
+        assert fit <= 1e-12 * np.linalg.norm(column)
 
     def test_constraints_reached_at_large_rho(self):
         _, _, (synth, analysis, codes, trace) = desk_training(iters=40)

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from pksvd import theory_lab
 from pksvd.errors import NoViolationFound, NotGeneralPosition, TooLarge
 from pksvd.frames import Dictionary, canonical_dual, random_dual
 from pksvd.theory_lab import (
@@ -155,6 +156,21 @@ class TestCosparsityFloor:
         mat[:, 2] = mat[:, 0] + mat[:, 1]
         with pytest.raises(NotGeneralPosition):
             cosparsity_floor_check(Dictionary(mat), trials=10, seed=0)
+
+    def test_failing_spark_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return spark(d)
+
+        monkeypatch.setattr(theory_lab, "spark", counted)
+        mat = np.array([[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 0.5],
+                        [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(NotGeneralPosition,
+                           match=r"spark is 3, need n \+ 1 = 4 for general position"):
+            cosparsity_floor_check(Dictionary(mat), trials=10, seed=0)
+        assert len(calls) == 1
 
     def test_spark_passing_frame_below_the_floor_rejected(self):
         # Atoms 0 and 1 are 1e-8 apart: above the spark test's 1e-10, so
