@@ -80,11 +80,14 @@ def canonical_dual(d: Dictionary) -> Dictionary:
     """Canonical dual: (mat @ mat.T)^{-1} @ mat.
 
     Satisfies mat @ dual.T = I; its kernel dual.T @ mat is the orthogonal
-    projection onto the row space of ``mat``. Raises ``RankDeficient``
-    under the same rule as ``frame_bounds``.
+    projection onto the row space of ``mat``. Formed as U diag(1/s) V^T
+    from the thin SVD mat = U diag(s) V^T, whose condition number, unlike
+    the normal equations', is not squared. Raises ``RankDeficient`` under
+    the same rule as ``frame_bounds``.
     """
     frame_bounds(d)
-    return Dictionary(np.linalg.solve(d.mat @ d.mat.T, d.mat))
+    u, s, vt = np.linalg.svd(d.mat, full_matrices=False)
+    return Dictionary((u / s) @ vt)
 
 
 def random_dual(d: Dictionary, seed: int) -> Dictionary:

@@ -9,6 +9,7 @@ the weighted objective
 
     || analysis.T @ (Y - synth @ X) ||_F^2 + rho1 * || Y - synth @ X ||_F^2,
 
+that is || Y - synth @ X ||_W^2 with W = analysis @ analysis.T + rho1 I,
 solved by the batched support refit that K-SVD uses: the support systems
 are gathered from the weighted Gram padded with an identity block. The
 supports are the exact nonzeros of the K-SVD start, as in K-SVD's own
@@ -113,11 +114,13 @@ def pair_residuals(synth, analysis):
 
 
 def objective_value(data, codes, synth, analysis, rho1):
-    """Weighted analysis/synthesis data-fit objective."""
+    """Weighted analysis/synthesis data-fit objective. Its sums of squares
+    are ``einsum`` reductions, whose rounding, unlike a BLAS dot's, does
+    not depend on the thread count."""
     resid = data - synth @ codes
-    return float(
-        np.linalg.norm(analysis.T @ resid) ** 2 + rho1 * np.linalg.norm(resid) ** 2
-    )
+    weighted = analysis.T @ resid
+    return float(np.einsum("ij,ij->", weighted, weighted)
+                 + rho1 * np.einsum("ij,ij->", resid, resid))
 
 
 def update_analysis(data, codes, synth, state, cfg):
@@ -125,10 +128,10 @@ def update_analysis(data, codes, synth, state, cfg):
 
     The condition is the Sylvester equation A1 @ phi + phi @ B1 = C1 with
     A1 = 2 (Y - synth X)(Y - synth X)^T, B1 = rho2 synth^T synth + rho3 I,
-    C1 = -mult_id^T synth + rho2 synth + mult_eq + rho3 synth. The current
+    C1 = ((rho2 + rho3) I - mult_id^T) synth + mult_eq. The current
     analysis matrix does not enter the condition. B1 is rho3 I plus a term
-    of rank n, so it is never formed: with synth synth^T = W diag(lam) W^T
-    (an n x n ``eigh``), V1 = synth^T W diag(lam)^-1/2 has orthonormal
+    of rank n, so it is never formed: with synth synth^T = Q diag(lam) Q^T
+    (an n x n ``eigh``), V1 = synth^T Q diag(lam)^-1/2 has orthonormal
     columns, B1 has eigenvalue rho2 lam + rho3 on them and rho3 on their
     complement, and ``solve_sylvester_eig`` solves from that and the
     eigendecomposition of the symmetric A1. Directions whose lam is at or
@@ -143,12 +146,12 @@ def update_analysis(data, codes, synth, state, cfg):
     n, m = synth.shape
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
-    c1 = -state.mult_id.T @ synth + cfg.rho2 * synth + state.mult_eq + cfg.rho3 * synth
-    lam, w = np.linalg.eigh(synth @ synth.T)  # ascending: the floor cuts a prefix
+    c1 = ((cfg.rho2 + cfg.rho3) * np.eye(n) - state.mult_id.T) @ synth + state.mult_eq
+    lam, q = np.linalg.eigh(synth @ synth.T)  # ascending: the floor cuts a prefix
     b1_norm = math.hypot(*(cfg.rho2 * lam + cfg.rho3).tolist(), cfg.rho3 * math.sqrt(m - n))
     low = np.searchsorted(lam, _RANK_TOL * lam[-1], side="right")
-    lam, w = lam[low:], w[:, low:]
-    frame = (synth.T @ w) / np.sqrt(lam)
+    lam, q = lam[low:], q[:, low:]
+    frame = (synth.T @ q) / np.sqrt(lam)
     analysis = solve_sylvester_eig(np.linalg.eigh(a1),
                                    (cfg.rho2 * lam + cfg.rho3, frame, cfg.rho3), c1)
     b1_term = cfg.rho2 * ((analysis @ synth.T) @ synth) + cfg.rho3 * analysis
@@ -161,9 +164,11 @@ def update_synthesis(data, codes, analysis, state, cfg):
 
     The condition is A1 @ synth + synth @ B1 = C1 with A1 = 2 analysis
     analysis^T, B1 = M G^-1 and C1 = K G^-1 for the code Gram G = X X^T,
-    ridge-regularized by 1e-8 * tr(G) / m. It is solved as
-    A1 @ synth @ G + synth @ M = K from the eigenpairs of A1 and of the
-    pencil (M, G), so G is never inverted; the update fails with
+    ridge-regularized by 1e-8 * tr(G) / m, M = 2 rho1 G + rho2 analysis^T
+    analysis + rho3 I and K = 2 W Y X^T + ((rho2 + rho3) I - mult_id)
+    analysis - mult_eq for the weight W = analysis analysis^T + rho1 I. It
+    is solved as A1 @ synth @ G + synth @ M = K from the eigenpairs of A1
+    and of the pencil (M, G), so G is never inverted; the update fails with
     ``SingularCoefficientGram`` if G is not positive definite, and with
     ``SingularMetric`` if M is numerically singular: rho3 I is its only
     term definite by itself, and an atom that no code uses leaves a zero
@@ -172,23 +177,17 @@ def update_synthesis(data, codes, analysis, state, cfg):
     error (``check_sylvester_residual``), so an ill-conditioned G does not
     amplify the rounding of an accurate solve.
     """
-    m = analysis.shape[1]
+    n, m = analysis.shape
     gram = codes @ codes.T
     ridge = 1e-8 * np.trace(gram) / m
     gram_reg = gram + ridge * np.eye(m)
 
-    a1 = 2.0 * (analysis @ analysis.T)
+    frame_op = analysis @ analysis.T
+    a1 = 2.0 * frame_op
     metric = (2.0 * cfg.rho1 * gram + cfg.rho2 * (analysis.T @ analysis)
               + cfg.rho3 * np.eye(m))
-    data_codes = data @ codes.T
-    rhs = (
-        2.0 * cfg.rho1 * data_codes
-        - state.mult_id @ analysis
-        + cfg.rho2 * analysis
-        - state.mult_eq
-        + cfg.rho3 * analysis
-        + 2.0 * analysis @ (analysis.T @ data_codes)
-    )
+    rhs = (2.0 * (frame_op + cfg.rho1 * np.eye(n)) @ (data @ codes.T)  # 2 W Y X^T
+           + ((cfg.rho2 + cfg.rho3) * np.eye(n) - state.mult_id) @ analysis - state.mult_eq)
     try:
         pencil = generalized_eigh(metric, gram_reg)
     except np.linalg.LinAlgError:
@@ -214,9 +213,9 @@ def update_codes(data, codes, synth, analysis, cfg, slots=None):
     """Support-preserving code refresh.
 
     Every column's codes become the least-squares minimizer of the
-    weighted objective on its own support: with W = rho1 I + analysis
-    analysis^T and H = synth^T W synth, column j solves
-    H[S_j, S_j] x = (synth^T W y_j)[S_j] (``_refit_supports``, which
+    weighted objective on its own support: with W = analysis analysis^T
+    + rho1 I and H = synth^T (W synth), column j solves
+    H[S_j, S_j] x = ((W synth)^T y_j)[S_j] (``_refit_supports``, which
     gathers the systems from H padded with an identity block).
     The supports are the nonzero entries of ``codes``; ``slots``, the
     padded support slots of ``_support_slots``, gives them when the caller
@@ -224,11 +223,8 @@ def update_codes(data, codes, synth, analysis, cfg, slots=None):
     exactly on these supports, and an entry off a support stays 0. An atom
     whose weighted norm is zero keeps its codes.
     """
-    kernel = analysis.T @ synth
-    hess = cfg.rho1 * (synth.T @ synth) + kernel.T @ kernel  # synth^T W synth
-    target = (cfg.rho1 * synth + analysis @ kernel).T @ data  # synth^T W data
-    del kernel
-    return _refit_supports(hess, target, codes, slots)
+    weighted = (analysis @ analysis.T + cfg.rho1 * np.eye(len(synth))) @ synth  # W synth
+    return _refit_supports(synth.T @ weighted, weighted.T @ data, codes, slots)
 
 
 def pksvd_train(data, cfg: PkvConfig, init, track_updates=False):

@@ -4,10 +4,12 @@ Times ``parseval_ksvd.update_codes``, the code refresh (one batched exact
 least-squares solve per column on its support, through
 ``sparse_solvers._refit_supports``), alone on the inputs of its first call
 in a Parseval K-SVD train: the codes of one K-SVD pass, and the pair after
-one analysis and one synthesis update. Three shapes:
+one analysis and one synthesis update. Four shapes:
 
 * ``full``: the ``train-full`` benchmark workload's shapes, 8x8 blocks of
   the whole 128x128 ``texture(3)``, m=256, k=64 (256 columns of width 64);
+* ``full-k8``: the same blocks and m with k=8 < n (256 columns of width
+  8);
 * ``desk``: the ``train-desk`` shapes, 4x4 blocks of the 64x64 top-left
   crop of ``texture(3)``, m=32, k=4 (256 columns of width 4);
 * ``probe``: the ``recover-desk`` probe train, the desk shapes on the
@@ -15,7 +17,7 @@ one analysis and one synthesis update. Three shapes:
   width 4).
 
 Times the two dictionary updates, each one Sylvester solve, alone on the
-same three inputs: ``parseval_ksvd.update_analysis`` (from the n x n
+same four inputs: ``parseval_ksvd.update_analysis`` (from the n x n
 frame operator of the synthesis dictionary) and
 ``parseval_ksvd.update_synthesis`` (from the pencil of the metric and the
 ridged code Gram, checked by its backward error), with zero multipliers,
@@ -29,10 +31,11 @@ train of the 64x64 top-left crop of ``texture(3)`` (20 K-SVD and 100 ADMM
 iterations, m=32, k=4), whose refreshes keep their supports.
 
 Times ``ksvd._update_atoms``, one pass of atom updates, alone at the same
-three shapes on the inputs of the first pass of that K-SVD train: the DCT
+four shapes on the inputs of the first pass of that K-SVD train: the DCT
 dictionary and the codes of the first coding. At ``full`` every atom's
-columns fit exactly and every atom takes the power step; at ``desk`` and
-``probe`` every atom takes the eigensolver.
+columns fit exactly and every atom takes the power step; at ``full-k8``
+155 atoms are unused and replaced by data columns, and the other 101, like
+every atom at ``desk`` and ``probe``, take the eigensolver.
 
 Times ``sparse_solvers._support_slots``, which lists each column's support
 rows, then its padding indices, on three masks: the supports of the first
@@ -120,7 +123,7 @@ SHAPES = {
     "desk": (4, 64, 32, 4),
 }
 # The recover-desk probe train: the desk shapes on a crop of the probe image.
-CODE_REFRESH_SHAPES = {**SHAPES, "probe": (4, 32, 32, 4)}
+CODE_REFRESH_SHAPES = {**SHAPES, "full-k8": (8, 128, 256, 8), "probe": (4, 32, 32, 4)}
 
 
 @pytest.fixture(scope="module", params=sorted(CODE_REFRESH_SHAPES))

@@ -27,7 +27,7 @@ from pksvd.theory_lab import (
     nonexistence_search,
     projection_identity_check,
     proxy_trial,
-    spark,
+    random_general_position_frame,
 )
 
 BLOCK = 4
@@ -40,15 +40,6 @@ def report(criterion, passed, detail):
     flag = "PASS" if passed else "FAIL"
     print(f"[acceptance] criterion {criterion}: {flag} — {detail}")
     return passed
-
-
-def general_position_frame(rng, n, m):
-    while True:
-        mat = rng.standard_normal((n, m))
-        mat /= np.linalg.norm(mat, axis=0, keepdims=True)
-        d = Dictionary(mat)
-        if spark(d) == n + 1:
-            return d
 
 
 def test_criterion_01_parseval_feasibility(desk_run):
@@ -141,7 +132,7 @@ def test_criterion_05_optimal_proxy(desk_run):
     worst_margin = np.inf
     comparisons = 0
     for trial in range(100):
-        frame = general_position_frame(rng, 3, 6)
+        frame = random_general_position_frame(3, 6, rng)
         x = rng.standard_normal(3)
         result = proxy_trial(frame, x, n_alt_duals=20,
                              seed=int(rng.integers(0, 2 ** 62)))
@@ -213,7 +204,7 @@ def test_criterion_08_no_universal_sparse_dual():
 
 def test_criterion_09_cosparsity_floor():
     rng = np.random.default_rng(9090)
-    frame = general_position_frame(rng, 3, 5)
+    frame = random_general_position_frame(3, 5, rng)
     observed = cosparsity_floor_check(frame, trials=1000, seed=99)
     ok = observed >= 3
     assert report(

@@ -883,3 +883,31 @@ class TestScipyStaysUnloaded:
         written = ("base.pk", "dict.pk", "dict.dual.pk", "rc.pgm", "dn.pgm", "ip.pgm",
                    "rd.csv", "th.csv")
         assert all((tmp_path / name).exists() for name in written)
+
+
+class TestBlasThreadCount:
+    """A desk ``pksvd train`` writes the same bytes at one and at two BLAS
+    threads: the trace's objective sums its squares by ``einsum``, not by
+    a BLAS dot whose reduction the threads split."""
+
+    def test_desk_train_byte_identical_at_one_and_two_threads(self, tmp_path):
+        image = tmp_path / "texture.pgm"
+        write_pgm(texture(0).astype(float), image)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-m", "pksvd.cli", "train", str(image), "--method", "parseval",
+                 "--block_size", "4", "--m", "32", "--k", "4", "--max_iters", "100",
+                 "--out", "d.pk", "--out-codes", "x.pkx", "--trace", "trace.csv"],
+                cwd=out, env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert sorted(runs[0][1]) == ["d.dual.pk", "d.pk", "trace.csv", "x.pkx"]
+        assert runs[0] == runs[1]

@@ -100,6 +100,17 @@ class TestCanonicalDual:
             again = canonical_dual(canonical_dual(d))
             assert np.linalg.norm(again.mat - d.mat) <= 1e-8
 
+    def test_ill_conditioned_frame_stays_dual(self):
+        """Singular values [1, 1, 1, 1e-5] pass the rank rule; the normal
+        equations (mat mat^T)^-1 mat square the condition number to 1e10
+        and leave ||mat dual^T - I||_F near 1e-6."""
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        d = Dictionary(u @ np.diag([1.0, 1.0, 1.0, 1e-5]) @ v.T)
+        dual = canonical_dual(d)
+        assert np.linalg.norm(d.mat @ dual.mat.T - np.eye(4)) <= 1e-10
+
 
 class TestNearSingularFrame:
     """Singular values [1, 1, 1, 1e-8] pass the Dictionary floor (1e-10 of

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from texture import texture
+from workloads import self_dual_pair
 
 from pksvd import matrix_core, parseval_ksvd, sparse_solvers
 from pksvd.errors import NearSingularSylvester, SingularCoefficientGram, SingularMetric
@@ -448,6 +449,22 @@ class TestUpdateCodes:
         cfg = PkvConfig(rho1=0.1)
         codes = update_codes(data, np.ones((4, 6)), synth, synth, cfg)
         assert np.allclose(codes, data, atol=1e-12)
+
+    @pytest.mark.parametrize("rho1", [1e-3, 0.1, 10.0])
+    @pytest.mark.parametrize("n,m", [(16, 32), (64, 256)])
+    def test_parseval_pair_refit_is_plain_least_squares(self, n, m, rho1):
+        """At a Parseval pair P the weight P P^T + rho1 I is (1 + rho1) I,
+        so the refresh is the unweighted refit on each support."""
+        pair = self_dual_pair(dct_dictionary(n, m).mat)
+        rng = np.random.default_rng(m)
+        codes = np.zeros((m, 3 * m))
+        for col in codes.T:
+            col[rng.choice(m, 4, replace=False)] = rng.standard_normal(4)
+        data = pair @ codes + 0.1 * rng.standard_normal((n, 3 * m))
+        got = update_codes(data, codes, pair, pair, PkvConfig(rho1=rho1))
+        ref = sparse_solvers._refit_supports(pair.T @ pair, pair.T @ data, codes)
+        assert np.array_equal(got != 0.0, codes != 0.0)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_gather_semantics(self):
         row = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0])

@@ -19,16 +19,6 @@ from pksvd.theory_lab import (
 )
 
 
-def general_position_frame(seed, n, m):
-    rng = np.random.default_rng(seed)
-    while True:
-        mat = rng.standard_normal((n, m))
-        mat /= np.linalg.norm(mat, axis=0, keepdims=True)
-        d = Dictionary(mat)
-        if spark(d) == n + 1:
-            return d
-
-
 class TestSpark:
     def test_identity_full_rank(self):
         assert spark(Dictionary(np.eye(3))) == 4
@@ -138,13 +128,13 @@ class TestCosparsityFloor:
         assert got >= 1
 
     def test_floor_on_random_frame(self):
-        d = general_position_frame(1, 3, 5)
+        d = random_general_position_frame(3, 5, np.random.default_rng(1))
         got = cosparsity_floor_check(d, trials=1000, seed=2)
         assert got >= 3  # m - n + 1
 
     def test_floor_is_attained(self):
         # the adversarial construction should touch the bound exactly
-        d = general_position_frame(3, 3, 5)
+        d = random_general_position_frame(3, 5, np.random.default_rng(3))
         got = cosparsity_floor_check(d, trials=200, seed=4)
         assert got == 3
 
@@ -187,7 +177,7 @@ class TestProxyTrial:
     def test_canonical_never_worse_than_sampled_duals(self):
         rng = np.random.default_rng(5)
         for seed in range(20):
-            d = general_position_frame(100 + seed, 3, 6)
+            d = random_general_position_frame(3, 6, np.random.default_rng(100 + seed))
             x = rng.standard_normal(3)
             trial = proxy_trial(d, x, n_alt_duals=10, seed=seed)
             for dist in trial.alt_dual_distances:
@@ -196,7 +186,7 @@ class TestProxyTrial:
     def test_canonical_codes_equal_min_norm(self):
         rng = np.random.default_rng(6)
         for seed in range(20):
-            d = general_position_frame(200 + seed, 3, 6)
+            d = random_general_position_frame(3, 6, np.random.default_rng(200 + seed))
             x = rng.standard_normal(3)
             trial = proxy_trial(d, x, n_alt_duals=1, seed=seed)
             assert np.linalg.norm(
@@ -212,7 +202,7 @@ class TestProxyTrial:
         assert np.linalg.norm(trial.l1_codes - trial.canonical_codes) <= 1e-8
 
     def test_dual_deviation_lies_in_null_space(self):
-        d = general_position_frame(8, 3, 6)
+        d = random_general_position_frame(3, 6, np.random.default_rng(8))
         rng = np.random.default_rng(9)
         x = rng.standard_normal(3)
         base = canonical_dual(d).mat.T @ x
@@ -225,7 +215,7 @@ class TestProxyTrial:
     def test_min_norm_orthogonal_to_null_deviation(self):
         # the canonical codes are the projection of any synthesis codes
         # onto the row space, hence orthogonal to every null-space shift
-        d = general_position_frame(10, 3, 6)
+        d = random_general_position_frame(3, 6, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         x = rng.standard_normal(3)
         trial = proxy_trial(d, x, n_alt_duals=6, seed=3)
@@ -303,7 +293,7 @@ class TestProjectionIdentity:
 
     def test_random_frames_tiny_residuals(self):
         for seed in range(10):
-            d = general_position_frame(300 + seed, 3, 6)
+            d = random_general_position_frame(3, 6, np.random.default_rng(300 + seed))
             res = projection_identity_check(d)
             assert res.idempotence <= 1e-10
             assert res.symmetry <= 1e-10
@@ -312,7 +302,7 @@ class TestProjectionIdentity:
     def test_non_canonical_dual_not_symmetric(self):
         hits = 0
         for seed in range(20):
-            d = general_position_frame(400 + seed, 3, 6)
+            d = random_general_position_frame(3, 6, np.random.default_rng(400 + seed))
             k = random_dual(d, seed).mat.T @ d.mat
             if np.linalg.norm(k.T - k) > 1e-3:
                 hits += 1
