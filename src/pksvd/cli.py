@@ -48,8 +48,11 @@ METRIC_COLUMNS = ("image", "sigma_or_fraction", "dictionary", "psnr", "ssim", "e
 
 def _parse_config_file(path):
     values = {}
-    with open(path, "r", encoding="ascii") as handle:
+    # Undecodable bytes decode to lone surrogates, so a non-ASCII line fails by its number.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                raise ConfigError(f"{path}:{lineno}: config file is not ASCII text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -134,9 +137,7 @@ def _dual_path(out_path):
 
 def _print_dictionary_summary(label, dictionary, codes=None):
     bounds = frames.frame_bounds(dictionary)
-    gram_gap = np.linalg.norm(
-        dictionary.mat @ dictionary.mat.T - np.eye(dictionary.n)
-    )
+    gram_gap = frames.parseval_residual(dictionary)
     print(f"{label}: {dictionary.n}x{dictionary.m}")
     print(f"  frame bounds A={bounds.lower:.6g} B={bounds.upper:.6g} "
           f"B/A={bounds.ratio:.6g}")
@@ -154,6 +155,13 @@ def cmd_train(args):
         for flag, path in (("--out-dual", args.out_dual), ("--trace", args.trace)):
             if path:  # only a Parseval train writes these
                 raise ConfigError(f"{flag} needs --method parseval")
+    n = cfg["block_size"] ** 2
+    if cfg["m"] < n:
+        raise ConfigError(f"--m {cfg['m']} is below the signal dimension of a --block_size "
+                          f"{cfg['block_size']} block: need m >= n, got n={n}, m={cfg['m']}")
+    if cfg["k"] > n:
+        raise ConfigError(f"--k {cfg['k']} exceeds the signal dimension of a --block_size "
+                          f"{cfg['block_size']} block: need k <= n, got n={n}, k={cfg['k']}")
     for path in (args.out, args.out_dual, args.out_codes, args.trace):
         if path:  # fail before the run, not after it
             formats.check_output_dir(path)
@@ -166,7 +174,7 @@ def cmd_train(args):
         raise ConfigError(
             f"{data.shape[1]} training blocks < m={cfg['m']}; provide more data"
         )
-    init = frames.dct_dictionary(cfg["block_size"] ** 2, cfg["m"])
+    init = frames.dct_dictionary(n, cfg["m"])
     ksvd_cfg = KsvdConfig(k=cfg["k"], iters=cfg["ksvd_iters"])
     synth, codes = ksvd_train(data, ksvd_cfg, init)
     penalties = ", ".join(f"--{key} {cfg[key]:g}" for key in _FLOAT_KEYS)

@@ -7,7 +7,7 @@ atoms. It acts as a synthesis operator; any matrix ``g`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ class Dictionary:
     """Full-row-rank n x m matrix with atoms as columns (m >= n)."""
 
     mat: np.ndarray
+    svals: np.ndarray = field(init=False, repr=False, compare=False)  # largest first
 
     def __post_init__(self):
         m = as_matrix(self.mat, "dictionary")
@@ -34,10 +35,10 @@ class Dictionary:
             raise BadShape(
                 f"dictionary must have at least as many atoms as rows, got {m.shape}"
             )
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] <= _RANK_TOL * svals[0]:
+        object.__setattr__(self, "svals", np.linalg.svd(m, compute_uv=False))
+        if self.svals[-1] <= _RANK_TOL * self.svals[0]:
             raise RankDeficient(
-                f"smallest singular value {svals[-1]:.3e} is below "
+                f"smallest singular value {self.svals[-1]:.3e} is below "
                 f"{_RANK_TOL:g} * sigma_max; not a frame"
             )
         object.__setattr__(self, "mat", m)
@@ -64,13 +65,9 @@ class FrameBounds:
 
 
 def frame_bounds(d: Dictionary) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator.
-
-    Raises ``RankDeficient`` when the smallest eigenvalue is numerically
-    zero relative to the largest (the columns do not span the space).
-    """
-    eig = np.linalg.eigvalsh(d.mat @ d.mat.T)
-    lo, hi = float(eig[0]), float(eig[-1])
+    """Extreme eigenvalues of the frame operator, sigma_min^2 and sigma_max^2.
+    Raises ``RankDeficient`` when the smallest is numerically zero next to the largest."""
+    lo, hi = float(d.svals[-1]) ** 2, float(d.svals[0]) ** 2
     if lo <= 1e-12 * hi:
         raise RankDeficient(f"lowest frame-operator eigenvalue {lo:.3e} is numerically zero")
     return FrameBounds(lo, hi)
@@ -107,10 +104,14 @@ def random_dual(d: Dictionary, seed: int) -> Dictionary:
     return Dictionary(base.mat + perturbation.T)
 
 
+def parseval_residual(d: Dictionary) -> float:
+    """|| mat @ mat.T - I ||_F = || svals^2 - 1 ||_2."""
+    return float(np.linalg.norm(d.svals ** 2 - 1.0))
+
+
 def is_parseval(d: Dictionary, tol: float) -> bool:
     """True iff || mat @ mat.T - I ||_F <= tol."""
-    n = d.n
-    return bool(np.linalg.norm(d.mat @ d.mat.T - np.eye(n)) <= tol)
+    return parseval_residual(d) <= tol
 
 
 def dct_dictionary(n: int, m: int) -> Dictionary:

@@ -84,6 +84,11 @@ Times the exact l1 oracle ``theory_lab.bp_bruteforce_oracle``, which
 solves every n-subset of atoms, on a seeded Gaussian frame and signal at
 3x6 (20 bases) and at its 4x12 limit (495 bases).
 
+Times ``frames.frame_bounds`` and ``frames.canonical_dual`` alone on the
+overcomplete DCT dictionaries of the desk and full shapes (16x32 and
+64x256): the frame bounds read the singular values that ``Dictionary``
+stores, and the dual takes one thin SVD and its own ``Dictionary``'s.
+
 The file name does not match ``test_*.py``, so a plain ``pytest`` run
 skips it. Run it by name, with one BLAS thread:
 
@@ -103,7 +108,7 @@ from pksvd.applications import (
     random_mask,
 )
 from pksvd.cli import COMPRESS_STEP_GRID, DENOISE_EPS_GRID, build_parser
-from pksvd.frames import Dictionary, dct_dictionary
+from pksvd.frames import Dictionary, canonical_dual, dct_dictionary, frame_bounds
 from pksvd.imaging import to_blocks
 from pksvd.ksvd import KsvdConfig, _code_columns, _update_atoms, ksvd_train
 from pksvd.parseval_ksvd import (
@@ -298,3 +303,16 @@ def test_bp_bruteforce_oracle(benchmark, n, m):
     codes = benchmark(bp_bruteforce_oracle, frame, x)
     assert np.count_nonzero(codes) <= n
     assert np.allclose(frame.mat @ codes, x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(16, 32), (64, 256)])
+def test_frame_bounds(benchmark, n, m):
+    bounds = benchmark(frame_bounds, dct_dictionary(n, m))
+    assert 0.0 < bounds.lower <= bounds.upper
+
+
+@pytest.mark.parametrize("n,m", [(16, 32), (64, 256)])
+def test_canonical_dual(benchmark, n, m):
+    d = dct_dictionary(n, m)
+    dual = benchmark(canonical_dual, d)
+    assert np.allclose(d.mat @ dual.mat.T, np.eye(n), atol=1e-10)

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -63,6 +64,12 @@ class TestConfig:
         cfile = tmp_path / "run.cfg"
         cfile.write_text("block_size = 4\nn = 16\n")
         with pytest.raises(ConfigError, match="'n'"):
+            resolve_config(argparse.Namespace(config=str(cfile)))
+
+    def test_non_ascii_file_named_with_its_line(self, tmp_path):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_bytes("block_size = 4\nm = 2\u00e90\n".encode("utf-8"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(cfile))}:2: .*not ASCII"):
             resolve_config(argparse.Namespace(config=str(cfile)))
 
     @pytest.fixture
@@ -695,12 +702,21 @@ class TestInputLimits:
         (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
           "--block_size", "2", "--m", "17", "--k", "1"],
          "16 training blocks < m=17; provide more data"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--block_size", "4", "--m", "16", "--k", "17"],
+         "--k 17 exceeds the signal dimension of a --block_size 4 block: "
+         "need k <= n, got n=16, k=17"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--block_size", "4", "--m", "8", "--k", "1"],
+         "--m 8 is below the signal dimension of a --block_size 4 block: "
+         "need m >= n, got n=16, m=8"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
             "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks",
             "inpaint-fraction-range", "inpaint-block-size", "denoise-block-size",
-            "compress-block-size", "train-too-few-blocks"])
+            "compress-block-size", "train-too-few-blocks", "train-k-above-n",
+            "train-m-below-n"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from workloads import self_dual_pair
 
 from pksvd.errors import BadShape, RankDeficient, UniqueDual
 from pksvd.frames import (
@@ -9,12 +10,22 @@ from pksvd.frames import (
     dct_dictionary,
     frame_bounds,
     is_parseval,
+    parseval_residual,
     random_dual,
 )
 
 
 def random_frame(rng, n, m):
     return Dictionary(rng.standard_normal((n, m)))
+
+
+def frame_with_singular_values(seed, svals, m):
+    """A len(svals) x m frame U diag(svals) V^T with seeded orthonormal U, V."""
+    rng = np.random.default_rng(seed)
+    n = len(svals)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    return Dictionary(u @ np.diag(svals) @ v.T)
 
 
 class TestDictionary:
@@ -58,6 +69,45 @@ class TestFrameBounds:
         d = Dictionary(q.T)  # 3x6 with orthonormal rows
         fb = frame_bounds(d)
         assert abs(fb.lower - 1.0) <= 1e-9 and abs(fb.upper - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ill_conditioned_bounds_are_accurate(self, seed):
+        """Singular values [1, 1, 1, 1e-5]: the eigenvalues of mat @ mat.T
+        lose the lower bound to about 1e-6 relative, its squared singular
+        value keeps it."""
+        fb = frame_bounds(frame_with_singular_values(seed, [1.0, 1.0, 1.0, 1e-5], 6))
+        assert fb.lower == pytest.approx(1e-10, rel=1e-9, abs=0.0)
+        assert fb.upper == pytest.approx(1.0, rel=1e-12)
+
+
+class TestFactorizationCount:
+    """Each dual factors ``mat`` no more often than it needs: the canonical
+    dual once for itself and once for its ``Dictionary``'s rank check, the
+    random dual once more for its null space and once for its result."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"svd": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fn,svds", [
+        (canonical_dual, 2),
+        (lambda d: random_dual(d, seed=0), 4),
+        (frame_bounds, 0),
+    ], ids=["canonical_dual", "random_dual", "frame_bounds"])
+    def test_calls(self, spy, fn, svds):
+        d = random_frame(np.random.default_rng(12), 3, 6)
+        spy.update(svd=0, eigvalsh=0)
+        fn(d)
+        assert spy == {"svd": svds, "eigvalsh": 0}
 
 
 class TestCanonicalDual:
@@ -167,6 +217,23 @@ class TestIsParseval:
 
     def test_scaled_identity_false(self):
         assert not is_parseval(Dictionary(2.0 * np.eye(4)), tol=1e-10)
+
+    def test_residual_of_random_frames(self):
+        rng = np.random.default_rng(13)
+        for n, m in ((2, 2), (3, 6), (4, 9), (8, 16)):
+            d = random_frame(rng, n, m)
+            direct = np.linalg.norm(d.mat @ d.mat.T - np.eye(n))
+            assert parseval_residual(d) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(16, 32), (64, 256)])
+    def test_residual_of_parseval_pair(self, n, m):
+        """A Parseval frame's residual is rounding: both forms agree to
+        1e-12 of the frame operator's norm, and both are near zero."""
+        d = Dictionary(self_dual_pair(dct_dictionary(n, m).mat))
+        gram = d.mat @ d.mat.T
+        direct = np.linalg.norm(gram - np.eye(n))
+        assert abs(parseval_residual(d) - direct) <= 1e-12 * np.linalg.norm(gram)
+        assert parseval_residual(d) <= 1e-12 and is_parseval(d, tol=1e-12)
 
     def test_dct_dictionary_not_parseval(self):
         d = dct_dictionary(64, 256)
