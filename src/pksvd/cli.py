@@ -516,13 +516,16 @@ def build_parser(command=None):
     return parser
 
 
-def _join_float_values(argv):
+def _join_flag_values(argv):
     """Write ``--rho1 -inf`` as ``--rho1=-inf``: after a space, argparse
-    reads a value that starts with '-', such as -inf or -nan, as an option."""
-    flags = [f"--{key}" for key in _FLOAT_KEYS]
+    reads a value that starts with '-', such as -inf, -nan or -1,2, as an
+    option. Every option but ``--help`` takes one value, so a token that
+    starts with a single '-' after any other ``--flag`` is its value."""
     out = []
     for token in argv:
-        if out and out[-1] in flags and token.startswith("-") and not token.startswith("--"):
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and token.startswith("-") and not token.startswith("--")):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -530,7 +533,7 @@ def _join_float_values(argv):
 
 
 def main(argv=None):
-    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
+    argv = _join_flag_values(sys.argv[1:] if argv is None else argv)
     # No arguments, -h or an unknown command get the full parser, whose
     # help and errors list every command.
     command = argv[0] if argv and argv[0] in COMMAND_NAMES else None

@@ -99,10 +99,10 @@ def check_sylvester_residual(residual, c, *terms):
     ``c`` is the solved form's right-hand side and each of ``terms`` the
     factors of one term on its left: (A, beta) and (beta, B) for
     A @ beta + beta @ B = C, (A, beta, G) and (beta, M) for
-    A @ beta @ G + beta @ M = K; a factor may also be given by its norm.
-    The bound, the tolerance times ||C|| plus each term's product of norms
-    (Frobenius, formed without overflow), scales with the system: a zero
-    solution of a nonzero C fails at any scale.
+    A @ beta @ G + beta @ M = K. The bound, the tolerance times ||C|| plus
+    each term's product of norms (Frobenius, formed without overflow),
+    scales with the system: a zero solution of a nonzero C fails at any
+    scale.
     """
     with np.errstate(over="ignore"):
         scale = _frobenius(c) + sum(math.prod(map(_frobenius, term)) for term in terms)
@@ -145,35 +145,14 @@ def solve_sylvester_eig(a_eig, b_eig, k):
     B = M G^-1 (spectrum lam) and C = K G^-1, and
     beta = U [(U^T K V) / (sigma_i + lam_j)] V^T.
 
-    ``b_eig = (lam, V, rest)``, with G = I, states B by its eigenpairs on
-    the span of V's orthonormal columns (there may be fewer than B's
-    order) and the eigenvalue ``rest`` on their orthogonal complement:
-    B = V diag(lam) V^T + rest (I - V V^T). With K~ = U^T K and
-    P = K~ V, beta = U [(P / (sigma_i + lam_j)) V^T
-    + (K~ - P V^T) / (sigma_i + rest)], so B's complement is never
-    factored. K~ - P V^T is projected off V's span a second time (Kahan's
-    "twice is enough", in Parlett 1980, "The Symmetric Eigenvalue
-    Problem"): the first subtraction leaves rounding of the size of K~ on
-    that span, which would be divided by sigma_i + rest in place of
-    sigma_i + lam_j and, when lam_j is far above rest, fail the residual.
-
     Raises ``NearSingularSylvester`` when the condition estimate from
-    sigma and B's spectrum (lam, and ``rest`` when V's columns do not
-    span the space) exceeds ``SYLVESTER_COND_LIMIT``; the residual check
-    of the stated system is the caller's (``check_sylvester_residual``).
+    sigma and lam exceeds ``SYLVESTER_COND_LIMIT``; the residual check of
+    the stated system is the caller's (``check_sylvester_residual``).
     """
     sigma, u = a_eig
-    lam, v, *rest = b_eig
-    if v.shape[1] == v.shape[0]:
-        rest = []  # V spans the space: B has no complement
-    _check_condition(_spectral_condition(sigma, np.concatenate((lam, rest))))
-    left = u.T @ k
-    if not rest:
-        return u @ ((left @ v) / (sigma[:, None] + lam)) @ v.T
-    proj = left @ v
-    other = left - proj @ v.T
-    other -= (other @ v) @ v.T
-    return u @ ((proj / (sigma[:, None] + lam)) @ v.T + other / (sigma[:, None] + rest[0]))
+    lam, v = b_eig
+    _check_condition(_spectral_condition(sigma, lam))
+    return u @ (((u.T @ k) @ v) / (sigma[:, None] + lam)) @ v.T
 
 
 def solve_sylvester(a, b, c):

@@ -20,13 +20,12 @@ constraint residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PksvdError, SingularCoefficientGram
-from .frames import _RANK_TOL, Dictionary
+from .frames import Dictionary
 from .matrix_core import (
     as_matrix,
     check_sylvester_residual,
@@ -129,33 +128,19 @@ def update_analysis(data, codes, synth, state, cfg):
     The condition is the Sylvester equation A1 @ phi + phi @ B1 = C1 with
     A1 = 2 (Y - synth X)(Y - synth X)^T, B1 = rho2 synth^T synth + rho3 I,
     C1 = ((rho2 + rho3) I - mult_id^T) synth + mult_eq. The current
-    analysis matrix does not enter the condition. B1 is rho3 I plus a term
-    of rank n, so it is never formed: with synth synth^T = Q diag(lam) Q^T
-    (an n x n ``eigh``), V1 = synth^T Q diag(lam)^-1/2 has orthonormal
-    columns, B1 has eigenvalue rho2 lam + rho3 on them and rho3 on their
-    complement, and ``solve_sylvester_eig`` solves from that and the
-    eigendecomposition of the symmetric A1. Directions whose lam is at or
-    below ``frames._RANK_TOL`` times the largest join the complement
-    (``Dictionary`` applies that tolerance to singular values, here it is
-    applied to their squares): there lam carries an absolute rounding of
-    about 1e-16 of the largest, which 1 / sqrt(lam) would blow up in V1,
-    and rho2 lam is at most 1e-10 of B1's largest eigenvalue. The solve is
-    checked by its backward error (``check_sylvester_residual``), with
-    ||B1|| from all n eigenvalues rho2 lam + rho3 and the m - n of rho3.
+    analysis matrix does not enter the condition. ``solve_sylvester_eig``
+    solves it from the eigendecompositions of the symmetric A1 and B1, and
+    the solve is checked in that form by its normwise backward error
+    (``check_sylvester_residual``).
     """
     n, m = synth.shape
     resid = data - synth @ codes
     a1 = 2.0 * (resid @ resid.T)
+    b1 = cfg.rho2 * (synth.T @ synth) + cfg.rho3 * np.eye(m)
     c1 = ((cfg.rho2 + cfg.rho3) * np.eye(n) - state.mult_id.T) @ synth + state.mult_eq
-    lam, q = np.linalg.eigh(synth @ synth.T)  # ascending: the floor cuts a prefix
-    b1_norm = math.hypot(*(cfg.rho2 * lam + cfg.rho3).tolist(), cfg.rho3 * math.sqrt(m - n))
-    low = np.searchsorted(lam, _RANK_TOL * lam[-1], side="right")
-    lam, q = lam[low:], q[:, low:]
-    frame = (synth.T @ q) / np.sqrt(lam)
-    analysis = solve_sylvester_eig(np.linalg.eigh(a1),
-                                   (cfg.rho2 * lam + cfg.rho3, frame, cfg.rho3), c1)
-    b1_term = cfg.rho2 * ((analysis @ synth.T) @ synth) + cfg.rho3 * analysis
-    check_sylvester_residual(a1 @ analysis + b1_term - c1, c1, (a1, analysis), (analysis, b1_norm))
+    analysis = solve_sylvester_eig(np.linalg.eigh(a1), np.linalg.eigh(b1), c1)
+    check_sylvester_residual(a1 @ analysis + analysis @ b1 - c1, c1,
+                             (a1, analysis), (analysis, b1))
     return analysis
 
 

@@ -17,8 +17,8 @@ one analysis and one synthesis update. Four shapes:
   width 4).
 
 Times the two dictionary updates, each one Sylvester solve, alone on the
-same four inputs: ``parseval_ksvd.update_analysis`` (from the n x n
-frame operator of the synthesis dictionary) and
+same four inputs: ``parseval_ksvd.update_analysis`` (from the ``eigh``
+of the formed m x m operator rho2 S^T S + rho3 I) and
 ``parseval_ksvd.update_synthesis`` (from the pencil of the metric and the
 ridged code Gram, checked by its backward error), with zero multipliers,
 as in the first iteration.

@@ -625,7 +625,8 @@ class TestInputLimits:
     whose square overflows, a noise level whose restoration's SSIM terms
     would overflow, a penalty above the cap, huge penalties under it, a
     rho2 too large against rho3, Parseval-only outputs asked of a K-SVD
-    train, and fewer training blocks than atoms. A failure exits 1 naming
+    train, fewer training blocks than atoms, and values that start with
+    '-' after a space, as in ``--sigma -inf``. A failure exits 1 naming
     the input, prints no warning and writes nothing; a success prints no
     warning and writes finite outputs."""
 
@@ -710,13 +711,26 @@ class TestInputLimits:
           "--block_size", "4", "--m", "8", "--k", "1"],
          "--m 8 is below the signal dimension of a --block_size 4 block: "
          "need m >= n, got n=16, m=8"),
+        (["denoise", "{image}", "--dict", "{eye}", "--sigma", "-inf", "--block_size", "2",
+          "--out-prefix", "{out}/dn"],
+         "sigma must be finite and nonnegative, got -inf"),
+        (["inpaint", "{image}", "--dict", "{eye}", "--fraction", "-nan", "--block_size", "2",
+          "--out-prefix", "{out}/ip"],
+         "--fraction nan is out of range: missing fraction must be in [0, 0.99]"),
+        (["inpaint", "{image}", "--dict", "{eye}", "--fraction", "0.5", "--eps", "-inf",
+          "--block_size", "2", "--out-prefix", "{out}/ip"],
+         "eps must be nonnegative, got -inf"),
+        (["compress", "{image}", "--dict", "{eye}", "--dual", "{eye}", "--steps", "-1,2",
+          "--block_size", "2", "--out-prefix", "{out}/rd"],
+         "quantizer steps must be finite and positive, got [-1.0, 2.0]"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
             "denoise-sigma-ssim", "train-rho1-huge", "inpaint-fraction-empties-blocks",
             "inpaint-fraction-range", "inpaint-block-size", "denoise-block-size",
             "compress-block-size", "train-too-few-blocks", "train-k-above-n",
-            "train-m-below-n"])
+            "train-m-below-n", "denoise-sigma-negative", "inpaint-fraction-nan",
+            "inpaint-eps-negative", "compress-steps-negative"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]

@@ -287,7 +287,7 @@ class TestUpdateAnalysis:
         assert np.linalg.norm(grad) <= 1e-5 * scale
 
     def test_rank_deficient_synthesis(self):
-        # S S^T has a zero eigenvalue; its direction joins rho3's complement.
+        # S S^T has a zero eigenvalue, so S^T S has n - 1 = 2 nonzero ones.
         data, codes, synth, _, state, cfg = small_problem(3, n=3, m=5, n_cols=10)
         synth[2] = synth[0] - 2.0 * synth[1]
         new = update_analysis(data, codes, synth, state, cfg)
@@ -296,8 +296,8 @@ class TestUpdateAnalysis:
 
     def test_penalty_ratio_far_above_residual_energies(self):
         # rho2 / rho3 = 1e10: B1's eigenvalues rho2 lam + rho3 on the span
-        # of synth^T sit far above A1's, so rounding left on that span by
-        # the complement's part of C1 would fail the residual check.
+        # of synth^T sit far above A1's and above the m - n of rho3; the
+        # three solves still pass the residual check.
         data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
         init = ksvd_train(data, KsvdConfig(k=4, iters=2), dct_dictionary(16, 32))
         synth, _, _, trace = pksvd_train(data, PkvConfig(rho1=1e3, rho2=1e10, rho3=1.0,
@@ -326,19 +326,44 @@ class TestUpdateAnalysis:
         assert rel_diff(analysis, solve_sylvester(*stated_analysis_system(*args))) <= 1e-8
 
     def test_residual_check_states_the_solved_form(self, monkeypatch):
-        # A1 phi + phi B1 = C1, with ||B1|| from B1's spectrum (m - n = 2
-        # of its eigenvalues are rho3): the formed B1 has the same norm.
+        # A1 phi + phi B1 = C1, with B1 formed: the check's terms are
+        # (A1, phi) and (phi, B1).
         data, codes, synth, _, state, cfg = small_problem(6)
         seen = []
         monkeypatch.setattr(parseval_ksvd, "check_sylvester_residual",
                             lambda residual, c, *terms: seen.append((c, terms)))
         new = update_analysis(data, codes, synth, state, cfg)
         a1, b1, c1 = stated_analysis_system(data, codes, synth, state, cfg)
-        [(c, ((a, left), (right, b1_norm)))] = seen
+        [(c, ((a, left), (right, b)))] = seen
         assert np.allclose(c, c1, rtol=1e-14, atol=0.0)
         assert np.allclose(a, a1, rtol=1e-14, atol=0.0)
         assert left is new and right is new
-        assert np.isclose(b1_norm, np.linalg.norm(b1), rtol=1e-14, atol=0.0)
+        assert np.linalg.norm(b - b1) <= 1e-14 * np.linalg.norm(b1)
+
+    def test_tiny_penalties_solve_backward_stably(self, monkeypatch):
+        # rho3 = 1e-300 leaves B1 = rho2 S^T S + rho3 I nearly singular.
+        # Solved from the eigenpairs of the formed B1, each analysis solve
+        # has a normwise backward error at rounding level; the third
+        # iteration's synthesis update then fails on its condition.
+        data = to_blocks(texture(0)[:32, :32], 4, subtract_mean=True).blocks
+        init = ksvd_train(data, KsvdConfig(k=4, iters=2), dct_dictionary(16, 32))
+        solves = []
+
+        def spy(*args):
+            solves.append((args, update_analysis(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(parseval_ksvd, "update_analysis", spy)
+        with pytest.raises(NearSingularSylvester) as failure:
+            pksvd_train(data, PkvConfig(1e-20, 1e-3, 1e-300, max_iters=3), init)
+        assert failure.value.update == "synthesis"
+        assert len(solves) == 3
+        norm = np.linalg.norm
+        for args, analysis in solves:
+            a1, b1, c1 = stated_analysis_system(*args)
+            error = norm(a1 @ analysis + analysis @ b1 - c1) / (
+                norm(a1) * norm(analysis) + norm(analysis) * norm(b1) + norm(c1))
+            assert error <= 1e-14
 
     def test_zero_solution_at_tiny_penalties_fails(self, monkeypatch):
         # With zero multipliers C1 = (rho2 + rho3) synth, about 1e-19 here:
