@@ -162,6 +162,9 @@ def cmd_train(args):
     if cfg["k"] > n:
         raise ConfigError(f"--k {cfg['k']} exceeds the signal dimension of a --block_size "
                           f"{cfg['block_size']} block: need k <= n, got n={n}, k={cfg['k']}")
+    if n == 1 < cfg["m"]:  # the DCT dictionary's grid is the constant atom alone
+        raise ConfigError(f"--m {cfg['m']} is above the one DCT atom of a --block_size 1 "
+                          "block: need m = 1 when n = 1")
     for path in (args.out, args.out_dual, args.out_codes, args.trace):
         if path:  # fail before the run, not after it
             formats.check_output_dir(path)

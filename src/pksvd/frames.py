@@ -117,13 +117,16 @@ def is_parseval(d: Dictionary, tol: float) -> bool:
 def dct_dictionary(n: int, m: int) -> Dictionary:
     """Overcomplete separable DCT dictionary of shape n x m.
 
-    n must be a perfect square. A 1-D cosine grid of shape sqrt(n) x r,
+    n must be a perfect square, and m must be 1 when n = 1: the 1 x 1 grid
+    has only the constant atom. A 1-D cosine grid of shape sqrt(n) x r,
     r = ceil(sqrt(m)), has entries cos(pi*i*j/r), its columns mean-removed
     (except the constant one) and normalized; the output is the first m
     atoms of its Kronecker square, scaled to unit norm.
     """
     if m < n:
         raise BadShape(f"need m >= n, got n={n}, m={m}")
+    if n == 1 < m:
+        raise BadShape(f"n=1 has one DCT atom, the constant, got m={m}")
     rn = int(round(np.sqrt(n)))
     if rn * rn != n:
         raise BadShape(f"n must be a perfect square, got n={n}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .matrix_core import as_matrix
-from .sparse_solvers import _TIE_RTOL, _refit_supports, omp
+from .sparse_solvers import _TIE_RTOL, _col_norms, _refit_supports, omp
 
 _OMP_RESIDUAL_TOL = 1e-12
 # Residual-to-code-row norm ratio up to which an atom update takes one
@@ -61,14 +61,10 @@ def _code_columns(dict_mat, data, k, prev_codes):
     if prev_codes is None:
         return codes
     refit = _refit_supports(gram, proj.T, prev_codes)
-    gain = _fit_errors(dict_mat, data, codes) - _fit_errors(dict_mat, data, refit)
+    gain = _col_norms(data - dict_mat @ codes) - _col_norms(data - dict_mat @ refit)
     better = prev_codes.any(axis=0) & (gain > _OMP_RESIDUAL_TOL)
     codes[:, better] = refit[:, better]
     return codes
-
-
-def _fit_errors(dict_mat, data, codes):
-    return np.linalg.norm(data - dict_mat @ codes, axis=0)
 
 
 def _update_atoms(dict_mat, data, codes):
@@ -79,8 +75,9 @@ def _update_atoms(dict_mat, data, codes):
     residual E, and its code row u^T E. u comes from the top eigenvector of
     the smaller Gram: of E E^T, or, when fewer columns than rows use the
     atom, of E^T E, mapped through E. The residual data - dict @ codes is
-    kept across the pass: each atom update rewrites only the columns that
-    use the atom.
+    kept across the pass as rows, one training column per row, as the
+    Batch-OMP lanes are: each atom update rewrites only the rows of the
+    columns that use the atom.
 
     An atom whose columns already fit takes one power step instead. Write
     E = d x^T + R, with d the current atom, x its code row on the columns
@@ -88,26 +85,20 @@ def _update_atoms(dict_mat, data, codes):
     ``_POWER_STEP_TOL``), sigma_2 / sigma_1 <= tau / (1 - tau) and d lies
     within an angle of about tau of u. One step u ~ E E^T d shrinks that
     angle by (sigma_2 / sigma_1)^2, to about tau^3 (1e-15), the accuracy
-    of the eigensolver itself. All atoms are screened once at the start of
-    the pass, on the summed residual norms of the columns each one uses;
-    an atom that passes is checked again on the current residual before
-    its step, and every other atom takes the eigensolver.
+    of the eigensolver itself. R is the current residual, just before the
+    atom's update.
     """
     dict_mat = dict_mat.copy()
     codes = codes.copy()
-    resid = data - dict_mat @ codes
-    row_sq = np.einsum("ij,ij->i", codes, codes)
-    bound_sq = _POWER_STEP_TOL ** 2 * row_sq
-    present = codes != 0
-    fits = present @ np.einsum("ij,ij->j", resid, resid) <= bound_sq
-    # Atom j's update rewrites row j on its own columns only, so every
-    # atom's columns are listed once, up front.
-    rows, cols = np.nonzero(present)
-    users = np.split(cols, np.cumsum(np.bincount(rows, minlength=codes.shape[0]))[:-1])
+    resid = (data - dict_mat @ codes).T.copy()
+    bound_sq = _POWER_STEP_TOL ** 2 * np.einsum("ij,ij->i", codes, codes)
     taken = set()
-    for j, used in enumerate(users):
+    for j in range(codes.shape[0]):
+        # Row j is rewritten by atom j's update only, so its nonzeros are
+        # still the columns of the coding.
+        used = np.flatnonzero(codes[j])
         if used.size == 0:
-            errs = np.linalg.norm(resid, axis=0)
+            errs = np.linalg.norm(resid, axis=1)
             for worst in np.argsort(errs)[::-1]:
                 if int(worst) not in taken:
                     break
@@ -117,9 +108,11 @@ def _update_atoms(dict_mat, data, codes):
             if nrm > 0:
                 dict_mat[:, j] = col / nrm
             continue
-        rest = resid[:, used]
-        restricted = rest + dict_mat[:, j, None] * codes[j, used]
-        if fits[j] and np.vdot(rest, rest) <= bound_sq[j]:
+        rest = resid[used]
+        # E as n x (columns using the atom): BLAS rounds the matrix-vector
+        # products below by their operand's layout.
+        restricted = rest.T + dict_mat[:, j, None] * codes[j, used]
+        if np.vdot(rest, rest) <= bound_sq[j]:
             top = restricted @ (dict_mat[:, j] @ restricted)
             top /= np.linalg.norm(top)
         elif used.size < restricted.shape[0]:
@@ -130,7 +123,7 @@ def _update_atoms(dict_mat, data, codes):
         atom, row = _canonical_sign(top, top @ restricted)
         dict_mat[:, j] = atom
         codes[j, used] = row
-        resid[:, used] = restricted - atom[:, None] * row
+        resid[used] = (restricted - atom[:, None] * row).T
     return dict_mat, codes
 
 

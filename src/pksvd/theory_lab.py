@@ -192,10 +192,9 @@ def nonexistence_search(n, m, trials: int, seed: int) -> CounterexampleReport:
     every signal would make x -> u1*(x) additive; exhibiting x1, x2 with
     u1*(x1 + x2) != u1*(x1) + u1*(x2) rules any such operator out. Raises
     ``NoViolationFound`` when all trials stay additive (the expected
-    outcome for square frames, where the representation is unique).
+    outcome for square frames, where the representation is unique). The
+    oracle limits the frame to m <= 12 atoms.
     """
-    if m > 10:
-        raise TooLarge("search limited to m <= 10")
     if m < n:
         raise ValueError("need m >= n")
     rng = np.random.default_rng(seed)

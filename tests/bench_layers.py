@@ -37,6 +37,12 @@ columns fit exactly and every atom takes the power step; at ``full-k8``
 155 atoms are unused and replaced by data columns, and the other 101, like
 every atom at ``desk`` and ``probe``, take the eigensolver.
 
+Times ``ksvd._code_columns``, K-SVD's coding stage, alone at the same four
+shapes on the inputs of the second coding of that train: the dictionary
+and the codes after the first pass. It runs Batch-OMP, the refit of the
+previous supports (``sparse_solvers._refit_supports``) and the comparison
+of the two fits.
+
 Times ``sparse_solvers._support_slots``, which lists each column's support
 rows, then its padding indices, on three masks: the supports of the first
 Batch-OMP pass at the ``desk`` and ``full`` shapes (``support-desk``,
@@ -193,16 +199,30 @@ def test_update_codes_run(benchmark, trained_desk):
     assert np.array_equal(refreshed != 0.0, codes != 0.0)
 
 
-@pytest.mark.parametrize("shape", sorted(CODE_REFRESH_SHAPES))
-def test_update_atoms(benchmark, shape):
+def first_coding(shape):
+    """The blocks, the DCT dictionary, the budget and the first coding of
+    the K-SVD train at ``shape``."""
     block, side, m, k = CODE_REFRESH_SHAPES[shape]
     seed = PROBE_SEED if shape == "probe" else 3
     data = to_blocks(texture(seed)[:side, :side].astype(float), block,
                      subtract_mean=True).blocks
     init = dct_dictionary(block * block, m).mat
-    codes = _code_columns(init, data, k, None)
+    return data, init, k, _code_columns(init, data, k, None)
+
+
+@pytest.mark.parametrize("shape", sorted(CODE_REFRESH_SHAPES))
+def test_update_atoms(benchmark, shape):
+    data, init, _, codes = first_coding(shape)
     _, new_codes = benchmark(_update_atoms, init, data, codes)
     assert np.array_equal(new_codes != 0.0, codes != 0.0)
+
+
+@pytest.mark.parametrize("shape", sorted(CODE_REFRESH_SHAPES))
+def test_code_columns(benchmark, shape):
+    data, init, k, codes = first_coding(shape)
+    dict_mat, codes = _update_atoms(init, data, codes)
+    recoded = benchmark(_code_columns, dict_mat, data, k, codes)
+    assert (np.count_nonzero(recoded, axis=0) <= k).all()
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -625,10 +625,11 @@ class TestInputLimits:
     whose square overflows, a noise level whose restoration's SSIM terms
     would overflow, a penalty above the cap, huge penalties under it, a
     rho2 too large against rho3, Parseval-only outputs asked of a K-SVD
-    train, fewer training blocks than atoms, and values that start with
-    '-' after a space, as in ``--sigma -inf``. A failure exits 1 naming
-    the input, prints no warning and writes nothing; a success prints no
-    warning and writes finite outputs."""
+    train, fewer training blocks than atoms, 1x1 blocks with more than
+    one atom, and values that start with '-' after a space, as in
+    ``--sigma -inf``. A failure exits 1 naming the input, prints no
+    warning and writes nothing; a success prints no warning and writes
+    finite outputs."""
 
     @pytest.fixture
     def small(self, tmp_path):
@@ -723,6 +724,9 @@ class TestInputLimits:
         (["compress", "{image}", "--dict", "{eye}", "--dual", "{eye}", "--steps", "-1,2",
           "--block_size", "2", "--out-prefix", "{out}/rd"],
          "quantizer steps must be finite and positive, got [-1.0, 2.0]"),
+        (["train", "{image}", "--method", "ksvd", "--out", "{out}/d.pk",
+          "--block_size", "1", "--m", "4", "--k", "1"],
+         "--m 4 is above the one DCT atom of a --block_size 1 block: need m = 1 when n = 1"),
     ], ids=["compress-steps", "denoise-seed", "train-seed", "theory-trials",
             "denoise-out-dir", "train-out-dir", "train-trace-dir", "denoise-eps-list",
             "compress-steps-list", "ksvd-trace", "ksvd-out-dual", "denoise-sigma-huge",
@@ -730,7 +734,7 @@ class TestInputLimits:
             "inpaint-fraction-range", "inpaint-block-size", "denoise-block-size",
             "compress-block-size", "train-too-few-blocks", "train-k-above-n",
             "train-m-below-n", "denoise-sigma-negative", "inpaint-fraction-nan",
-            "inpaint-eps-negative", "compress-steps-negative"])
+            "inpaint-eps-negative", "compress-steps-negative", "train-block-size-1"])
     def test_fails_naming_the_input(self, small, capsys, argv, message):
         image, eye, out = small
         argv = [arg.format(image=image, eye=eye, out=out) for arg in argv]

@@ -269,6 +269,14 @@ class TestOvercompleteDct:
         # The first m atoms of the next square grid, 6 x 6 for m = 32.
         assert np.array_equal(d.mat, dct_dictionary(16, 36).mat[:, :32])
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_one_dimensional_blocks_have_one_atom(self, m):
+        # The 1 x 1 cosine grid is the constant alone: more atoms would be
+        # mean-removed zeros, normalized to NaN.
+        with np.errstate(all="raise"), pytest.raises(BadShape, match=f"got m={m}$"):
+            dct_dictionary(1, m)
+        assert np.array_equal(dct_dictionary(1, 1).mat, [[1.0]])
+
     @pytest.mark.parametrize("m", [8, 9, 15])
     def test_too_few_atoms_named_as_requested(self, m):
         with pytest.raises(BadShape, match=f"got n=16, m={m}$"):

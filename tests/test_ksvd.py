@@ -165,6 +165,38 @@ class TestUpdateAtoms:
         assert np.abs(got_dict - ref_dict).max() <= 1e-12
         assert np.abs(got_codes - ref_codes).max() <= 1e-12
 
+    def test_power_step_rule_reads_the_current_residual(self, monkeypatch):
+        # Y = d0 x0^T + d1 x1^T exactly for orthonormal d0, d1, and atom 1's
+        # columns are among atom 0's. From a perturbed atom 0, atom 1's
+        # residual fails tau at the start of the pass, but atom 0's update
+        # leaves it at rounding: atom 1 takes the power step, and only
+        # atom 0 the eigensolver.
+        rng = np.random.default_rng(14)
+        tau = ksvd._POWER_STEP_TOL
+        true = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        codes = np.zeros((2, 10))
+        codes[0] = rng.uniform(0.5, 1.5, 10)
+        codes[1, :5] = rng.uniform(0.5, 1.5, 5)
+        data = true @ codes
+        init = true.copy()
+        init[:, 0] += 1e-3 * rng.standard_normal(6)
+        init[:, 0] /= np.linalg.norm(init[:, 0])
+        assert np.linalg.norm((data - init @ codes)[:, :5]) > tau * np.linalg.norm(codes[1])
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counted(gram):
+            solved.append(gram.shape)
+            return eigh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        got_dict, got_codes = ksvd._update_atoms(init, data, codes)
+        monkeypatch.undo()
+        assert solved == [(6, 6)]
+        ref_dict, ref_codes = reference_update_atoms(init, data, codes)
+        assert np.abs(got_dict[:, 1] - ref_dict[:, 1]).max() <= 1e-12
+        assert np.abs(got_codes[1] - ref_codes[1]).max() <= 1e-12
+
     @pytest.mark.parametrize("cols", [5, 9])
     def test_tied_top_singular_values(self, cols):
         # Atom 0 alone codes every column and its restricted residual E has

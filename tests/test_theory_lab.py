@@ -266,8 +266,16 @@ class TestNonexistenceSearch:
             nonexistence_search(3, 3, trials=30, seed=0)
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            nonexistence_search(3, 11, trials=1, seed=0)
+        with pytest.raises(TooLarge, match="oracle limited to m <= 12, got m=13"):
+            nonexistence_search(3, 13, trials=1, seed=0)
+
+    def test_runs_at_the_oracle_limit(self):
+        # The oracle's limit is the search's: m = 12 runs.
+        try:
+            report = nonexistence_search(3, 12, trials=1, seed=0)
+        except NoViolationFound:
+            return
+        assert report.frame.m == 12 and report.violation > 1e-6
 
     def test_undercomplete_rejected(self):
         with pytest.raises(ValueError, match="need m >= n"):
