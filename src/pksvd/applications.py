@@ -149,9 +149,9 @@ def _observed_systems(masks, blocks, mat):
     rows. For a ``Dictionary`` D each count is the rank that
     ``np.linalg.matrix_rank`` gives: by interlacing, a row subset's
     singular values lie within D's, whose sigma_min ``Dictionary`` keeps
-    above 1e-10 sigma_max, while ``matrix_rank`` drops only singular
-    values at or below m * 2.2e-16 sigma_max, less than 1e-10 sigma_max
-    for any m below about 4e5.
+    above 1e-6 sigma_max, while ``matrix_rank`` drops only singular
+    values at or below m * 2.2e-16 sigma_max, less than 1e-6 sigma_max
+    for any m below about 4e9.
     """
     slots = _support_slots(masks)
     pad = ((0, slots.shape[1]), (0, 0))

@@ -179,43 +179,43 @@ def cmd_train(args):
         )
     init = frames.dct_dictionary(n, cfg["m"])
     ksvd_cfg = KsvdConfig(k=cfg["k"], iters=cfg["ksvd_iters"])
-    synth, codes = ksvd_train(data, ksvd_cfg, init)
     penalties = ", ".join(f"--{key} {cfg[key]:g}" for key in _FLOAT_KEYS)
-    if args.method == "parseval":
-        try:
-            synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (synth, codes))
-        except NearSingularSylvester as exc:
-            if exc.update == "analysis":
-                # The analysis update's eigenvalue sums lie between rho3 and about
-                # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+    try:  # Dictionary refuses a trained matrix that is not a frame, before any write
+        synth, codes = ksvd_train(data, ksvd_cfg, init)
+        if args.method == "parseval":
+            try:
+                synth, analysis, codes, trace = pksvd_train(data, pkv_cfg, (synth, codes))
+            except NearSingularSylvester as exc:
+                if exc.update == "analysis":
+                    # The analysis update's eigenvalue sums lie between rho3 and about
+                    # rho2 ||S||^2 plus the data terms, so rho2 / rho3 sets its condition.
+                    raise ConfigError(
+                        f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: the "
+                        f"analysis update's Sylvester system is near-singular ({exc}); "
+                        "lower --rho2 or raise --rho3"
+                    ) from None
                 raise ConfigError(
-                    f"--rho2 {cfg['rho2']:g} is too large against --rho3 {cfg['rho3']:g}: the "
-                    f"analysis update's Sylvester system is near-singular ({exc}); "
-                    "lower --rho2 or raise --rho3"
+                    f"the synthesis update's Sylvester system is near-singular ({exc}), with "
+                    f"{penalties}; raise --rho1 or --rho3"
                 ) from None
-            raise ConfigError(
-                f"the synthesis update's Sylvester system is near-singular ({exc}), with "
-                f"{penalties}; raise --rho1 or --rho3"
-            ) from None
-        except SingularCoefficientGram as exc:
-            if exc.update != "codes":
-                raise  # the synthesis update's code Gram: singular for a flat image
-            # rho1 S^T S is the term of the refresh's Gram that keeps the
-            # Gram of independent support atoms definite.
-            raise ConfigError(
-                f"the code refresh failed ({exc}), with {penalties}; raise --rho1"
-            ) from None
-        except SingularMetric as exc:
-            raise ConfigError(
-                f"--rho3 {cfg['rho3']:g} is too small for --rho1 {cfg['rho1']:g} and --rho2 "
-                f"{cfg['rho2']:g}: the synthesis update's metric 2 rho1 G + rho2 A^T A + "
-                f"rho3 I, which only its rho3 I term keeps definite, fails ({exc}); raise --rho3"
-            ) from None
-    try:  # before the first write: the frame bounds fail on a rank-deficient dictionary
-        _print_dictionary_summary(f"{args.method} dictionary", synth, codes)
+            except SingularCoefficientGram as exc:
+                if exc.update != "codes":
+                    raise  # the synthesis update's code Gram: singular for a flat image
+                # rho1 S^T S is the term of the refresh's Gram that keeps the
+                # Gram of independent support atoms definite.
+                raise ConfigError(
+                    f"the code refresh failed ({exc}), with {penalties}; raise --rho1"
+                ) from None
+            except SingularMetric as exc:
+                raise ConfigError(
+                    f"--rho3 {cfg['rho3']:g} is too small for --rho1 {cfg['rho1']:g} and --rho2 "
+                    f"{cfg['rho2']:g}: the synthesis update's metric 2 rho1 G + rho2 A^T A + "
+                    f"rho3 I, which only its rho3 I term keeps definite, fails ({exc}); raise --rho3"
+                ) from None
     except RankDeficient as exc:
         with_penalties = f", with {penalties}" if args.method == "parseval" else ""
         raise RankDeficient(f"the trained dictionary is not a frame ({exc}){with_penalties}") from None
+    _print_dictionary_summary(f"{args.method} dictionary", synth, codes)
     formats.save_dictionary(synth, args.out)
     written = [args.out]
     if args.method == "parseval":

@@ -14,8 +14,9 @@ import numpy as np
 from .errors import BadShape, RankDeficient, UniqueDual
 from .matrix_core import as_matrix
 
-# Relative singular-value floor below which a dictionary is not a frame.
-_RANK_TOL = 1e-10
+# The frame rule, which ``Dictionary`` alone applies: sigma_min <= 1e-6
+# sigma_max (lambda_min <= 1e-12 lambda_max) is not a frame.
+_RANK_TOL = 1e-6
 
 # Scale of the null-space perturbation used by random_dual. Large enough
 # that a sampled dual is far from the canonical one in every direction.
@@ -36,11 +37,11 @@ class Dictionary:
                 f"dictionary must have at least as many atoms as rows, got {m.shape}"
             )
         object.__setattr__(self, "svals", np.linalg.svd(m, compute_uv=False))
-        if self.svals[-1] <= _RANK_TOL * self.svals[0]:
-            raise RankDeficient(
-                f"smallest singular value {self.svals[-1]:.3e} is below "
-                f"{_RANK_TOL:g} * sigma_max; not a frame"
-            )
+        # On the squares: a frame operator whose eigenvalues leave the float range fails too.
+        lo, hi = (float(s) * float(s) for s in self.svals[[-1, 0]])
+        if lo <= _RANK_TOL ** 2 * hi:
+            raise RankDeficient(f"lowest frame-operator eigenvalue {lo:.3e} is at most "
+                                f"{_RANK_TOL ** 2:g} of the largest, {hi:.3e}; not a frame")
         object.__setattr__(self, "mat", m)
 
     @property
@@ -65,12 +66,8 @@ class FrameBounds:
 
 
 def frame_bounds(d: Dictionary) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator, sigma_min^2 and sigma_max^2.
-    Raises ``RankDeficient`` when the smallest is numerically zero next to the largest."""
-    lo, hi = float(d.svals[-1]) ** 2, float(d.svals[0]) ** 2
-    if lo <= 1e-12 * hi:
-        raise RankDeficient(f"lowest frame-operator eigenvalue {lo:.3e} is numerically zero")
-    return FrameBounds(lo, hi)
+    """Extreme eigenvalues of the frame operator, sigma_min^2 and sigma_max^2."""
+    return FrameBounds(float(d.svals[-1]) ** 2, float(d.svals[0]) ** 2)
 
 
 def canonical_dual(d: Dictionary) -> Dictionary:
@@ -79,10 +76,8 @@ def canonical_dual(d: Dictionary) -> Dictionary:
     Satisfies mat @ dual.T = I; its kernel dual.T @ mat is the orthogonal
     projection onto the row space of ``mat``. Formed as U diag(1/s) V^T
     from the thin SVD mat = U diag(s) V^T, whose condition number, unlike
-    the normal equations', is not squared. Raises ``RankDeficient`` under
-    the same rule as ``frame_bounds``.
+    the normal equations', is not squared.
     """
-    frame_bounds(d)
     u, s, vt = np.linalg.svd(d.mat, full_matrices=False)
     return Dictionary((u / s) @ vt)
 

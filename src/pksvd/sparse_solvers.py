@@ -185,14 +185,13 @@ def _support_slots(present):
     array whose row j lists the True rows of column j in increasing order,
     for the widest support w, and then, in each slot i that a shorter
     support leaves, the padding index m + i, which points into w rows
-    appended after the m. The refit and inpainting gather their systems
-    through these slots."""
-    m = present.shape[0]
+    appended after the m, scattered from the row-major ``np.nonzero`` of
+    ``present.T``. The refit and inpainting gather their systems by them."""
     sizes = present.sum(axis=0)
-    width = int(sizes.max(initial=0))
-    slot = np.arange(width)
-    rows = np.argsort(~present, axis=0, kind="stable")[:width].T
-    return np.where(slot < sizes[:, None], rows, m + slot)
+    slots = np.tile(present.shape[0] + np.arange(sizes.max(initial=0)), (len(sizes), 1))
+    cols, rows = np.nonzero(present.T)
+    slots[cols, np.arange(cols.size) - (np.cumsum(sizes) - sizes)[cols]] = rows
+    return slots
 
 
 def _refit_supports(gram, proj, codes, slots=None):

@@ -23,6 +23,11 @@ _SPARK_MAX_ATOMS = 14
 _ORACLE_MAX_ATOMS = 12
 
 
+def _check_oracle_size(m):
+    if m > _ORACLE_MAX_ATOMS:
+        raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}, got m={m}")
+
+
 def _dependent(cols):
     """True when the columns of ``cols`` are numerically dependent: the
     smallest singular value is at most 1e-10 of max(sigma_max, 1)."""
@@ -57,8 +62,7 @@ def bp_bruteforce_oracle(d: Dictionary, x):
     of codes tied within 1e-15, the first subset in lexicographic order
     wins. Limited to m <= 12 atoms. Returns the m-vector of codes.
     """
-    if d.m > _ORACLE_MAX_ATOMS:
-        raise TooLarge(f"oracle limited to m <= {_ORACLE_MAX_ATOMS}, got m={d.m}")
+    _check_oracle_size(d.m)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != d.n:
         raise ValueError(f"signal length {x.size} does not match dictionary rows {d.n}")
@@ -193,10 +197,11 @@ def nonexistence_search(n, m, trials: int, seed: int) -> CounterexampleReport:
     u1*(x1 + x2) != u1*(x1) + u1*(x2) rules any such operator out. Raises
     ``NoViolationFound`` when all trials stay additive (the expected
     outcome for square frames, where the representation is unique). The
-    oracle limits the frame to m <= 12 atoms.
+    oracle limits the frame to m <= 12 atoms, checked before any sampling.
     """
     if m < n:
         raise ValueError("need m >= n")
+    _check_oracle_size(m)
     rng = np.random.default_rng(seed)
     best_violation = 0.0
     for trial in range(trials):

@@ -13,7 +13,7 @@ from texture import texture
 from pksvd import cli
 from pksvd.cli import main, resolve_config
 from pksvd.errors import ConfigError
-from pksvd.formats import load_codes, load_dictionary, save_dictionary
+from pksvd.formats import DICT_MAGIC, _encode_matrix, load_codes, load_dictionary, save_dictionary
 from pksvd.frames import Dictionary, canonical_dual, frame_bounds
 from pksvd.imaging import read_pgm, write_pgm
 
@@ -596,6 +596,58 @@ class TestCanonicalDualFallback:
                     == (tmp_path / f"explicit.{ext}").read_bytes())
 
 
+class TestNotAFrameFile:
+    """A dictionary file with singular values [1, 1, 1, 1e-8], which no
+    ``Dictionary`` holds, is refused by every command that loads it, with
+    or without an explicit dual: one message, exit 1, nothing written."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(7)  # TestNearSingularFrame's matrix
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        mat = u @ np.diag([1.0, 1.0, 1.0, 1e-8]) @ v.T
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        paths = {"image": inputs / "img.pgm", "dict": inputs / "d.pk",
+                 "dual": inputs / "d.dual.pk"}
+        write_pgm(np.random.default_rng(0).integers(0, 256, (8, 8)).astype(float),
+                  paths["image"])
+        paths["dict"].write_bytes(_encode_matrix(DICT_MAGIC, mat))
+        paths["dual"].write_bytes(_encode_matrix(DICT_MAGIC, np.linalg.pinv(mat).T))
+        out = tmp_path / "out"
+        out.mkdir()
+        return {key: str(path) for key, path in paths.items()}, out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{dict}"],
+        ["reconstruct", "{image}", "--dict", "{dict}", "--out", "{out}/rc.pgm"],
+        ["reconstruct", "{image}", "--dict", "{dict}", "--dual", "{dual}",
+         "--out", "{out}/rc.pgm"],
+        ["denoise", "{image}", "--dict", "{dict}", "--sigma", "5", "--out-prefix", "{out}/dn"],
+        ["denoise", "{image}", "--dict", "{dict}", "--dual", "{dual}", "--sigma", "5",
+         "--out-prefix", "{out}/dn"],
+        ["compress", "{image}", "--dict", "{dict}", "--out-prefix", "{out}/rd"],
+        ["compress", "{image}", "--dict", "{dict}", "--dual", "{dual}",
+         "--out-prefix", "{out}/rd"],
+        ["inpaint", "{image}", "--dict", "{dict}", "--fraction", "0.5",
+         "--out-prefix", "{out}/ip"],
+    ], ids=["verify", "reconstruct", "reconstruct-dual", "denoise", "denoise-dual",
+            "compress", "compress-dual", "inpaint"])
+    def test_refused_by_every_command(self, files, capsys, argv):
+        paths, out = files
+        argv = [arg.format(out=out, **paths) for arg in argv]
+        if argv[0] != "verify":
+            argv += ["--block_size", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: lowest frame-operator eigenvalue 1.000e-16 is at most 1e-12 of the largest, "
+            "1.000e+00; not a frame\n")
+        assert list(out.iterdir()) == []
+
+
 class TestTheory:
     def test_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"
@@ -811,7 +863,7 @@ class TestInputLimits:
         # after both dictionaries were written.
         (["--rho1", "1e-300", "--rho2", "1e-300", "--rho3", "1"],
          "the trained dictionary is not a frame (lowest frame-operator eigenvalue ",
-         "is numerically zero), with --rho1 1e-300, --rho2 1e-300, --rho3 1", []),
+         "; not a frame), with --rho1 1e-300, --rho2 1e-300, --rho3 1", []),
         # K-SVD leaves an atom unused, which only rho2 and rho3 hold in the
         # synthesis update's metric; the code Gram was blamed.
         (["--rho2", "1e-300", "--rho3", "1e-300"],
@@ -820,10 +872,11 @@ class TestInputLimits:
          "definite, fails (M is numerically singular while G is positive definite)",
          "; raise --rho3", [["--rho3", "1e-3"]]),
         # With rho1 near zero the metric is about rho2 A^T A, of rank n < m,
-        # and its Cholesky factorization fails.
+        # and its Cholesky factorization fails. At --rho3 1 the trained dual
+        # is not a frame (sigma_min / sigma_max 9e-9); at 100 it is.
         (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-300"],
          "--rho3 1e-300 is too small for --rho1 1e-300 and --rho2 1: ",
-         "; raise --rho3", [["--rho3", "1"]]),
+         "; raise --rho3", [["--rho3", "100"]]),
         # The synthesis update's solve is inaccurate: M = rho2 A^T A + rho3 I
         # has condition about 1e16, and the solve from the pencil (M, G)
         # has backward error 3e-4 where a vec-form LU solve has 2e-17;
@@ -831,7 +884,7 @@ class TestInputLimits:
         (["--rho1", "1e-300", "--rho2", "1", "--rho3", "1e-20"],
          "the synthesis update's Sylvester system is near-singular (solution residual ",
          "), with --rho1 1e-300, --rho2 1, --rho3 1e-20; raise --rho1 or --rho3",
-         [["--rho1", "1"], ["--rho3", "1"]]),
+         [["--rho1", "1"], ["--rho3", "100"]]),
         # rho1 S^T S underflows out of the code refresh's Gram; no flag was named.
         (["--rho1", "1e-300", "--rho2", "1e-3", "--rho3", "1e-3"],
          "the code refresh failed (the support Gram of code column ",

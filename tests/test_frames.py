@@ -163,18 +163,30 @@ class TestCanonicalDual:
 
 
 class TestNearSingularFrame:
-    """Singular values [1, 1, 1, 1e-8] pass the Dictionary floor (1e-10 of
-    sigma_max), but the frame operator's eigenvalue ratio 1e-16 is below
-    the 1e-12 rank rule."""
+    """Singular values [1, 1, 1, 1e-8]: the frame operator's eigenvalue
+    ratio 1e-16 is numerically zero, and ``Dictionary`` refuses the frame,
+    so that neither the frame bounds nor the canonical dual meet it."""
 
     @pytest.mark.parametrize("fn", [frame_bounds, canonical_dual])
     def test_rank_deficient(self, fn):
         rng = np.random.default_rng(7)
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         v, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-        d = Dictionary(u @ np.diag([1.0, 1.0, 1.0, 1e-8]) @ v.T)
-        with pytest.raises(RankDeficient, match="numerically zero"):
-            fn(d)
+        with pytest.raises(RankDeficient, match="lowest frame-operator eigenvalue 1.000e-16 "
+                                                "is at most 1e-12 of the largest, 1.000e"):
+            fn(Dictionary(u @ np.diag([1.0, 1.0, 1.0, 1e-8]) @ v.T))
+
+    @pytest.mark.parametrize("ratio,accepted", [(1.01e-6, True), (0.99e-6, False)])
+    def test_floor_is_1e_minus_6_of_sigma_max(self, ratio, accepted):
+        # The frame operator's rule, lambda_min <= 1e-12 lambda_max, on
+        # singular values.
+        svals = [2.0, 2.0, 2.0, 2.0 * ratio]
+        if accepted:
+            d = frame_with_singular_values(3, svals, 6)
+            assert d.svals[-1] / d.svals[0] == pytest.approx(ratio, rel=1e-6)
+        else:
+            with pytest.raises(RankDeficient):
+                frame_with_singular_values(3, svals, 6)
 
 
 class TestRandomDual:

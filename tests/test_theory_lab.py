@@ -97,10 +97,10 @@ class TestBruteforceOracle:
             bp_bruteforce_oracle(Dictionary(np.eye(3)), np.ones(2))
 
     def test_no_independent_basis(self):
-        # A frame by Dictionary's relative floor (1e-12 > 1e-10 * 1e-3),
+        # A frame by Dictionary's relative floor (sigma_min = sigma_max),
         # but its only basis fails the subset test, whose floor is
         # 1e-10 * max(sigma_max, 1).
-        d = Dictionary(np.diag([1e-3, 1e-12]))
+        d = Dictionary(1e-11 * np.eye(2))
         with pytest.raises(ValueError, match="no n atoms form an independent basis"):
             bp_bruteforce_oracle(d, np.ones(2))
 
@@ -266,8 +266,11 @@ class TestNonexistenceSearch:
             nonexistence_search(3, 3, trials=30, seed=0)
 
     def test_too_large(self):
-        with pytest.raises(TooLarge, match="oracle limited to m <= 12, got m=13"):
-            nonexistence_search(3, 13, trials=1, seed=0)
+        # m = 15 is above the spark enumeration's limit too: the oracle's
+        # limit is named before a frame is sampled.
+        for m in (13, 15):
+            with pytest.raises(TooLarge, match=f"oracle limited to m <= 12, got m={m}"):
+                nonexistence_search(3, m, trials=1, seed=0)
 
     def test_runs_at_the_oracle_limit(self):
         # The oracle's limit is the search's: m = 12 runs.
